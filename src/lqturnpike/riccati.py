@@ -162,9 +162,11 @@ def solve_are(sys: LtiSystem, tol: float = 1e-10, newton_steps: int = 5) -> AreS
     return AreSolution(p=_lock(p), residual=rel, closed_loop_abscissa=abscissa)
 
 
-def _lock(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def _lock(*arrays):
+    """Make arrays read-only in place; return the first."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays[0]
 
 
 def _check_terminal_cost(p0, n: int) -> np.ndarray:

@@ -314,13 +314,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     )
 
 
-def default_solver(config: ExperimentConfig) -> str:
-    """The configured solver, else the transcription."""
-    if config.solver is not None:
-        return config.solver
-    return "transcription"
-
-
 def build_scenario(config: ExperimentConfig):
     """Materialize (system, target, initial state) from a configuration."""
     if config.scenario == "scalar":

@@ -205,13 +205,10 @@ def _windowed_control_gap(u_dev_sq_int: np.ndarray, grid: np.ndarray) -> np.ndar
 
     ``u_dev_sq_int`` is the cumulative trapezoid integral of |u - u_bar|^2.
     """
-    n_nodes = grid.shape[0]
-    out = np.empty(n_nodes)
-    for i in range(n_nodes):
-        j = n_nodes - 1 - i
-        lo, hi = min(i, j), max(i, j)
-        out[i] = np.sqrt(max(u_dev_sq_int[hi] - u_dev_sq_int[lo], 0.0))
-    return out
+    i = np.arange(grid.shape[0])
+    j = i[::-1]
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    return np.sqrt(np.maximum(u_dev_sq_int[hi] - u_dev_sq_int[lo], 0.0))
 
 
 def _report_for_horizon(

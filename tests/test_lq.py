@@ -3,6 +3,7 @@ import pytest
 
 import lqturnpike as lab
 from lqturnpike.errors import GridMismatchError, ProblemSizeError
+from lqturnpike.lq import _kkt_system
 
 
 def scalar_problem(sys_, z, x0, horizon=10.0, dt=1e-3, p0=None):
@@ -84,6 +85,47 @@ class TestSolveTranscription:
         dre = lab.solve_dre(sys_, 1.0, np.zeros((1, 1)), prob.n_steps)
         relation = np.einsum("tij,tj->ti", dre.p_samples, traj.x)
         assert np.max(np.linalg.norm(traj.y - relation, axis=1)) <= 1e-5
+
+
+def heat_problem(n, control="distributed", horizon=1.0, dt=1e-2):
+    sys_, z = lab.heat_1d(n, control)
+    return lab.LqProblem(
+        sys=sys_, horizon=horizon, target=z, x0=np.zeros(n),
+        p0=np.zeros((n, n)), dt=dt,
+    )
+
+
+class TestKktSystem:
+    def test_exactly_symmetric_without_stored_zeros(self, rand4):
+        sys_, z, _ = rand4
+        rand_prob = lab.LqProblem(
+            sys=sys_, horizon=1.0, target=z, x0=np.ones(4),
+            p0=0.5 * np.eye(4), dt=1e-2,
+        )
+        for prob in (rand_prob, heat_problem(50, "boundary_flavored")):
+            kkt, _ = _kkt_system(prob)
+            assert (kkt - kkt.T).count_nonzero() == 0
+            assert np.all(kkt.data != 0)
+
+    def test_nonzeros_grow_linearly_in_state_dimension(self):
+        nnz = {
+            n: _kkt_system(heat_problem(n, "boundary_flavored"))[0].nnz
+            for n in (50, 100)
+        }
+        assert nnz[100] / nnz[50] < 2.2
+
+    def test_solution_matches_dense_solve(self):
+        prob = heat_problem(10)
+        kkt, rhs = _kkt_system(prob)
+        dense = np.linalg.solve(kkt.toarray(), rhs)
+        traj = lab.solve_transcription(prob)
+        n, m, nodes = prob.sys.n, prob.sys.m, prob.n_steps + 1
+        x_dense = dense[: n * nodes].reshape(nodes, n)
+        u_dense = dense[n * nodes : (n + m) * nodes].reshape(nodes, m)
+        # The KKT controls are the nodal controls at interior nodes.
+        for got, want in ((traj.x, x_dense), (traj.u[1:-1], u_dense[1:-1])):
+            scale = max(1.0, np.max(np.abs(want)))
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
 class TestSolveRiccatiSweep:

@@ -4,6 +4,7 @@ import pytest
 import lqturnpike as lab
 from lqturnpike.errors import UndefinedRateError
 from lqturnpike.turnpike import (
+    _windowed_control_gap,
     energy_diagnostics,
     fit_decay_rate,
     h_trajectory,
@@ -113,6 +114,21 @@ class TestFitDecayRate:
         t = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ValueError):
             fit_decay_rate((t, np.ones(11)), (0.0, 0.25))
+
+
+class TestWindowedControlGap:
+    @pytest.mark.parametrize("n_nodes", [1, 2, 7, 8])
+    def test_matches_per_node_loop_exactly(self, n_nodes):
+        # Rounding can leave the cumulative integral slightly decreasing,
+        # so the clamp at zero is exercised too.
+        rng = np.random.Generator(np.random.Philox(key=7))
+        cum = np.cumsum(rng.standard_normal(n_nodes))
+        expected = np.empty(n_nodes)
+        for i in range(n_nodes):
+            lo, hi = min(i, n_nodes - 1 - i), max(i, n_nodes - 1 - i)
+            expected[i] = np.sqrt(max(cum[hi] - cum[lo], 0.0))
+        got = _windowed_control_gap(cum, np.linspace(0.0, 1.0, n_nodes))
+        assert np.array_equal(got, expected)
 
 
 class TestVerifyTurnpike:
