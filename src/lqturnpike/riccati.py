@@ -22,9 +22,9 @@ resolve the fastest mode (|lambda_max| * dt below the RK4 stability
 bound), otherwise the integration diverges and is reported as such.
 
 :func:`riccati_step_flow` instead gives the exact flow of the same
-equation over one step, by structure-preserving doubling; the tracking
-sweep in :mod:`lqturnpike.lq` is built on it and needs no stability
-limit.  The RK4 solver stays the independent reference for that sweep.
+equation over one step, by structure-preserving doubling, and
+:func:`double_step_flow` doubles any such flow; the tracking sweep in
+:mod:`lqturnpike.lq` is built on them and needs no stability limit.  The RK4 solver stays the independent reference for that sweep.
 """
 
 from __future__ import annotations
@@ -265,16 +265,25 @@ def riccati_step_flow(a, b, c, dt: float):
     e = np.linalg.inv(psi[:n, :n])
     w = e @ psi[:n, n:]
     g = psi[n:, :n] @ e
-    eye = np.eye(n)
     for _ in range(doublings):
-        solved = np.linalg.solve(eye + w @ g, np.hstack([e, w]))
-        e_solved, w_solved = solved[:, :n], solved[:, n:]
-        w = w + e @ w_solved @ e.T
-        g = g + e.T @ g @ e_solved
-        e = e @ e_solved
-        w = 0.5 * (w + w.T)
-        g = 0.5 * (g + g.T)
+        e, w, g = double_step_flow(e, w, g)
     return e, w, g
+
+
+def double_step_flow(e, w, g):
+    """Flow triple over twice the step of ``(e, w, g)``.
+
+    One structure-preserving doubling step: if ``(e, w, g)`` maps the
+    Riccati pair over a step ``tau`` as in :func:`riccati_step_flow`, the
+    result maps it over ``2 tau``.  ``w`` and ``g`` stay symmetric.
+    """
+    n = e.shape[0]
+    solved = np.linalg.solve(np.eye(n) + w @ g, np.hstack([e, w]))
+    e_solved, w_solved = solved[:, :n], solved[:, n:]
+    w = w + e @ w_solved @ e.T
+    g = g + e.T @ g @ e_solved
+    e = e @ e_solved
+    return e, 0.5 * (w + w.T), 0.5 * (g + g.T)
 
 
 def value_function_check(

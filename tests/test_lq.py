@@ -2,8 +2,14 @@ import numpy as np
 import pytest
 
 import lqturnpike as lab
-from lqturnpike.errors import GridMismatchError, ProblemSizeError
-from lqturnpike.lq import _kkt_system
+from lqturnpike.errors import GridMismatchError, IntegrationError, ProblemSizeError
+from lqturnpike.lq import (
+    _kkt_system,
+    _lifted_sweep,
+    _rk4_linear,
+    _stepwise_sweep,
+    _sweep_data,
+)
 
 
 def scalar_problem(sys_, z, x0, horizon=10.0, dt=1e-3, p0=None):
@@ -202,6 +208,70 @@ class TestSolveRiccatiSweep:
         traj = lab.solve_riccati_sweep(prob)
         feedback = -(traj.x @ are.p @ sys_.b)
         assert np.max(np.abs(traj.u - feedback)) <= 1e-9
+
+
+class TestSweepPaths:
+    def test_lifted_and_stepwise_agree(self, rand4):
+        sys4, z4, _ = rand4
+        x0 = np.random.Generator(np.random.Philox(key=4)).standard_normal(4)
+        zero_generator = lab.make_system(np.zeros((2, 2)), np.ones((2, 1)), np.eye(2))
+        probs = (
+            lab.LqProblem(
+                sys=sys4, horizon=2.0, target=z4, x0=x0, p0=0.5 * np.eye(4), dt=1e-3
+            ),
+            heat_problem(10),
+            lab.LqProblem(
+                sys=zero_generator, horizon=1.0, target=np.array([0.3, -0.2]),
+                x0=np.zeros(2), p0=np.zeros((2, 2)), dt=1e-2,
+            ),
+        )
+        for prob in probs:
+            n, data = prob.sys.n, _sweep_data(prob)
+            (q_lift, x_lift), (q_step, x_step) = (
+                sweep(*data, prob.n_steps) for sweep in (_lifted_sweep, _stepwise_sweep)
+            )
+            y_lift = np.einsum("tij,tj->ti", q_lift[:, :n, :], x_lift)
+            y_step = np.einsum("tij,tj->ti", q_step[:, :n, :], x_step)
+            for got, want in ((x_lift[:, :n], x_step[:, :n]), (y_lift, y_step)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestRk4Linear:
+    def test_matches_four_stage_loop(self, rand4):
+        sys_, _, _ = rand4
+        rng = np.random.Generator(np.random.Philox(key=9))
+        h, nsteps = 1e-2, 200
+        for batch in ((), (3,)):
+            v = rng.standard_normal((4,) + batch)
+            forcing = rng.standard_normal((2 * nsteps + 1, 4) + batch)
+            got = _rk4_linear(sys_.a, forcing, v, h, nsteps)
+            want = [v]
+            for j in range(nsteps):
+                w0, wm, w1 = forcing[2 * j], forcing[2 * j + 1], forcing[2 * j + 2]
+                k1 = sys_.a @ v + w0
+                k2 = sys_.a @ (v + (0.5 * h) * k1) + wm
+                k3 = sys_.a @ (v + (0.5 * h) * k2) + wm
+                k4 = sys_.a @ (v + h * k3) + w1
+                v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                want.append(v)
+            want = np.array(want)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_unresolved_stiff_step_raises(self):
+        # dt = 1e-2 leaves the fastest heat_1d(50) modes far outside the
+        # RK4 stability region, so every integration must report divergence.
+        prob = heat_problem(50)
+        u = np.ones((prob.n_steps + 1, 1))
+        calls = (
+            lambda: lab.simulate_forward(prob, u),
+            lambda: lab.simulate_forward(prob, np.repeat(u[:, :, None], 3, axis=2)),
+            lambda: lab.adjoint_from_control(prob, u),
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call in calls:
+                with pytest.raises(IntegrationError):
+                    call()
 
 
 class TestAdjointFromControl:
