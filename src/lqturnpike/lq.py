@@ -56,6 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+from scipy.linalg import expm
 from scipy.sparse.linalg import MatrixRankWarning, spsolve
 
 from .errors import (
@@ -71,6 +72,7 @@ from .riccati import (
     _check_terminal_cost,
     _lock,
     double_step_flow,
+    lifted_orbit,
     riccati_step_flow,
     solve_are,
 )
@@ -201,10 +203,24 @@ def _rk4_linear(a_mat, forcing_half, v0, h, nsteps, what="trajectory"):
     so the forcing of every step is combined up front and the loop does
     one matrix product and one addition per step.  The scheme is the
     same as stepping the stages; results differ only by rounding.
+
+    A step that leaves a decaying or neutral mode (Re lambda <= 0) of
+    ``a`` outside RK4's stability region, |R(h lambda)| > 1, is rejected
+    before any step is taken; growth that blows up anyway is caught
+    after the loop.
     """
     n = a_mat.shape[0]
     eye = np.eye(n)
     z = h * a_mat
+    modes = np.linalg.eigvals(z)
+    # RK4's stability function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
+    gain = np.abs(np.polyval([1 / 24, 1 / 6, 1 / 2, 1.0, 1.0], modes[modes.real <= 0.0]))
+    if np.any(gain > 1.0):
+        raise IntegrationError(
+            f"{what} integration is unstable: RK4 amplifies a decaying mode "
+            f"by {np.max(gain):.3e} per step; the step does not resolve the "
+            "fastest generator mode"
+        )
     z2 = z @ z
     z3 = z2 @ z
     r = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
@@ -630,8 +646,15 @@ def duality_residual(sys: LtiSystem, forward, backward, horizon: float, dt: floa
 def solve_infinite_horizon(sys: LtiSystem, x0, horizon: float, dt: float) -> Trajectory:
     """Closed-loop realization of the infinite-horizon problem, truncated.
 
-    Solves the Riccati equation, then integrates x' = (A - BB*P) x with
-    RK4 and sets y = P x, u = -B* P x.
+    Solves the Riccati equation, then walks x' = (A - BB*P) x exactly on
+    the grid as the orbit of the one-step propagator e^{dt(A - BB*P)}
+    (:func:`~lqturnpike.riccati.lifted_orbit`) and sets y = P x,
+    u = -B* P x.
+
+    Raises
+    ------
+    IntegrationError
+        If the trajectory has non-finite values.
     """
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
     horizon = float(horizon)
@@ -641,9 +664,9 @@ def solve_infinite_horizon(sys: LtiSystem, x0, horizon: float, dt: float) -> Tra
         raise ValueError(f"horizon {horizon} is not an integer multiple of dt {dt}")
     are = solve_are(sys)
     a_cl = sys.a - sys.b @ (sys.b.T @ are.p)
-    x_nodes = _rk4_linear(
-        a_cl, np.zeros((2 * nsteps + 1, sys.n)), x0, dt, nsteps, what="closed-loop"
-    )
+    x_nodes = lifted_orbit(expm(dt * a_cl), x0, nsteps)
+    if not np.all(np.isfinite(x_nodes)):
+        raise IntegrationError("closed-loop trajectory has non-finite values")
     y_nodes = x_nodes @ are.p
     u_nodes = -(y_nodes @ sys.b)
     grid = np.linspace(0.0, horizon, nsteps + 1)

@@ -25,6 +25,7 @@ __all__ = [
 
 
 def format_value(value) -> str:
+    """The CSV text of one value: the definition every cell follows."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -34,9 +35,36 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _column_format(column):
+    """Printf format of one column and the values it is applied to.
+
+    ``'%.17g' % v`` equals ``f"{float(v):.17g}"`` and ``'%d' % v`` equals
+    ``str(int(v))``, so the typed formats write what :func:`format_value`
+    writes.
+    """
+    kinds = set(map(type, column))
+    if all(issubclass(k, (float, np.floating)) for k in kinds):
+        return "%.17g", column
+    if all(issubclass(k, (int, np.integer)) and k is not bool for k in kinds):
+        return "%d", column
+    if all(issubclass(k, str) for k in kinds):
+        return "%s", column
+    return "%s", tuple(map(format_value, column))
+
+
 def render_csv(header, rows) -> str:
+    """CSV text of a header and rows of equal length, one line each.
+
+    Every cell reads as :func:`format_value` writes it.  The format is
+    chosen once per column from the set of value types in that column:
+    ``%.17g`` for floats, ``%d`` for integers and ``%s`` for strings,
+    while bool and mixed columns are mapped through :func:`format_value`.
+    Each row is then rendered with one ``%`` of the joined formats.
+    """
+    typed = [_column_format(column) for column in zip(*rows)]
+    line = ",".join(fmt for fmt, _ in typed)
     lines = [",".join(header)]
-    lines.extend(",".join(format_value(v) for v in row) for row in rows)
+    lines.extend(line % row for row in zip(*(values for _, values in typed)))
     return "\n".join(lines) + "\n"
 
 

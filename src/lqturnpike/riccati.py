@@ -25,6 +25,8 @@ bound), otherwise the integration diverges and is reported as such.
 equation over one step, by structure-preserving doubling, and
 :func:`double_step_flow` doubles any such flow; the tracking sweep in
 :mod:`lqturnpike.lq` is built on them and needs no stability limit.  The RK4 solver stays the independent reference for that sweep.
+:func:`lifted_orbit` walks a linear map's orbit by the same binary
+lifting, for the closed-loop and propagation checks.
 """
 
 from __future__ import annotations
@@ -286,6 +288,30 @@ def double_step_flow(e, w, g):
     return e, 0.5 * (w + w.T), 0.5 * (g + g.T)
 
 
+def lifted_orbit(m, v0, nsteps: int) -> np.ndarray:
+    """Orbit ``v_j = M^j v0`` for j = 0..nsteps, by binary lifting.
+
+    Level k fills nodes [2^k, 2^{k+1}) from nodes [0, 2^k) with one
+    batched product by ``M^{2^k}``, then squares the power for the next
+    level: about 2 log2(nsteps) numpy calls for the flops of stepping
+    node by node.  Returns an (nsteps + 1, n) array.  For a strongly
+    non-normal M, whose powers grow far before they decay, the rounding
+    of the squared powers grows with that transient.
+    """
+    v0 = np.asarray(v0, dtype=float)
+    orbit = np.empty((nsteps + 1,) + v0.shape)
+    orbit[0] = v0
+    power = np.asarray(m, dtype=float)
+    lo = 1
+    while lo <= nsteps:
+        hi = min(2 * lo, nsteps + 1)
+        np.matmul(orbit[: hi - lo], power.T, out=orbit[lo:hi])
+        lo *= 2
+        if lo <= nsteps:
+            power = power @ power
+    return orbit
+
+
 def value_function_check(
     sys: LtiSystem,
     are: AreSolution,
@@ -295,9 +321,10 @@ def value_function_check(
 ):
     """Compare <P xi, xi> with the simulated infinite-horizon cost.
 
-    Integrates the closed-loop trajectory x' = (A - BB*P) x from xi with
-    RK4 and accumulates the running cost |Cx|^2 + |u|^2, u = -B*P x, by
-    trapezoid quadrature on [0, horizon].
+    Walks the closed-loop trajectory x' = (A - BB*P) x from xi exactly on
+    the grid, as the orbit of the one-step propagator e^{h(A - BB*P)}
+    (:func:`lifted_orbit`), and integrates the running cost
+    |Cx|^2 + |u|^2, u = -B*P x, by trapezoid quadrature on [0, horizon].
 
     Returns
     -------
@@ -308,6 +335,8 @@ def value_function_check(
     TruncationError
         If the closed-loop propagator at the truncation horizon still has
         norm above 1e-6, so the tail of the integral is not negligible.
+    IntegrationError
+        If the trajectory has non-finite values.
     """
     xi = np.asarray(xi, dtype=float).reshape(sys.n)
     horizon = float(horizon)
@@ -323,22 +352,13 @@ def value_function_check(
         )
     nsteps = max(2, int(round(horizon / dt)))
     h = horizon / nsteps
-    kb = sys.b.T @ are.p  # feedback gain, u = -kb x
-    x = xi.copy()
-
-    def running(xv):
-        u = -kb @ xv
-        return float(np.dot(sys.c @ xv, sys.c @ xv) + np.dot(u, u))
-
-    total = 0.5 * running(x)
-    for j in range(nsteps):
-        k1 = a_cl @ x
-        k2 = a_cl @ (x + 0.5 * h * k1)
-        k3 = a_cl @ (x + 0.5 * h * k2)
-        k4 = a_cl @ (x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        total += running(x) if j < nsteps - 1 else 0.5 * running(x)
-    simulated = float(total * h)
+    x = lifted_orbit(expm(h * a_cl), xi, nsteps)
+    if not np.all(np.isfinite(x)):
+        raise IntegrationError("closed-loop trajectory has non-finite values")
+    cx = x @ sys.c.T
+    u = x @ are.p @ sys.b  # u = -B*P x; only |u|^2 enters
+    running = np.sum(cx * cx, axis=1) + np.sum(u * u, axis=1)
+    simulated = float(h * (np.sum(running) - 0.5 * (running[0] + running[-1])))
     quad_form = float(xi @ (are.p @ xi))
     return quad_form, simulated
 

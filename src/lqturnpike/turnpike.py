@@ -24,13 +24,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import expm
 
 from .errors import DimensionError, UndefinedRateError
 from .lq import LqProblem, Trajectory, solve_riccati_sweep, solve_transcription
 from .operators import LtiSystem, approx_control_operator, make_system
-from .riccati import AreSolution
+from .riccati import AreSolution, lifted_orbit
 from .stationary import StationaryTriple
 
 __all__ = [
@@ -136,29 +135,50 @@ def h_trajectory(traj: Trajectory, stat: StationaryTriple, are: AreSolution) -> 
 def propagation_residual(h: np.ndarray, sys: LtiSystem, are: AreSolution, grid) -> float:
     """Max defect of g(t) = e^{t(A - BB*P)*} g(0) with g(t) = h(T - t).
 
-    The propagator is evaluated at every node; it is advanced one grid
-    step at a time through the one-step matrix exponential, which agrees
-    with the per-node exponential by the semigroup law up to rounding.
+    The propagator is evaluated at every node, as the orbit of g(0) under
+    the one-step matrix exponential (one ``expm`` per call), walked by
+    binary lifting (:func:`~lqturnpike.riccati.lifted_orbit`); by the
+    semigroup law it agrees with the per-node exponential up to rounding.
+    Returns ``max_j |g(t_j) - e^{t_j(A - BB*P)*} g(0)|``.
     """
     grid = np.asarray(grid, dtype=float)
     h = np.asarray(h, dtype=float)
     if h.shape[0] != grid.shape[0]:
         raise DimensionError("h and grid must have the same number of nodes")
-    steps = np.diff(grid)
-    if steps.size == 0:
+    if grid.shape[0] < 2:
         return 0.0
+    dt = _uniform_step(grid, "propagation check")
+    a_cl_star = (sys.a - sys.b @ (sys.b.T @ are.p)).T
+    g = h[::-1]
+    predicted = lifted_orbit(expm(dt * a_cl_star), g[0], g.shape[0] - 1)
+    return float(np.max(np.linalg.norm(g - predicted, axis=1)))
+
+
+def _uniform_step(grid: np.ndarray, what: str) -> float:
+    """The step of a uniform grid of at least two nodes."""
+    steps = np.diff(grid)
     dt = steps[0]
     if not np.allclose(steps, dt, rtol=1e-9, atol=1e-12):
-        raise ValueError("propagation check requires a uniform grid")
-    a_cl_star = (sys.a - sys.b @ (sys.b.T @ are.p)).T
-    step_propagator = expm(dt * a_cl_star)
-    g = h[::-1]
-    predicted = g[0].copy()
-    worst = 0.0
-    for j in range(1, g.shape[0]):
-        predicted = step_propagator @ predicted
-        worst = max(worst, float(np.linalg.norm(g[j] - predicted)))
-    return worst
+        raise ValueError(f"{what} requires a uniform grid")
+    return float(dt)
+
+
+def _simpson(values: np.ndarray, dx: float) -> float:
+    """Composite Simpson rule on a uniform grid, as ``scipy.integrate.simpson``.
+
+    An even node count takes Simpson on all but the last interval, which
+    gets Cartwright's correction dx (5 y_N + 8 y_{N-1} - y_{N-2}) / 12;
+    two nodes take the trapezoid rule.
+    """
+    nodes = values.shape[0]
+    if nodes == 2:
+        return 0.5 * dx * float(values[0] + values[1])
+    tail = 0.0
+    if nodes % 2 == 0:
+        tail = dx * float(5.0 * values[-1] + 8.0 * values[-2] - values[-3]) / 12.0
+        values = values[:-1]
+    body = np.sum(values[0:-1:2] + 4.0 * values[1::2] + values[2::2])
+    return float(body * (dx / 3.0)) + tail
 
 
 def fit_decay_rate(series, window) -> tuple:
@@ -363,7 +383,8 @@ def energy_diagnostics(
 
     (which presumes y(T) = 0) and the Cauchy-Schwarz upper bound obtained
     by replacing the pairings with products of norms.  The integral is
-    evaluated by composite Simpson quadrature on the trajectory grid.
+    evaluated by composite Simpson quadrature on the uniform trajectory
+    grid, with a corrected last interval for an even node count.
     """
     n = stat.x_bar.shape[0]
     if traj.x.shape[1] != n or sys.n != n:
@@ -375,7 +396,7 @@ def energy_diagnostics(
     integrand = np.sum(u_dev * u_dev, axis=1) + np.sum(
         (x_dev @ sys.c.T) ** 2, axis=1
     )
-    lhs = float(simpson(integrand, x=traj.grid))
+    lhs = _simpson(integrand, _uniform_step(traj.grid, "energy quadrature"))
     rhs_identity = float(
         np.dot(x_dev[0], traj.y[0] - stat.y_bar) + np.dot(x_dev[-1], stat.y_bar)
     )

@@ -29,6 +29,26 @@ class TestFormatting:
         text = render_csv(["a", "b"], [(1, 2.5), (3, False)])
         assert text == "a,b\n1,2.5\n3,false\n"
 
+    def test_render_matches_format_value_join(self):
+        floats = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e300, 2.5]
+        rng = np.random.Generator(np.random.Philox(key=2))
+        columns = [
+            floats,
+            [np.float64(v) for v in rng.standard_normal(len(floats))],
+            [np.int64(v) for v in rng.integers(-10**12, 10**12, len(floats))],
+            [np.bool_(v) for v in rng.integers(0, 2, len(floats))],
+            [bool(v) for v in rng.integers(0, 2, len(floats))],
+            [f"s{i}" for i in range(len(floats))],
+            list(range(len(floats))),
+            [2.5, False, 3, "x", np.float64(-0.0), np.int64(4), True, None],
+        ]
+        header = [f"c{i}" for i in range(len(columns))]
+        rows = list(zip(*columns))
+        want = "\n".join(
+            [",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]
+        ) + "\n"
+        assert render_csv(header, rows) == want
+
 
 class TestExitCodes:
     def test_stationary_scalar_success(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,18 @@ class TestRk4Linear:
             for call in calls:
                 with pytest.raises(IntegrationError):
                     call()
+        # The step is rejected before integrating, so nothing overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                with pytest.raises(IntegrationError):
+                    call()
+
+    def test_unstable_resolved_generator_integrates(self):
+        h, nsteps = 1e-2, 200
+        got = _rk4_linear(np.array([[0.5]]), np.zeros((2 * nsteps + 1, 1)), [1.0], h, nsteps)
+        want = np.exp(0.5 * h * np.arange(nsteps + 1))
+        assert np.max(np.abs(got[:, 0] - want) / want) <= 1e-10
 
 
 class TestAdjointFromControl:

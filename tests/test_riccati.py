@@ -3,6 +3,7 @@ import pytest
 
 import lqturnpike as lab
 from lqturnpike.errors import IntegrationError, NotStabilizableError, TruncationError
+from lqturnpike.riccati import lifted_orbit
 from lqturnpike.turnpike import fit_decay_rate
 
 
@@ -128,6 +129,24 @@ class TestSolveDre:
             simpson(running, x=traj.grid) + traj.x[-1] @ p0 @ traj.x[-1]
         )
         assert abs(value - quad_form) <= 1e-5 * max(1.0, abs(quad_form))
+
+
+class TestLiftedOrbit:
+    @pytest.mark.parametrize("nsteps", [0, 1, 2, 7, 1000])
+    def test_matches_step_by_step_loop(self, nsteps):
+        rng = np.random.Generator(np.random.Philox(key=21))
+        m = rng.standard_normal((4, 4))
+        m *= 0.95 / np.max(np.abs(np.linalg.eigvals(m)))
+        assert np.linalg.norm(m @ m.T - m.T @ m) > 0.1  # not normal
+        v = rng.standard_normal(4)
+        want = [v]
+        for _ in range(nsteps):
+            v = m @ v
+            want.append(v)
+        want = np.array(want)
+        got = lifted_orbit(m, want[0], nsteps)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 class TestValueFunction:

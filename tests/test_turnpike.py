@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from scipy.integrate import simpson
+from scipy.linalg import expm
 
 import lqturnpike as lab
 from lqturnpike.errors import UndefinedRateError
 from lqturnpike.turnpike import (
+    _simpson,
     _windowed_control_gap,
     energy_diagnostics,
     fit_decay_rate,
@@ -84,6 +91,27 @@ class TestPropagationResidual:
         grid = np.array([0.0, 0.1, 0.3])
         with pytest.raises(ValueError):
             propagation_residual(np.zeros((3, 1)), sys_, are, grid)
+
+    def test_matches_stepwise_loop_on_heat_grid(self):
+        n = 20
+        sys_, z = lab.heat_1d(n, "boundary_flavored")
+        x0 = 0.5 * np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
+        prob = lab.LqProblem(
+            sys=sys_, horizon=5.0, target=z, x0=x0, p0=np.zeros((n, n)), dt=1e-2
+        )
+        stat, are = lab.solve_stationary(sys_, z), lab.solve_are(sys_)
+        traj = lab.solve_transcription(prob)
+        h = h_trajectory(traj, stat, are)
+        step = expm(prob.dt * (sys_.a - sys_.b @ (sys_.b.T @ are.p)).T)
+        g = h[::-1]
+        predicted = g[0]
+        want = 0.0
+        for j in range(1, g.shape[0]):
+            predicted = step @ predicted
+            want = max(want, float(np.linalg.norm(g[j] - predicted)))
+        got = propagation_residual(h, sys_, are, traj.grid)
+        assert want > 1e-6  # a transcription defect, well above rounding
+        assert abs(got - want) <= 1e-13 * want
 
 
 class TestFitDecayRate:
@@ -229,6 +257,24 @@ class TestStaggeredDeviationEquation:
             ]
         )
         assert np.max(np.abs(derivative - expected)) <= 1e-4
+
+
+class TestSimpson:
+    @pytest.mark.parametrize("nodes", [2, 3, 4, 5, 25, 26, 1001, 1002])
+    def test_matches_scipy(self, nodes):
+        grid = np.linspace(0.0, 2.0, nodes)
+        values = np.exp(-grid) * np.sin(3.0 * grid) + 0.5 * grid**2
+        want = simpson(values, x=grid)
+        assert abs(_simpson(values, grid[1] - grid[0]) - want) <= 1e-13 * abs(want)
+
+    def test_import_leaves_out_scipy_integrate(self):
+        src = os.path.dirname(os.path.dirname(lab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = "import sys, lqturnpike; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestEnergyDiagnostics:
