@@ -39,11 +39,17 @@ from .errors import (
     ResolventError,
     UniquenessError,
 )
-from .lq import LqProblem, cost, solve_riccati_sweep, solve_transcription
+from .lq import LqProblem, cost
 from .riccati import solve_are, solve_dre
-from .scenarios import ExperimentConfig, build_scenario, config_from_dict, load_config
+from .scenarios import (
+    ExperimentConfig,
+    _check_time_grid,
+    build_scenario,
+    config_from_dict,
+    load_config,
+)
 from .stationary import solve_stationary, stationary_convergence_study
-from .turnpike import verify_turnpike, yosida_dynamic_study
+from .turnpike import SOLVERS, verify_turnpike, yosida_dynamic_study
 from .verification import run_suite
 
 EXIT_OK = 0
@@ -62,11 +68,6 @@ _INPUT_ERRORS = (
     OSError,
     json.JSONDecodeError,
 )
-
-_SOLVER_FNS = {
-    "transcription": solve_transcription,
-    "riccati-sweep": solve_riccati_sweep,
-}
 
 
 class _Manifest:
@@ -125,12 +126,7 @@ def _resolve_config(args) -> ExperimentConfig:
         updates["output_dir"] = args.out
     if updates:
         config = dataclasses.replace(config, **updates)
-    for t_final in config.horizons:
-        ratio = t_final / config.dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ConfigError(
-                f"dt {config.dt} does not divide horizon {t_final} into whole steps"
-            )
+    _check_time_grid(config.dt, config.horizons)
     return config
 
 
@@ -139,10 +135,6 @@ def _prepare(args, command: str):
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     return config, _Manifest(command, config, out_dir)
-
-
-def _solver_fn(config: ExperimentConfig):
-    return _SOLVER_FNS[config.solver or "transcription"]
 
 
 def cmd_stationary(args) -> int:
@@ -177,7 +169,7 @@ def cmd_solve(args) -> int:
             p0=np.zeros((system.n, system.n)), dt=config.dt,
         )
     with manifest.stage("solve"):
-        traj = _solver_fn(config)(prob)
+        traj = SOLVERS[config.solver or "transcription"](prob)
     with manifest.stage("emit"):
         manifest.write_csv("trajectory.csv", *reporting.trajectory_rows(traj))
         value = cost(prob, traj)

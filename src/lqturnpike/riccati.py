@@ -223,7 +223,8 @@ def solve_dre(sys: LtiSystem, horizon: float, p0, steps: int) -> DreSolution:
         k4 = rate(q + h * k3)
         q = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         q = 0.5 * (q + q.T)
-        if not np.all(np.isfinite(q)) or np.linalg.norm(q) > _BLOWUP_LIMIT:
+        # NaN-safe: the norm is inf for any inf entry and NaN for any NaN.
+        if not (np.linalg.norm(q) <= _BLOWUP_LIMIT):
             raise IntegrationError(
                 f"Riccati integration diverged at backward step {j + 1} of {steps}; "
                 "reduce the step or check stiffness"

@@ -199,6 +199,22 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
+def _check_time_grid(dt: float, horizons) -> None:
+    """Raise ConfigError unless dt > 0 splits every horizon into whole steps."""
+    if dt <= 0.0:
+        raise ConfigError(f"dt must be positive, got {dt}")
+    if not horizons:
+        raise ConfigError("horizons must be nonempty")
+    for t_final in horizons:
+        if t_final <= 0.0:
+            raise ConfigError(f"horizons must be positive, got {t_final}")
+        ratio = t_final / dt
+        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+            raise ConfigError(
+                f"dt {dt} does not divide horizon {t_final} into whole steps"
+            )
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -234,19 +250,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
     dt = float(raw.get("dt", defaults["dt"]))
-    if dt <= 0.0:
-        raise ConfigError(f"dt must be positive, got {dt}")
     horizons = tuple(float(t) for t in raw.get("horizons", (5.0, 10.0, 20.0)))
-    if not horizons:
-        raise ConfigError("horizons must be nonempty")
-    for t_final in horizons:
-        if t_final <= 0.0:
-            raise ConfigError(f"horizons must be positive, got {t_final}")
-        ratio = t_final / dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ConfigError(
-                f"dt {dt} does not divide horizon {t_final} into whole steps"
-            )
+    _check_time_grid(dt, horizons)
 
     t0 = float(raw.get("t0", 1.0))
     if t0 <= 0.0:

@@ -2,6 +2,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 from lqturnpike.cli import main
 from lqturnpike.reporting import format_value, render_csv
@@ -67,6 +68,21 @@ class TestExitCodes:
     def test_bad_config_is_input_error(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "unknown-name"})
         assert main(["stationary", "--config", path]) == 2
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            (["--dt", "0"], "dt must be positive"),
+            (["--T", "-1"], "horizons must be positive"),
+            (["--dt", "0.3", "--T", "1"], "does not divide horizon 1.0"),
+        ],
+    )
+    def test_bad_time_grid_override_is_input_error(
+        self, tmp_path, capsys, override, message
+    ):
+        code = main(["solve", *override, "--out", str(tmp_path / "run")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_rank_deficient_scenario_exit_two(self, tmp_path, capsys):
         path = write_config(

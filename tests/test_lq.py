@@ -12,6 +12,7 @@ from lqturnpike.lq import (
     _stepwise_sweep,
     _sweep_data,
 )
+from lqturnpike.verification import _sampled_cost_margins
 
 
 def scalar_problem(sys_, z, x0, horizon=10.0, dt=1e-3, p0=None):
@@ -374,6 +375,49 @@ class TestCost:
         assert np.min(curvature) >= 0.0
         curvature_small = costs[0.01] + costs[-0.01] - 2.0 * base
         assert np.min(curvature_small) >= 0.0
+
+
+def _direct_cost_margins(prob, traj, v, eps_values):
+    """One forward solve per eps and one ``cost`` call per sampled path."""
+    base = lab.cost(prob, traj)
+    margins = np.empty((len(eps_values), v.shape[2]))
+    for row, eps in zip(margins, eps_values):
+        u_pert = np.asarray(traj.u)[:, :, None] + eps * v
+        x_pert = lab.simulate_forward(prob, u_pert)
+        for k in range(v.shape[2]):
+            path = lab.Trajectory(
+                grid=prob.grid, x=x_pert[:, :, k], y=x_pert[:, :, k],
+                u=u_pert[:, :, k], method="direct",
+            )
+            row[k] = lab.cost(prob, path) - base
+    return margins
+
+
+class TestSampledCostMargins:
+    # Criterion 11 forms every perturbed state from one batched solve by
+    # superposition; it must match solving each perturbation directly.
+    EPS = (0.1, -0.1, 0.01, -0.01)
+
+    def _compare(self, prob, v):
+        traj = lab.solve_transcription(prob)
+        fast = _sampled_cost_margins(prob, traj, v, self.EPS)
+        direct = _direct_cost_margins(prob, traj, v, self.EPS)
+        assert fast.shape == direct.shape == (len(self.EPS), v.shape[2])
+        assert np.max(np.abs(fast - direct)) <= 1e-12
+
+    def test_scalar_criterion_data(self, scalar):
+        sys_, z, x0 = scalar
+        prob = scalar_problem(sys_, z, x0)
+        rng = np.random.Generator(np.random.Philox(key=103))
+        self._compare(prob, rng.standard_normal((prob.n_steps + 1, 1, 100)))
+
+    def test_rand4_with_terminal_cost(self, rand4):
+        sys_, z, x0 = rand4
+        prob = lab.LqProblem(
+            sys=sys_, horizon=2.0, target=z, x0=x0, p0=np.eye(4), dt=1e-3
+        )
+        rng = np.random.Generator(np.random.Philox(key=104))
+        self._compare(prob, rng.standard_normal((prob.n_steps + 1, 2, 20)))
 
 
 class TestDualityResidual:

@@ -93,6 +93,11 @@ class TestSolveDre:
         with pytest.raises(IntegrationError):
             lab.solve_dre(sys_, 1.0, np.zeros((9, 9)), 10)
 
+    def test_divergence_reports_first_bad_step(self):
+        sys_, _ = lab.heat_1d(9)
+        with pytest.raises(IntegrationError, match=r"at backward step 2 of 10;"):
+            lab.solve_dre(sys_, 1.0, np.zeros((9, 9)), 10)
+
     def test_monotone_in_horizon_with_zero_terminal_cost(self, rand4):
         sys_, _, _ = rand4
         rng = np.random.Generator(np.random.Philox(key=3))
