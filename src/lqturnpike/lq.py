@@ -66,14 +66,12 @@ from .errors import (
     LqTurnpikeError,
     ProblemSizeError,
 )
-from .operators import LtiSystem
+from .operators import LtiSystem, double_step_flow, riccati_step_flow
 from .riccati import (
     _BLOWUP_LIMIT,
     _check_terminal_cost,
     _lock,
-    double_step_flow,
     lifted_orbit,
-    riccati_step_flow,
     solve_are,
 )
 
@@ -425,7 +423,7 @@ def solve_riccati_sweep(prob: LqProblem) -> Trajectory:
     equation of (A_aug, B_aug, C_aug) = ([[A, 0], [0, 0]], [B; 0], [C, -z])
     from Q(T) = [[P0, 0], [0, 0]], and carries the feedforward state r as
     its border column.  With the one-step flow (E, W, G) of
-    :func:`~lqturnpike.riccati.riccati_step_flow`, the backward pass maps
+    :func:`~lqturnpike.operators.riccati_step_flow`, the backward pass maps
 
         Q_j = G + E* Q_{j+1} (I + W Q_{j+1})^{-1} E
 

@@ -9,15 +9,22 @@ triple it provides the building blocks the rest of the package relies on:
 * the resolvent smoother ``J_k = k (kI - A)^{-1}`` and the smoothed
   control operator ``B_k = J_k B`` used to emulate unbounded control
   operators at finite resolution,
-* finite-time observability Gramians, and
+* the exact one-step flow of the Riccati equation of a triple, which is
+  the one-step semigroup of its Hamiltonian, formed by
+  structure-preserving doubling,
+* finite-time observability Gramians, read off that flow, and
 * the structural hypothesis report (kernel intersections, observability
   margins, and the coercivity constant of ``C*C``) that the turnpike
   estimates require.
 
 All operations are pure functions; :class:`LtiSystem` is immutable after
-construction and safe to share across threads.  Control operators are
-matrices, hence automatically admissible; no admissibility constant is
-tracked (it plays no role in finite dimension).
+construction and safe to share across threads.  A control matrix is
+admissible at every fixed dimension, but that alone does not carry the
+turnpike estimate to the limit: the paper's hypothesis is that the
+admissibility constant, the largest eigenvalue of
+``observability_gramian((A*, B*), tau)``, stays uniform along the
+approximating sequences (the Yosida operators B_k and the refined
+boundary column).
 """
 
 from __future__ import annotations
@@ -183,11 +190,6 @@ def spectral_abscissa(a: np.ndarray) -> float:
     return float(np.max(np.linalg.eigvals(a).real))
 
 
-def spectral_radius(a: np.ndarray) -> float:
-    """Largest eigenvalue magnitude of a matrix."""
-    return float(np.max(np.abs(np.linalg.eigvals(a))))
-
-
 def yosida(sys: LtiSystem, k: float) -> np.ndarray:
     """Resolvent smoother J_k = k (kI - A)^{-1}.
 
@@ -220,13 +222,68 @@ def approx_control_operator(sys: LtiSystem, k: float) -> np.ndarray:
     return yosida(sys, k) @ sys.b
 
 
-def observability_gramian(pair, t0: float, steps: int = 2048) -> np.ndarray:
+def riccati_step_flow(a, b, c, dt: float):
+    """Exact one-step flow of the Riccati equation, by doubling.
+
+    Over one step ``dt`` the solution of
+    ``-Q' = A*Q + QA + C*C - QBB*Q`` maps as
+
+        Q(t) = G + E* Q(t + dt) (I + W Q(t + dt))^{-1} E,
+
+    and the optimal state of the same problem moves as
+    ``x(t + dt) = (I + W Q(t + dt))^{-1} E x(t)``.  The triple is formed
+    at ``h0 = dt / 2^k``, small enough that ``h0 * |H|_1 <= 1/2`` for the
+    Hamiltonian ``H = [[A, -BB*], [-C*C, -A*]]``, from
+    ``Psi = expm(-h0 H)`` as ``E = Psi11^{-1}``, ``W = Psi11^{-1} Psi12``,
+    ``G = Psi21 Psi11^{-1}``, and then doubled k times with the
+    structure-preserving doubling recursion (Chu, Fan & Lin, Linear
+    Algebra Appl. 2005).  No step is exponentiated whole, so stiff
+    generators cause no overflow, and no stabilizability is assumed.
+
+    Returns
+    -------
+    (e, w, g) : three (n, n) ndarrays; ``w`` and ``g`` are symmetric
+    positive semidefinite.
+    """
+    n = a.shape[0]
+    ham = np.block([[a, -b @ b.T], [-c.T @ c, -a.T]])
+    scale = 2.0 * dt * np.linalg.norm(ham, 1)
+    doublings = int(np.ceil(np.log2(scale))) if scale > 1.0 else 0
+    psi = expm(-(dt / 2.0**doublings) * ham)
+    e = np.linalg.inv(psi[:n, :n])
+    w = e @ psi[:n, n:]
+    g = psi[n:, :n] @ e
+    for _ in range(doublings):
+        e, w, g = double_step_flow(e, w, g)
+    return e, w, g
+
+
+def double_step_flow(e, w, g):
+    """Flow triple over twice the step of ``(e, w, g)``.
+
+    One structure-preserving doubling step: if ``(e, w, g)`` maps the
+    Riccati pair over a step ``tau`` as in :func:`riccati_step_flow`, the
+    result maps it over ``2 tau``.  ``w`` and ``g`` stay symmetric.
+    """
+    n = e.shape[0]
+    solved = np.linalg.solve(np.eye(n) + w @ g, np.hstack([e, w]))
+    e_solved, w_solved = solved[:, :n], solved[:, n:]
+    w = w + e @ w_solved @ e.T
+    g = g + e.T @ g @ e_solved
+    e = e @ e_solved
+    return e, 0.5 * (w + w.T), 0.5 * (g + g.T)
+
+
+def observability_gramian(pair, t0: float) -> np.ndarray:
     """Finite-time observability Gramian of a pair (M, N).
 
-    Computes the integral of ``e^{tM*} N* N e^{tM}`` for t in [0, t0] by
-    composite trapezoid quadrature on a uniform grid with ``steps``
-    intervals.  Use (A, C) for state observability and (A*, B*) for the
-    dual pair.
+    The integral of ``e^{tM*} N* N e^{tM}`` for t in [0, t0] is the
+    solution at time 0 of ``-Q' = M*Q + QM + N*N`` from ``Q(t0) = 0``,
+    the Riccati equation of (M, 0, N).  With no control, ``W = 0`` in the
+    flow of :func:`riccati_step_flow` over the single step t0, so its
+    ``G`` block is the Gramian, exact up to rounding for stiff and
+    unstable M alike.  Use (A, C) for state observability and (A*, B*)
+    for the dual pair.
 
     Parameters
     ----------
@@ -234,8 +291,6 @@ def observability_gramian(pair, t0: float, steps: int = 2048) -> np.ndarray:
         M is n x n; N has n columns (square or rectangular).
     t0 : float
         Positive integration horizon.
-    steps : int
-        Number of quadrature intervals, at least 2.
 
     Returns
     -------
@@ -253,23 +308,7 @@ def observability_gramian(pair, t0: float, steps: int = 2048) -> np.ndarray:
     t0 = float(t0)
     if t0 <= 0.0:
         raise ValueError(f"t0 must be positive, got {t0}")
-    steps = int(steps)
-    if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
-
-    dt = t0 / steps
-    weight = n_op.T @ n_op
-    # Advance e^{tM} one quadrature node at a time; the one-step factor is
-    # exact to machine precision, so the accumulated drift stays ~steps*eps.
-    step_factor = expm(dt * m_op)
-    phi = np.eye(m_op.shape[0])
-    gram = 0.5 * weight.copy()
-    for _ in range(steps - 1):
-        phi = phi @ step_factor
-        gram += phi.T @ weight @ phi
-    phi = phi @ step_factor
-    gram += 0.5 * (phi.T @ weight @ phi)
-    gram *= dt
+    _, _, gram = riccati_step_flow(m_op, np.zeros((m_op.shape[0], 1)), n_op, t0)
     return 0.5 * (gram + gram.T)
 
 
@@ -285,7 +324,6 @@ def check_hypotheses(
     sys: LtiSystem,
     t0: float = 1.0,
     tol: float = 1e-10,
-    steps: int = 2048,
 ) -> HypothesisReport:
     """Evaluate the structural hypotheses of the turnpike estimate.
 
@@ -295,8 +333,8 @@ def check_hypotheses(
     (singular values above ``tol`` times the largest), and the coercivity
     constant ``delta`` of C*C.  Failures are reported, never raised.
     """
-    gram_ac = observability_gramian((sys.a, sys.c), t0, steps)
-    gram_ab = observability_gramian((sys.a.T, sys.b.T), t0, steps)
+    gram_ac = observability_gramian((sys.a, sys.c), t0)
+    gram_ab = observability_gramian((sys.a.T, sys.b.T), t0)
     obs_ac = float(np.linalg.eigvalsh(gram_ac)[0])
     obs_ab = float(np.linalg.eigvalsh(gram_ab)[0])
     ker_ac = _full_column_rank(np.vstack([sys.a, sys.c]), tol)

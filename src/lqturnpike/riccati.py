@@ -21,12 +21,12 @@ scheme.  The integrator is explicit: for stiff generators the step must
 resolve the fastest mode (|lambda_max| * dt below the RK4 stability
 bound), otherwise the integration diverges and is reported as such.
 
-:func:`riccati_step_flow` instead gives the exact flow of the same
-equation over one step, by structure-preserving doubling, and
-:func:`double_step_flow` doubles any such flow; the tracking sweep in
-:mod:`lqturnpike.lq` is built on them and needs no stability limit.  The RK4 solver stays the independent reference for that sweep.
-:func:`lifted_orbit` walks a linear map's orbit by the same binary
-lifting, for the closed-loop and propagation checks.
+:func:`lqturnpike.operators.riccati_step_flow` instead gives the exact
+flow of the same equation over one step, by structure-preserving
+doubling; the tracking sweep in :mod:`lqturnpike.lq` is built on it and
+needs no stability limit.  The RK4 solver stays the independent
+reference for that sweep.  :func:`lifted_orbit` walks a linear map's
+orbit by binary lifting, for the closed-loop and propagation checks.
 """
 
 from __future__ import annotations
@@ -235,58 +235,6 @@ def solve_dre(sys: LtiSystem, horizon: float, p0, steps: int) -> DreSolution:
         p_samples=_lock(p_samples),
         p0=_lock(p_samples[-1].copy()),
     )
-
-
-def riccati_step_flow(a, b, c, dt: float):
-    """Exact one-step flow of the Riccati equation, by doubling.
-
-    Over one step ``dt`` the solution of
-    ``-Q' = A*Q + QA + C*C - QBB*Q`` maps as
-
-        Q(t) = G + E* Q(t + dt) (I + W Q(t + dt))^{-1} E,
-
-    and the optimal state of the same problem moves as
-    ``x(t + dt) = (I + W Q(t + dt))^{-1} E x(t)``.  The triple is formed
-    at ``h0 = dt / 2^k``, small enough that ``h0 * |H|_1 <= 1/2`` for the
-    Hamiltonian ``H = [[A, -BB*], [-C*C, -A*]]``, from
-    ``Psi = expm(-h0 H)`` as ``E = Psi11^{-1}``, ``W = Psi11^{-1} Psi12``,
-    ``G = Psi21 Psi11^{-1}``, and then doubled k times with the
-    structure-preserving doubling recursion (Chu, Fan & Lin, Linear
-    Algebra Appl. 2005).  No step is exponentiated whole, so stiff
-    generators cause no overflow, and no stabilizability is assumed.
-
-    Returns
-    -------
-    (e, w, g) : three (n, n) ndarrays; ``w`` and ``g`` are symmetric
-    positive semidefinite.
-    """
-    n = a.shape[0]
-    ham = np.block([[a, -b @ b.T], [-c.T @ c, -a.T]])
-    scale = 2.0 * dt * np.linalg.norm(ham, 1)
-    doublings = int(np.ceil(np.log2(scale))) if scale > 1.0 else 0
-    psi = expm(-(dt / 2.0**doublings) * ham)
-    e = np.linalg.inv(psi[:n, :n])
-    w = e @ psi[:n, n:]
-    g = psi[n:, :n] @ e
-    for _ in range(doublings):
-        e, w, g = double_step_flow(e, w, g)
-    return e, w, g
-
-
-def double_step_flow(e, w, g):
-    """Flow triple over twice the step of ``(e, w, g)``.
-
-    One structure-preserving doubling step: if ``(e, w, g)`` maps the
-    Riccati pair over a step ``tau`` as in :func:`riccati_step_flow`, the
-    result maps it over ``2 tau``.  ``w`` and ``g`` stay symmetric.
-    """
-    n = e.shape[0]
-    solved = np.linalg.solve(np.eye(n) + w @ g, np.hstack([e, w]))
-    e_solved, w_solved = solved[:, :n], solved[:, n:]
-    w = w + e @ w_solved @ e.T
-    g = g + e.T @ g @ e_solved
-    e = e @ e_solved
-    return e, 0.5 * (w + w.T), 0.5 * (g + g.T)
 
 
 def lifted_orbit(m, v0, nsteps: int) -> np.ndarray:

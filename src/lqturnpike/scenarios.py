@@ -127,7 +127,7 @@ def heat_1d(
     return make_system(a, b, np.eye(n)), z
 
 
-_DEFAULT_TOLERANCES = {"solver": 1e-10, "rank": 1e-10}
+_DEFAULT_TOLERANCES = {"solver": 1e-10}
 
 _SCENARIO_DEFAULTS = {
     "scalar": {"n": 1, "m": 1, "dt": 1e-3},
@@ -143,7 +143,6 @@ _KNOWN_KEYS = {
     "seed",
     "horizons",
     "dt",
-    "t0",
     "target",
     "ks",
     "tolerances",
@@ -167,7 +166,6 @@ class ExperimentConfig:
     seed: int = 42
     horizons: tuple = (5.0, 10.0, 20.0)
     dt: float = 1e-3
-    t0: float = 1.0
     target: object = None  # profile name, inline vector, or None for default
     ks: tuple = (10.0, 100.0, 1000.0)
     tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
@@ -253,10 +251,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     horizons = tuple(float(t) for t in raw.get("horizons", (5.0, 10.0, 20.0)))
     _check_time_grid(dt, horizons)
 
-    t0 = float(raw.get("t0", 1.0))
-    if t0 <= 0.0:
-        raise ConfigError(f"t0 must be positive, got {t0}")
-
     ks = tuple(float(k) for k in raw.get("ks", (10.0, 100.0, 1000.0)))
     if any(k <= 0 for k in ks):
         raise ConfigError("all ks must be positive")
@@ -305,7 +299,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         seed=seed,
         horizons=horizons,
         dt=dt,
-        t0=t0,
         target=raw.get("target"),
         ks=ks,
         tolerances=tolerances,

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DimensionError, UndefinedRateError
-from .lq import LqProblem, Trajectory, solve_riccati_sweep, solve_transcription
+from .lq import LqProblem, Trajectory, _trapezoid, solve_riccati_sweep, solve_transcription
 from .operators import LtiSystem, approx_control_operator, make_system
 from .riccati import AreSolution, lifted_orbit
 from .stationary import StationaryTriple
@@ -455,9 +455,7 @@ def yosida_dynamic_study(prob: LqProblem, ks, solver: str = "riccati-sweep", job
         )
         traj_k = solver_fn(prob_k)
         du_sq = np.sum((traj_k.u - base.u) ** 2, axis=1)
-        err_u = float(
-            np.sqrt(dt * (np.sum(du_sq) - 0.5 * (du_sq[0] + du_sq[-1])))
-        )
+        err_u = float(np.sqrt(_trapezoid(du_sq, dt)))
         err_x = float(np.max(np.linalg.norm(traj_k.x - base.x, axis=1)))
         err_y = float(np.max(np.linalg.norm(traj_k.y - base.y, axis=1)))
         return (k, err_u, err_x, err_y)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .lq import (
     solve_riccati_sweep,
     solve_transcription,
 )
-from .riccati import solve_are, solve_dre
+from .riccati import AreSolution, solve_are, solve_dre
 from .scenarios import heat_1d, random_stable, random_target_and_state, scalar_example
 from .stationary import solve_stationary, stationary_convergence_study
 from .turnpike import (
@@ -60,117 +61,100 @@ class CheckResult:
 
 
 class SuiteContext:
-    """Caches the scenario pipelines shared between acceptance checks."""
+    """Caches the scenario pipelines shared between acceptance checks.
+
+    Each pipeline is a per-instance cached property, so every
+    :func:`run_suite` call builds its own.
+    """
 
     def __init__(self, quick: bool = False, jobs: int = 1, fault_inject=None):
         self.quick = quick
         self.jobs = max(1, int(jobs))
         self.fault_inject = fault_inject
-        self._cache = {}
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
 
     # scalar pipeline -----------------------------------------------------
 
+    @cached_property
     def scalar(self):
-        return self._get("scalar", scalar_example)
+        return scalar_example()
 
+    @cached_property
     def scalar_stationary(self):
-        sys_, z, _ = self.scalar()
-        return self._get("scalar_stat", lambda: solve_stationary(sys_, z))
+        sys_, z, _ = self.scalar
+        return solve_stationary(sys_, z)
 
+    @cached_property
     def scalar_are(self):
-        sys_, _, _ = self.scalar()
+        are = solve_are(self.scalar[0])
+        if self.fault_inject == "are":
+            # Test hook: corrupt the value operator to force a failure.
+            return AreSolution(
+                p=are.p + 0.01,
+                residual=are.residual,
+                closed_loop_abscissa=are.closed_loop_abscissa,
+            )
+        return are
 
-        def build():
-            are = solve_are(sys_)
-            if self.fault_inject == "are":
-                # Test hook: corrupt the value operator to force a failure.
-                from .riccati import AreSolution
-
-                return AreSolution(
-                    p=are.p + 0.01,
-                    residual=are.residual,
-                    closed_loop_abscissa=are.closed_loop_abscissa,
-                )
-            return are
-
-        return self._get("scalar_are", build)
-
+    @property
     def scalar_horizons(self):
         return (5.0, 10.0, 20.0) if self.quick else (5.0, 10.0, 20.0, 40.0)
 
+    @cached_property
     def scalar_reports(self):
-        sys_, z, x0 = self.scalar()
+        sys_, z, x0 = self.scalar
+        return verify_turnpike(
+            sys_,
+            self.scalar_stationary,
+            self.scalar_are,
+            self.scalar_horizons,
+            z=z,
+            x0=x0,
+            dt=1e-3,
+            solver="transcription",
+            jobs=self.jobs,
+        )
 
-        def build():
-            return verify_turnpike(
-                sys_,
-                self.scalar_stationary(),
-                self.scalar_are(),
-                self.scalar_horizons(),
-                z=z,
-                x0=x0,
-                dt=1e-3,
-                solver="transcription",
-                jobs=self.jobs,
-            )
-
-        return self._get("scalar_reports", build)
-
+    @cached_property
     def scalar_t10_trajectory(self):
-        sys_, z, x0 = self.scalar()
-
-        def build():
-            prob = LqProblem(
-                sys=sys_, horizon=10.0, target=z, x0=x0,
-                p0=np.zeros((1, 1)), dt=1e-3,
-            )
-            return prob, solve_transcription(prob)
-
-        return self._get("scalar_t10", build)
+        sys_, z, x0 = self.scalar
+        prob = LqProblem(
+            sys=sys_, horizon=10.0, target=z, x0=x0,
+            p0=np.zeros((1, 1)), dt=1e-3,
+        )
+        return prob, solve_transcription(prob)
 
     # seeded random pipeline ----------------------------------------------
 
+    @cached_property
     def rand4(self):
-        def build():
-            sys_ = random_stable(4, 2, 42)
-            z, x0 = random_target_and_state(4, 42)
-            return sys_, z, x0
-
-        return self._get("rand4", build)
+        sys_ = random_stable(4, 2, 42)
+        z, x0 = random_target_and_state(4, 42)
+        return sys_, z, x0
 
     # heat pipeline ---------------------------------------------------------
 
+    @cached_property
     def heat(self):
-        def build():
-            sys_, z = heat_1d(50, "distributed", (0.25, 0.75), "bump")
-            return sys_, z, np.zeros(50)
+        sys_, z = heat_1d(50, "distributed", (0.25, 0.75), "bump")
+        return sys_, z, np.zeros(50)
 
-        return self._get("heat", build)
-
+    @cached_property
     def heat_stationary(self):
-        sys_, z, _ = self.heat()
-        return self._get("heat_stat", lambda: solve_stationary(sys_, z))
+        sys_, z, _ = self.heat
+        return solve_stationary(sys_, z)
 
+    @cached_property
     def heat_are(self):
-        sys_, _, _ = self.heat()
-        return self._get("heat_are", lambda: solve_are(sys_))
+        return solve_are(self.heat[0])
 
+    @cached_property
     def heat_trajectory(self):
-        sys_, z, x0 = self.heat()
-
-        def build():
-            prob = LqProblem(
-                sys=sys_, horizon=20.0, target=z, x0=x0,
-                p0=np.zeros((50, 50)), dt=1e-2,
-            )
-            return prob, solve_riccati_sweep(prob)
-
-        return self._get("heat_traj", build)
+        sys_, z, x0 = self.heat
+        prob = LqProblem(
+            sys=sys_, horizon=20.0, target=z, x0=x0,
+            p0=np.zeros((50, 50)), dt=1e-2,
+        )
+        return prob, solve_riccati_sweep(prob)
 
 
 def _timed(fn):
@@ -189,7 +173,7 @@ def _runtime_note(elapsed, cap):
 
 def check_scalar_are(ctx: SuiteContext) -> CheckResult:
     def body():
-        return ctx.scalar_are()
+        return ctx.scalar_are
 
     are, elapsed = _timed(body)
     p_err = abs(are.p[0, 0] - (np.sqrt(2.0) - 1.0))
@@ -209,7 +193,7 @@ def check_scalar_are(ctx: SuiteContext) -> CheckResult:
 
 def check_scalar_stationary(ctx: SuiteContext) -> CheckResult:
     def body():
-        return ctx.scalar_stationary()
+        return ctx.scalar_stationary
 
     stat, elapsed = _timed(body)
     triple_err = max(
@@ -243,9 +227,9 @@ def _state_adjoint_defect(sys_, x0, dt):
 
 def check_state_adjoint(ctx: SuiteContext) -> CheckResult:
     def body():
-        cases = [("scalar", ctx.scalar()[0], np.array([1.0]))]
+        cases = [("scalar", ctx.scalar[0], np.array([1.0]))]
         if not ctx.quick:
-            sys4, _, x04 = ctx.rand4()
+            sys4, _, x04 = ctx.rand4
             cases.append(("random-4x4", sys4, x04))
         rows = []
         for label, sys_, x0 in cases:
@@ -278,12 +262,12 @@ def check_state_adjoint(ctx: SuiteContext) -> CheckResult:
 def check_dre_constancy(ctx: SuiteContext) -> CheckResult:
     def body():
         out = []
-        scalar_sys = ctx.scalar()[0]
+        scalar_sys = ctx.scalar[0]
         cases = [("scalar", scalar_sys)]
         if not ctx.quick:
-            cases.append(("random-4x4", ctx.rand4()[0]))
+            cases.append(("random-4x4", ctx.rand4[0]))
         for label, sys_ in cases:
-            are = solve_are(sys_) if sys_ is not scalar_sys else ctx.scalar_are()
+            are = solve_are(sys_) if sys_ is not scalar_sys else ctx.scalar_are
             dre = solve_dre(sys_, 5.0, are.p, 5000)
             dev = float(np.max(np.linalg.norm(dre.p_samples - are.p, axis=(1, 2))))
             out.append((label, dev))
@@ -304,24 +288,24 @@ def check_dre_constancy(ctx: SuiteContext) -> CheckResult:
 
 def check_propagation(ctx: SuiteContext) -> CheckResult:
     def body():
-        reports = ctx.scalar_reports()
+        reports = ctx.scalar_reports
         scalar_res = next(r for r in reports if r.horizon == 10.0).propagation_residual
         out = {"scalar": scalar_res}
-        sys_, z, x0 = ctx.scalar()
+        sys_, z, x0 = ctx.scalar
         prob_half = LqProblem(
             sys=sys_, horizon=10.0, target=z, x0=x0, p0=np.zeros((1, 1)), dt=5e-4
         )
         traj_half = solve_transcription(prob_half)
-        h_half = h_trajectory(traj_half, ctx.scalar_stationary(), ctx.scalar_are())
+        h_half = h_trajectory(traj_half, ctx.scalar_stationary, ctx.scalar_are)
         out["scalar_half"] = propagation_residual(
-            h_half, sys_, ctx.scalar_are(), traj_half.grid
+            h_half, sys_, ctx.scalar_are, traj_half.grid
         )
         if not ctx.quick:
-            hsys, _, _ = ctx.heat()
-            _, heat_traj = ctx.heat_trajectory()
-            h_heat = h_trajectory(heat_traj, ctx.heat_stationary(), ctx.heat_are())
+            hsys, _, _ = ctx.heat
+            _, heat_traj = ctx.heat_trajectory
+            h_heat = h_trajectory(heat_traj, ctx.heat_stationary, ctx.heat_are)
             out["heat"] = propagation_residual(
-                h_heat, hsys, ctx.heat_are(), heat_traj.grid
+                h_heat, hsys, ctx.heat_are, heat_traj.grid
             )
         return out
 
@@ -345,7 +329,7 @@ def check_propagation(ctx: SuiteContext) -> CheckResult:
 
 def check_rate_recovery(ctx: SuiteContext) -> CheckResult:
     def body():
-        reports = ctx.scalar_reports()
+        reports = ctx.scalar_reports
         scalar_rep = next(r for r in reports if r.horizon == 10.0)
         scalar_err = abs(scalar_rep.fitted_lambda - np.sqrt(2.0)) / np.sqrt(2.0)
         rows = [("scalar", scalar_err, 0.02)]
@@ -379,7 +363,7 @@ def check_rate_recovery(ctx: SuiteContext) -> CheckResult:
 
 def check_turnpike_bound(ctx: SuiteContext) -> CheckResult:
     def body():
-        return ctx.scalar_reports()
+        return ctx.scalar_reports
 
     reports, elapsed = _timed(body)
     c_values = [r.c_min for r in reports]
@@ -416,18 +400,18 @@ def check_turnpike_bound(ctx: SuiteContext) -> CheckResult:
 
 def check_energy_identity(ctx: SuiteContext) -> CheckResult:
     def body():
-        sys_, _, _ = ctx.scalar()
-        _, traj = ctx.scalar_t10_trajectory()
+        sys_, _, _ = ctx.scalar
+        _, traj = ctx.scalar_t10_trajectory
         rows = [
-            ("scalar", energy_diagnostics(traj, ctx.scalar_stationary(), sys_), 1e-6)
+            ("scalar", energy_diagnostics(traj, ctx.scalar_stationary, sys_), 1e-6)
         ]
         if not ctx.quick:
-            hsys, _, _ = ctx.heat()
-            _, heat_traj = ctx.heat_trajectory()
+            hsys, _, _ = ctx.heat
+            _, heat_traj = ctx.heat_trajectory
             rows.append(
                 (
                     "heat",
-                    energy_diagnostics(heat_traj, ctx.heat_stationary(), hsys),
+                    energy_diagnostics(heat_traj, ctx.heat_stationary, hsys),
                     1e-4,
                 )
             )
@@ -518,7 +502,7 @@ def check_duality(ctx: SuiteContext) -> CheckResult:
 
 def check_yosida(ctx: SuiteContext) -> CheckResult:
     def body():
-        sys_, z, x0 = ctx.scalar()
+        sys_, z, x0 = ctx.scalar
         ks = [2.0**j for j in range(1, 11)]
         stat_rows = stationary_convergence_study(sys_, z, ks)
         prob = LqProblem(
@@ -626,19 +610,19 @@ def check_optimality(ctx: SuiteContext) -> CheckResult:
     samples = 100
 
     def body():
-        sys_, z, _ = ctx.scalar()
+        sys_, z, _ = ctx.scalar
         margins = {
             "scalar-stationary": _null_space_margin(
-                sys_, z, ctx.scalar_stationary(), samples, seed=101
+                sys_, z, ctx.scalar_stationary, samples, seed=101
             )
         }
         if not ctx.quick:
-            sys4, z4, _ = ctx.rand4()
+            sys4, z4, _ = ctx.rand4
             stat4 = solve_stationary(sys4, z4)
             margins["random-stationary"] = _null_space_margin(
                 sys4, z4, stat4, samples, seed=102
             )
-        prob, traj = ctx.scalar_t10_trajectory()
+        prob, traj = ctx.scalar_t10_trajectory
         rng = np.random.Generator(np.random.Philox(key=103))
         v = rng.standard_normal((prob.n_steps + 1, 1, samples))
         margins["scalar-dynamic"] = float(

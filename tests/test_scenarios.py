@@ -64,7 +64,7 @@ class TestHeat1d:
 
     def test_identity_observation_delta(self):
         sys_, _ = lab.heat_1d(10)
-        assert abs(lab.check_hypotheses(sys_, steps=256).delta - 1.0) < 1e-14
+        assert abs(lab.check_hypotheses(sys_).delta - 1.0) < 1e-14
 
     def test_hypothesis_margins_at_pde_scale(self):
         # Kernel flags, coercivity, and state observability hold outright;
@@ -72,7 +72,7 @@ class TestHeat1d:
         # observability constants decay exponentially in the mode index
         # (the quasi-unbounded regime this scenario emulates).
         sys_, _ = lab.heat_1d(50)
-        report = lab.check_hypotheses(sys_, steps=512)
+        report = lab.check_hypotheses(sys_)
         assert report.ker_ac_trivial and report.ker_astar_bstar_trivial
         assert report.delta == 1.0
         assert report.obs_ac > 0.0
@@ -112,7 +112,6 @@ class TestConfig:
         config = lab.load_config(path)
         assert config.scenario == "scalar"
         assert config.dt == 1e-3
-        assert config.t0 == 1.0
         assert config.horizons == (5.0, 10.0, 20.0)
         assert config.tolerances["solver"] == 1e-10
 
@@ -135,9 +134,13 @@ class TestConfig:
             assert name in message
 
     def test_unknown_keys_rejected(self):
+        for key in ("dts", "t0"):
+            with pytest.raises(ConfigError) as excinfo:
+                config_from_dict({"scenario": "scalar", key: 0.1})
+            assert key in str(excinfo.value)
         with pytest.raises(ConfigError) as excinfo:
-            config_from_dict({"scenario": "scalar", "dts": 0.1})
-        assert "dts" in str(excinfo.value)
+            config_from_dict({"scenario": "scalar", "tolerances": {"rank": 1e-10}})
+        assert "rank" in str(excinfo.value)
 
     def test_bad_seed_rejected(self):
         with pytest.raises(ConfigError):
