@@ -22,11 +22,14 @@ import contextlib
 import dataclasses
 import json
 import os
+import platform
+import resource
 import sys as _sys
 import tempfile
 import time
 
 import numpy as np
+import scipy
 
 from . import __version__, reporting
 from .errors import (
@@ -70,8 +73,19 @@ _INPUT_ERRORS = (
 )
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MiB."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS and kibibytes elsewhere.
+    return peak / (2**20 if _sys.platform == "darwin" else 2**10)
+
+
 class _Manifest:
-    """Collects timings and output paths; written as manifest.json."""
+    """Collects timings and output paths; written as manifest.json.
+
+    The manifest also records the Python, numpy and scipy versions and the
+    process's peak resident set size when it is written.
+    """
 
     def __init__(self, command: str, config: ExperimentConfig, out_dir: str):
         self.command = command
@@ -103,6 +117,12 @@ class _Manifest:
             "timings_s": {k: round(v, 6) for k, v in self.timings.items()},
             "total_s": round(time.perf_counter() - self._t0, 6),
             "outputs": self.outputs,
+            "environment": {
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "scipy": scipy.__version__,
+            },
+            "peak_rss_mb": round(_peak_rss_mb(), 3),
         }
         path = os.path.join(self.out_dir, "manifest.json")
         with open(path, "w", encoding="utf-8") as handle:

@@ -177,40 +177,20 @@ class Trajectory:
     method: str
 
 
-def _refine_linear(values: np.ndarray, factor: int) -> np.ndarray:
-    """Exact piecewise-linear refinement of nodal data by an integer factor."""
-    nodes = values.shape[0]
-    out = np.empty((factor * (nodes - 1) + 1,) + values.shape[1:])
-    out[::factor] = values
-    for j in range(1, factor):
-        w = j / factor
-        out[j::factor] = (1.0 - w) * values[:-1] + w * values[1:]
-    return out
-
-
-def _rk4_linear(a_mat, forcing_half, v0, h, nsteps, what="trajectory"):
-    """RK4 for v' = a v + w(t) with forcing sampled at half-step spacing.
-
-    ``forcing_half`` must hold 2*nsteps + 1 samples at spacing h/2; step j
-    uses samples 2j, 2j+1, 2j+2.  Supports batched columns: v0 of shape
-    (n,) or (n, nbatch) with forcing shaped accordingly.
+def _rk4_coefficients(a_mat, h, what):
+    """RK4's one-step affine map for v' = a v + w(t) with step h.
 
     For a linear right-hand side the four classical stages collapse, with
-    Z = h a, into one affine map per step,
+    Z = h a, into
 
-        v_{j+1} = R v_j + S0 w_{2j} + Sm w_{2j+1} + S1 w_{2j+2},
+        v_{j+1} = R v_j + S0 w(t_j) + Sm w(t_j + h/2) + S1 w(t_j + h),
         R  = I + Z + Z^2/2 + Z^3/6 + Z^4/24,
         S0 = (h/6)(I + Z + Z^2/2 + Z^3/4),
         Sm = (h/6)(4I + 2Z + Z^2/2),   S1 = (h/6) I,
 
-    so the forcing of every step is combined up front and the loop does
-    one matrix product and one addition per step.  The scheme is the
-    same as stepping the stages; results differ only by rounding.
-
-    A step that leaves a decaying or neutral mode (Re lambda <= 0) of
-    ``a`` outside RK4's stability region, |R(h lambda)| > 1, is rejected
-    before any step is taken; growth that blows up anyway is caught
-    after the loop.
+    and (R, S0, Sm, S1) is returned.  A step that leaves a decaying or
+    neutral mode (Re lambda <= 0) of ``a`` outside RK4's stability region,
+    |R(h lambda)| > 1, is rejected here, before any step is taken.
     """
     n = a_mat.shape[0]
     eye = np.eye(n)
@@ -229,6 +209,59 @@ def _rk4_linear(a_mat, forcing_half, v0, h, nsteps, what="trajectory"):
     r = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
     s0 = (h / 6.0) * (eye + z + z2 / 2.0 + z3 / 4.0)
     sm = (h / 6.0) * (4.0 * eye + 2.0 * z + z2 / 2.0)
+    return r, s0, sm, (h / 6.0) * eye
+
+
+def _affine_steps(r, out, what):
+    """Run v_{j+1} = r v_j + out[j + 1] in place and return ``out``.
+
+    ``out`` has shape (steps + 1, n, columns): on entry ``out[0]`` holds
+    v_0 and ``out[j + 1]`` the forcing of step j; on exit it holds the
+    states.  Growth that blows up is caught after the loop.
+    """
+    for j in range(out.shape[0] - 1):
+        out[j + 1] += r @ out[j]
+    if not np.all(np.isfinite(out)) or np.max(np.abs(out[-1])) > _BLOWUP_LIMIT:
+        raise IntegrationError(
+            f"{what} integration diverged; the step does not resolve the "
+            "fastest generator mode"
+        )
+    return out
+
+
+def _interval_forcing(k0, k1, w, out):
+    """Write k0 w_i + k1 w_{i+1} into ``out[i]`` for nodal data w (nodes first)."""
+    np.matmul(k0, w[:-1], out=out)
+    out += k1 @ w[1:]
+
+
+def _half_step_coefficients(a_mat, dt):
+    """RK4 at h = dt/2 for forcing that is linear over a node interval.
+
+    Returns R and, for the first and the second half step of the
+    interval, the pair of matrices that weigh its two end nodes in that
+    step's forcing: the steps sample the data at 0, 1/4, 1/2 and at
+    1/2, 3/4, 1 of the interval.
+    """
+    r, s0, sm, s1 = _rk4_coefficients(a_mat, 0.5 * dt, "state")
+    first = (s0 + 0.75 * sm + 0.5 * s1, 0.25 * sm + 0.5 * s1)
+    second = (0.5 * s0 + 0.25 * sm, 0.5 * s0 + 0.75 * sm + s1)
+    return r, first, second
+
+
+def _rk4_linear(a_mat, forcing_half, v0, h, nsteps, what="trajectory"):
+    """RK4 for v' = a v + w(t) with forcing sampled at half-step spacing.
+
+    ``forcing_half`` must hold 2*nsteps + 1 samples at spacing h/2; step j
+    uses samples 2j, 2j+1, 2j+2 with the coefficients of
+    :func:`_rk4_coefficients`.  Supports batched columns: v0 of shape
+    (n,) or (n, nbatch) with forcing shaped accordingly.  The forcing of
+    every step is combined up front and the loop does one matrix product
+    and one addition per step; results differ from stepping the four
+    stages only by rounding.
+    """
+    r, s0, sm, s1 = _rk4_coefficients(a_mat, h, what)
+    n = a_mat.shape[0]
     v0 = np.asarray(v0, dtype=float)
     # Carry states as (n, columns) so one matmul serves both layouts.
     w = np.asarray(forcing_half, dtype=float).reshape((2 * nsteps + 1, n, -1))
@@ -237,16 +270,8 @@ def _rk4_linear(a_mat, forcing_half, v0, h, nsteps, what="trajectory"):
     steps = out[1:]
     np.matmul(s0, w[0:-1:2], out=steps)
     steps += sm @ w[1::2]
-    steps += (h / 6.0) * w[2::2]
-    for j in range(nsteps):
-        steps[j] += r @ out[j]
-    out = out.reshape((nsteps + 1,) + v0.shape)
-    if not np.all(np.isfinite(out)) or np.max(np.abs(out[-1])) > _BLOWUP_LIMIT:
-        raise IntegrationError(
-            f"{what} integration diverged; the step does not resolve the "
-            "fastest generator mode"
-        )
-    return out
+    steps += s1 @ w[2::2]
+    return _affine_steps(r, out, what).reshape((nsteps + 1,) + v0.shape)
 
 
 def simulate_forward(prob: LqProblem, u) -> np.ndarray:
@@ -256,31 +281,35 @@ def simulate_forward(prob: LqProblem, u) -> np.ndarray:
     interpolation.  Accepts a single control path of shape (N + 1, m) or
     a batch of shape (N + 1, m, nbatch); returns state samples of shape
     (N + 1, n) or (N + 1, n, nbatch).
+
+    The scheme is RK4 at half the grid step, h = dt/2, which cuts RK4's
+    error 16-fold and doubles its stiffness limit.  With (R, S0, Sm, S1)
+    from :func:`_rk4_coefficients` for h, the two half steps over one
+    node interval see the control at exact linear interpolates
+    (:func:`_half_step_coefficients`), so they compose into one affine
+    map of the nodal values,
+
+        x_{i+1} = R^2 x_i + K0 B u_i + K1 B u_{i+1},
+        K0 = R (S0 + 3/4 Sm + 1/2 S1) + 1/2 S0 + 1/4 Sm,
+        K1 = R (1/4 Sm + 1/2 S1) + 1/2 S0 + 3/4 Sm + S1,
+
+    and the loop steps node to node.  The step forcing is written into
+    the output buffer, so memory is the output plus one array of its size.
     """
     u = np.asarray(u, dtype=float)
-    n_nodes = prob.n_steps + 1
+    n_nodes, n = prob.n_steps + 1, prob.sys.n
     if u.shape[0] != n_nodes or u.shape[1] != prob.sys.m:
         raise GridMismatchError(
             f"controls must be sampled on the {n_nodes}-node grid with "
             f"{prob.sys.m} components, got shape {u.shape}"
         )
-    batched = u.ndim == 3
-    # Integrate at half the grid step (RK4's error drops 16-fold and its
-    # stiffness limit doubles) and keep only the node samples; the control
-    # refined to the quarter grid gives each half step's stages exact
-    # values of the piecewise-linear data.
-    u_quarter = _refine_linear(u, 4)
-    if batched:
-        forcing = np.einsum("ij,tjb->tib", prob.sys.b, u_quarter)
-        x0 = np.broadcast_to(prob.x0[:, None], (prob.sys.n, u.shape[2]))
-    else:
-        forcing = u_quarter @ prob.sys.b.T
-        x0 = prob.x0
-    del u_quarter  # as large as the forcing; free it before integrating
-    fine = _rk4_linear(
-        prob.sys.a, forcing, x0, 0.5 * prob.dt, 2 * prob.n_steps, what="state"
-    )
-    return fine[::2]
+    cols = u.reshape(n_nodes, prob.sys.m, -1)
+    r, (e0, e1), (o0, o1) = _half_step_coefficients(prob.sys.a, prob.dt)
+    k0, k1 = r @ e0 + o0, r @ e1 + o1
+    out = np.empty((n_nodes, n, cols.shape[2]))
+    out[0] = prob.x0[:, None]
+    _interval_forcing(k0 @ prob.sys.b, k1 @ prob.sys.b, cols, out[1:])
+    return _affine_steps(r @ r, out, "state").reshape((n_nodes, n) + u.shape[2:])
 
 
 def adjoint_from_control(prob: LqProblem, u):
@@ -300,11 +329,14 @@ def adjoint_from_control(prob: LqProblem, u):
             f"controls must have shape ({n_nodes}, {prob.sys.m}), got {u.shape}"
         )
     sys = prob.sys
-    forcing = _refine_linear(u, 4) @ sys.b.T
-    x_fine = _rk4_linear(
-        sys.a, forcing, prob.x0, 0.5 * prob.dt, 2 * prob.n_steps, what="state"
-    )
-    del forcing
+    # The state takes the half steps of simulate_forward one by one, so
+    # the adjoint pass below can sample it at half-step spacing.
+    r, first, second = _half_step_coefficients(sys.a, prob.dt)
+    x_fine = np.empty((2 * prob.n_steps + 1, sys.n, 1))
+    x_fine[0] = prob.x0[:, None]
+    for half, out in ((first, x_fine[1::2]), (second, x_fine[2::2])):
+        _interval_forcing(half[0] @ sys.b, half[1] @ sys.b, u[:, :, None], out)
+    x_fine = _affine_steps(r, x_fine, "state")[:, :, 0]
     # Backward pass in reversed time s = T - t: Y' = A* Y + g(T - s) with
     # g = C*(C x - z); the reversed forcing samples come from the fine
     # state grid, so no interpolation of computed values is needed.
@@ -624,10 +656,17 @@ def duality_residual(sys: LtiSystem, forward, backward, horizon: float, dt: floa
                 f"{name} must have shape ({nsteps + 1}, {width}), got {arr.shape}"
             )
 
-    forcing = _refine_linear(f + u @ sys.b.T, 2)
-    y_nodes = _rk4_linear(sys.a + m_op, forcing, y0, dt, nsteps, what="forward")
-    z_rev = _rk4_linear(sys.a.T, _refine_linear(g, 2)[::-1], z_t, dt, nsteps, what="backward")
-    z_nodes = z_rev[::-1]
+    def nodal_rk4(a_mat, w, v0, what):
+        # RK4 at step dt samples data that is linear between nodes at the
+        # two nodes and their average.
+        r, s0, sm, s1 = _rk4_coefficients(a_mat, dt, what)
+        out = np.empty(w.shape + (1,))
+        out[0] = v0[:, None]
+        _interval_forcing(s0 + 0.5 * sm, 0.5 * sm + s1, w[:, :, None], out[1:])
+        return _affine_steps(r, out, what)[:, :, 0]
+
+    y_nodes = nodal_rk4(sys.a + m_op, f + u @ sys.b.T, y0, "forward")
+    z_nodes = nodal_rk4(sys.a.T, g[::-1], z_t, "backward")[::-1]
 
     int_u_bz = _trapezoid(np.sum(u * (z_nodes @ sys.b), axis=1), dt)
     int_y_g = _trapezoid(np.sum(y_nodes * g, axis=1), dt)

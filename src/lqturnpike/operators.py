@@ -97,6 +97,8 @@ class HypothesisReport:
         Smallest eigenvalue of the (A, C) observability Gramian on [0, t0].
     obs_astar_bstar : float
         Smallest eigenvalue of the (A*, B*) observability Gramian on [0, t0].
+    obs_ac_max, obs_astar_bstar_max : float
+        Largest eigenvalues of the same two Gramians.
     ker_ac_trivial : bool
         True iff the stacked matrix [A; C] has full column rank, i.e.
         ker A and ker C intersect trivially.
@@ -113,6 +115,8 @@ class HypothesisReport:
 
     obs_ac: float
     obs_astar_bstar: float
+    obs_ac_max: float
+    obs_astar_bstar_max: float
     ker_ac_trivial: bool
     ker_astar_bstar_trivial: bool
     delta: float
@@ -121,12 +125,18 @@ class HypothesisReport:
 
     @property
     def satisfied(self) -> bool:
-        """Whether every hypothesis holds with a strictly positive margin."""
+        """Whether every hypothesis holds with a margin above rounding.
+
+        Each Gramian must be positive definite relative to its own scale:
+        its smallest eigenvalue above ``tol`` times its largest, the test
+        the kernel flags apply to singular values.  A smallest eigenvalue
+        at the rounding floor fails whatever its sign.
+        """
         return (
             self.ker_ac_trivial
             and self.ker_astar_bstar_trivial
-            and self.obs_ac > 0.0
-            and self.obs_astar_bstar > 0.0
+            and self.obs_ac > self.tol * self.obs_ac_max
+            and self.obs_astar_bstar > self.tol * self.obs_astar_bstar_max
             and self.delta > 0.0
         )
 
@@ -327,23 +337,26 @@ def check_hypotheses(
 ) -> HypothesisReport:
     """Evaluate the structural hypotheses of the turnpike estimate.
 
-    Reports the smallest eigenvalues of the (A, C) and (A*, B*)
-    observability Gramians on [0, t0], kernel-intersection flags via a
-    full-column-rank test on the stacked matrices [A; C] and [A*; B*]
-    (singular values above ``tol`` times the largest), and the coercivity
-    constant ``delta`` of C*C.  Failures are reported, never raised.
+    Reports the smallest and largest eigenvalues of the (A, C) and
+    (A*, B*) observability Gramians on [0, t0], kernel-intersection flags
+    via a full-column-rank test on the stacked matrices [A; C] and
+    [A*; B*] (singular values above ``tol`` times the largest), and the
+    coercivity constant ``delta`` of C*C.  Failures are reported, never
+    raised.
     """
     gram_ac = observability_gramian((sys.a, sys.c), t0)
     gram_ab = observability_gramian((sys.a.T, sys.b.T), t0)
-    obs_ac = float(np.linalg.eigvalsh(gram_ac)[0])
-    obs_ab = float(np.linalg.eigvalsh(gram_ab)[0])
+    eig_ac = np.linalg.eigvalsh(gram_ac)
+    eig_ab = np.linalg.eigvalsh(gram_ab)
     ker_ac = _full_column_rank(np.vstack([sys.a, sys.c]), tol)
     ker_ab = _full_column_rank(np.vstack([sys.a.T, sys.b.T]), tol)
     sv_c = np.linalg.svd(sys.c, compute_uv=False)
     delta = float(sv_c[-1] ** 2)
     return HypothesisReport(
-        obs_ac=obs_ac,
-        obs_astar_bstar=obs_ab,
+        obs_ac=float(eig_ac[0]),
+        obs_astar_bstar=float(eig_ab[0]),
+        obs_ac_max=float(eig_ac[-1]),
+        obs_astar_bstar_max=float(eig_ab[-1]),
         ker_ac_trivial=ker_ac,
         ker_astar_bstar_trivial=ker_ab,
         delta=delta,

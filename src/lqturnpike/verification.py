@@ -586,21 +586,36 @@ def _sampled_cost_margins(prob, traj, v, eps_values):
     [u, u + v_1, ..., u + v_k] therefore serves every eps.  Each margin
     is still the trapezoid cost of the perturbed (state, control) pair
     minus ``cost(prob, traj)``.  Returns shape (len(eps_values), k).
+
+    The work is done in place: the differences overwrite the solved
+    batch, only its terminal rows outlive the observations, and every
+    eps reuses one deviation and one control array, so the peak is a few
+    arrays of the batch's size.
     """
     u = traj.u[:, :, None]
     x_all = simulate_forward(prob, np.concatenate([u, u + v], axis=2))
     x_base = x_all[:, :, :1]
-    x_dir = x_all[:, :, 1:] - x_base
+    x_dir = x_all[:, :, 1:]
+    x_dir -= x_base
     # C is linear too, so the observations superpose the same way.
     obs_base = prob.sys.c @ x_base
     obs_dir = prob.sys.c @ x_dir
+    end_base, end_dir = x_base[-1].copy(), x_dir[-1].copy()
+    del x_all, x_base, x_dir
     base = cost(prob, traj)
+    target = prob.target[None, :, None]
+    dev = np.empty_like(obs_dir)
+    u_pert = np.empty_like(v)
     margins = np.empty((len(eps_values), v.shape[2]))
     for row, eps in zip(margins, eps_values):
-        u_pert = u + eps * v
-        dev = obs_base + eps * obs_dir - prob.target[None, :, None]
-        running = np.sum(dev * dev, axis=1) + np.sum(u_pert * u_pert, axis=1)
-        x_end = x_base[-1] + eps * x_dir[-1]
+        np.multiply(obs_dir, eps, out=dev)
+        dev += obs_base
+        dev -= target
+        np.multiply(v, eps, out=u_pert)
+        u_pert += u
+        running = np.einsum("tib,tib->tb", dev, dev)
+        running += np.einsum("tib,tib->tb", u_pert, u_pert)
+        x_end = end_base + eps * end_dir
         terminal = np.einsum("ib,ij,jb->b", x_end, prob.p0, x_end)
         row[:] = _trapezoid(running, prob.dt) + terminal - base
     return margins

@@ -238,3 +238,20 @@ class TestCommands:
             a = open(tmp_path / "o1" / name, "rb").read()
             b = open(tmp_path / "o2" / name, "rb").read()
             assert a == b
+
+    def test_manifest_records_environment_and_peak_rss(self, tmp_path):
+        import platform
+
+        import scipy
+
+        out = tmp_path / "o"
+        assert main(["stationary", "--out", str(out)]) == 0
+        manifest = json.load(open(out / "manifest.json"))
+        assert manifest["environment"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
+        # The interpreter with numpy and scipy loaded is already past 1 MiB.
+        assert isinstance(manifest["peak_rss_mb"], float)
+        assert 1.0 < manifest["peak_rss_mb"] < 1e6

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from lqturnpike.lq import (
     _rk4_linear,
     _stepwise_sweep,
     _sweep_data,
+    _trapezoid,
 )
 from lqturnpike.verification import _sampled_cost_margins
 
@@ -289,6 +291,76 @@ class TestRk4Linear:
         assert np.max(np.abs(got[:, 0] - want) / want) <= 1e-10
 
 
+def _refine(values, factor):
+    """Samples of nodal data, linear between nodes, at 1/factor of the spacing."""
+    w = (np.arange(factor) / factor).reshape((1, factor) + (1,) * (values.ndim - 1))
+    inner = (1.0 - w) * values[:-1, None] + w * values[1:, None]
+    return np.concatenate([inner.reshape((-1,) + values.shape[1:]), values[-1:]])
+
+
+class TestSimulateForward:
+    # The nodal integrators compose RK4's steps over each node interval;
+    # the reference steps _rk4_linear through forcing sampled on the
+    # quarter grid (half steps) or the half grid (whole steps).
+    def _problems(self, scalar, rand4):
+        sys_, z, x0 = scalar
+        sys4, z4, _ = rand4
+        x0_4 = np.random.Generator(np.random.Philox(key=12)).standard_normal(4)
+        return (
+            scalar_problem(sys_, z, x0, horizon=2.0),
+            lab.LqProblem(sys=sys4, horizon=2.0, target=z4, x0=x0_4, p0=np.eye(4), dt=1e-3),
+        )
+
+    @staticmethod
+    def _close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_matches_half_step_reference(self, scalar, rand4):
+        rng = np.random.Generator(np.random.Philox(key=11))
+        for prob in self._problems(scalar, rand4):
+            self._check_state_and_adjoint(prob, rng)
+            self._check_duality_residual(prob, rng)
+
+    def _check_state_and_adjoint(self, prob, rng):
+        sys_, nodes, dt = prob.sys, prob.n_steps + 1, prob.dt
+        u = rng.standard_normal((nodes, sys_.m, 3))
+        forcing = np.einsum("ij,tjb->tib", sys_.b, _refine(u, 4))
+        x0 = np.repeat(prob.x0[:, None], 3, axis=1)
+        want = _rk4_linear(sys_.a, forcing, x0, 0.5 * dt, 2 * prob.n_steps)
+        self._close(lab.simulate_forward(prob, u), want[::2])
+        self._close(lab.simulate_forward(prob, u[:, :, 0]), want[::2, :, 0])
+
+        x_fine = want[:, :, 0]
+        g_fine = (x_fine @ sys_.c.T - prob.target) @ sys_.c
+        y_want = _rk4_linear(
+            sys_.a.T, g_fine[::-1], prob.p0 @ x_fine[-1], dt, prob.n_steps
+        )[::-1]
+        x, y = lab.adjoint_from_control(prob, u[:, :, 0])
+        self._close(x, x_fine[::2])
+        self._close(y, y_want)
+
+    def _check_duality_residual(self, prob, rng):
+        sys_, nodes, dt, n = prob.sys, prob.n_steps + 1, prob.dt, prob.sys.n
+        y0, z_t = rng.standard_normal(n), rng.standard_normal(n)
+        f, g = rng.standard_normal((nodes, n)), rng.standard_normal((nodes, n))
+        u = rng.standard_normal((nodes, sys_.m))
+        m_op = 0.3 * rng.standard_normal((n, n))
+        got = lab.duality_residual(sys_, (y0, f, u, m_op), (z_t, g), prob.horizon, dt)
+        y = _rk4_linear(sys_.a + m_op, _refine(f + u @ sys_.b.T, 2), y0, dt, prob.n_steps)
+        z = _rk4_linear(sys_.a.T, _refine(g, 2)[::-1], z_t, dt, prob.n_steps)[::-1]
+        terms = np.array([
+            y[-1] @ z_t,
+            -(y0 @ z[0]),
+            -_trapezoid(np.sum(u * (z @ sys_.b), axis=1), dt),
+            _trapezoid(np.sum(y * g, axis=1), dt),
+            -_trapezoid(np.sum(f * z, axis=1), dt),
+            -_trapezoid(np.sum((y @ m_op.T) * z, axis=1), dt),
+        ])
+        # The residual cancels its terms, so compare on their scale.
+        assert abs(got - abs(np.sum(terms))) <= 1e-13 * np.sum(np.abs(terms))
+
+
 class TestAdjointFromControl:
     def test_zero_everything(self, scalar):
         sys_, _, _ = scalar
@@ -393,6 +465,20 @@ def _direct_cost_margins(prob, traj, v, eps_values):
     return margins
 
 
+def _peak_units(call, unit):
+    """Peak traced memory while ``call`` runs, above what it started with."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return (tracemalloc.get_traced_memory()[1] - held) / unit
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
 class TestSampledCostMargins:
     # Criterion 11 forms every perturbed state from one batched solve by
     # superposition; it must match solving each perturbation directly.
@@ -418,6 +504,19 @@ class TestSampledCostMargins:
         )
         rng = np.random.Generator(np.random.Philox(key=104))
         self._compare(prob, rng.standard_normal((prob.n_steps + 1, 2, 20)))
+
+    def test_peak_memory_in_batch_units(self, scalar):
+        # Criterion 11's data: 101 control columns on N = 10,000 steps.
+        # Peaks are counted in units of one (N + 1) x 101 float64 array.
+        sys_, z, x0 = scalar
+        prob = scalar_problem(sys_, z, x0)
+        traj = lab.solve_transcription(prob)
+        rng = np.random.Generator(np.random.Philox(key=103))
+        v = rng.standard_normal((prob.n_steps + 1, 1, 100))
+        cols = np.concatenate([traj.u[:, :, None], traj.u[:, :, None] + v], axis=2)
+        unit = cols.nbytes
+        assert _peak_units(lambda: lab.simulate_forward(prob, cols), unit) <= 4.0
+        assert _peak_units(lambda: _sampled_cost_margins(prob, traj, v, self.EPS), unit) <= 6.0
 
 
 class TestDualityResidual:

@@ -183,3 +183,15 @@ class TestCheckHypotheses:
     def test_random_stable_seed42_passes(self):
         report = lab.check_hypotheses(lab.random_stable(4, 2, 42))
         assert report.satisfied
+
+    @pytest.mark.parametrize("gap, satisfied", [(1e-8, False), (1e-3, True)])
+    def test_gramian_margin_relative_to_its_scale(self, gap, satisfied):
+        # Two nearly equal modes driven by one input.  At gap 1e-8 the
+        # (A*, B*) Gramian is singular up to rounding: its smallest over
+        # largest eigenvalue is 3e-17, positive only by chance.  At gap
+        # 1e-3 the ratio is 2e-8, clear of the relative tolerance 1e-10.
+        sys_ = lab.make_system(np.diag([-1.0, -1.0 - gap]), np.ones((2, 1)), np.eye(2))
+        report = lab.check_hypotheses(sys_)
+        assert report.ker_ac_trivial and report.ker_astar_bstar_trivial
+        assert report.obs_astar_bstar_max > 0.0
+        assert report.satisfied == satisfied
