@@ -177,39 +177,35 @@ class Trajectory:
     method: str
 
 
-def _rk4_coefficients(a_mat, h, what):
-    """RK4's one-step affine map for v' = a v + w(t) with step h.
+def _step_coefficients(a_mat, h):
+    """Exact one-step map of v' = a v + w(t) over a step h, w quadratic.
 
-    For a linear right-hand side the four classical stages collapse, with
-    Z = h a, into
+    For forcing quadratic over the step and sampled at its start, middle
+    and end,
 
-        v_{j+1} = R v_j + S0 w(t_j) + Sm w(t_j + h/2) + S1 w(t_j + h),
-        R  = I + Z + Z^2/2 + Z^3/6 + Z^4/24,
-        S0 = (h/6)(I + Z + Z^2/2 + Z^3/4),
-        Sm = (h/6)(4I + 2Z + Z^2/2),   S1 = (h/6) I,
+        v_{j+1} = R v_j + S0 w(t_j) + Sm w(t_j + h/2) + S1 w(t_j + h)
 
-    and (R, S0, Sm, S1) is returned.  A step that leaves a decaying or
-    neutral mode (Re lambda <= 0) of ``a`` outside RK4's stability region,
-    |R(h lambda)| > 1, is rejected here, before any step is taken.
+    holds exactly at any h, with R = e^{hA} and, in the functions
+    phi_k(Z) = sum_i Z^i / (i + k)! of Z = h a,
+
+        S0 = h (phi_1 - 3 phi_2 + 4 phi_3),
+        Sm = 4h (phi_2 - 2 phi_3),   S1 = h (4 phi_3 - phi_2).
+
+    (R, S0, Sm, S1) is returned.  R and the phi_k are the top block row
+    of one exponential of [[Z, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I],
+    [0, 0, 0, 0]] (Van Loan, IEEE TAC 1978), whose diagonal holds only Z
+    and zeros, so it grows no faster than e^{hA} itself.
     """
     n = a_mat.shape[0]
-    eye = np.eye(n)
-    z = h * a_mat
-    modes = np.linalg.eigvals(z)
-    # RK4's stability function R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24.
-    gain = np.abs(np.polyval([1 / 24, 1 / 6, 1 / 2, 1.0, 1.0], modes[modes.real <= 0.0]))
-    if np.any(gain > 1.0):
-        raise IntegrationError(
-            f"{what} integration is unstable: RK4 amplifies a decaying mode "
-            f"by {np.max(gain):.3e} per step; the step does not resolve the "
-            "fastest generator mode"
-        )
-    z2 = z @ z
-    z3 = z2 @ z
-    r = eye + z + z2 / 2.0 + z3 / 6.0 + (z3 @ z) / 24.0
-    s0 = (h / 6.0) * (eye + z + z2 / 2.0 + z3 / 4.0)
-    sm = (h / 6.0) * (4.0 * eye + 2.0 * z + z2 / 2.0)
-    return r, s0, sm, (h / 6.0) * eye
+    block = np.zeros((4 * n, 4 * n))
+    block[:n, :n] = h * a_mat
+    for k in range(3):
+        block[k * n : (k + 1) * n, (k + 1) * n : (k + 2) * n] = np.eye(n)
+    top = expm(block)[:n]
+    r, phi1, phi2, phi3 = (top[:, k * n : (k + 1) * n] for k in range(4))
+    s0 = h * (phi1 - 3.0 * phi2 + 4.0 * phi3)
+    sm = (4.0 * h) * (phi2 - 2.0 * phi3)
+    return r, s0, sm, h * (4.0 * phi3 - phi2)
 
 
 def _affine_steps(r, out, what):
@@ -223,44 +219,43 @@ def _affine_steps(r, out, what):
         out[j + 1] += r @ out[j]
     if not np.all(np.isfinite(out)) or np.max(np.abs(out[-1])) > _BLOWUP_LIMIT:
         raise IntegrationError(
-            f"{what} integration diverged; the step does not resolve the "
-            "fastest generator mode"
+            f"{what} integration diverged: the solution grew past the "
+            f"blow-up limit {_BLOWUP_LIMIT:.0e} over the horizon"
         )
     return out
 
 
-def _interval_forcing(k0, k1, w, out):
-    """Write k0 w_i + k1 w_{i+1} into ``out[i]`` for nodal data w (nodes first)."""
-    np.matmul(k0, w[:-1], out=out)
-    out += k1 @ w[1:]
+def _nodal_steps(a_mat, h, b, w, v0, what):
+    """Exact steps of v' = a v + b w(t) for nodal data w linear between nodes.
 
+    ``w`` has shape (nodes, k, columns) and ``v0`` shape (n, columns) or
+    (n, 1); returns the nodal states, shape (nodes, n, columns).  The mid
+    sample of linear data is the average of the two end nodes, so with
+    :func:`_step_coefficients` one step is
 
-def _half_step_coefficients(a_mat, dt):
-    """RK4 at h = dt/2 for forcing that is linear over a node interval.
+        v_{i+1} = R v_i + (S0 + Sm/2) b w_i + (Sm/2 + S1) b w_{i+1}.
 
-    Returns R and, for the first and the second half step of the
-    interval, the pair of matrices that weigh its two end nodes in that
-    step's forcing: the steps sample the data at 0, 1/4, 1/2 and at
-    1/2, 3/4, 1 of the interval.
+    The forcing of every step is written into the output buffer, so
+    memory is the output plus one array of its size.
     """
-    r, s0, sm, s1 = _rk4_coefficients(a_mat, 0.5 * dt, "state")
-    first = (s0 + 0.75 * sm + 0.5 * s1, 0.25 * sm + 0.5 * s1)
-    second = (0.5 * s0 + 0.25 * sm, 0.5 * s0 + 0.75 * sm + s1)
-    return r, first, second
+    r, s0, sm, s1 = _step_coefficients(a_mat, h)
+    out = np.empty((w.shape[0], a_mat.shape[0], w.shape[2]))
+    out[0] = v0
+    np.matmul((s0 + 0.5 * sm) @ b, w[:-1], out=out[1:])
+    out[1:] += ((0.5 * sm + s1) @ b) @ w[1:]
+    return _affine_steps(r, out, what)
 
 
-def _rk4_linear(a_mat, forcing_half, v0, h, nsteps, what="trajectory"):
-    """RK4 for v' = a v + w(t) with forcing sampled at half-step spacing.
+def _half_sampled_steps(a_mat, forcing_half, v0, h, nsteps, what="trajectory"):
+    """Exact steps of v' = a v + w(t) for forcing sampled at half-step spacing.
 
-    ``forcing_half`` must hold 2*nsteps + 1 samples at spacing h/2; step j
-    uses samples 2j, 2j+1, 2j+2 with the coefficients of
-    :func:`_rk4_coefficients`.  Supports batched columns: v0 of shape
-    (n,) or (n, nbatch) with forcing shaped accordingly.  The forcing of
-    every step is combined up front and the loop does one matrix product
-    and one addition per step; results differ from stepping the four
-    stages only by rounding.
+    ``forcing_half`` must hold 2*nsteps + 1 samples at spacing h/2, read
+    as quadratic over each step: step j uses samples 2j, 2j+1, 2j+2 with
+    the coefficients of :func:`_step_coefficients`.  Supports batched
+    columns: v0 of shape (n,) or (n, nbatch) with forcing shaped
+    accordingly.
     """
-    r, s0, sm, s1 = _rk4_coefficients(a_mat, h, what)
+    r, s0, sm, s1 = _step_coefficients(a_mat, h)
     n = a_mat.shape[0]
     v0 = np.asarray(v0, dtype=float)
     # Carry states as (n, columns) so one matmul serves both layouts.
@@ -282,19 +277,9 @@ def simulate_forward(prob: LqProblem, u) -> np.ndarray:
     a batch of shape (N + 1, m, nbatch); returns state samples of shape
     (N + 1, n) or (N + 1, n, nbatch).
 
-    The scheme is RK4 at half the grid step, h = dt/2, which cuts RK4's
-    error 16-fold and doubles its stiffness limit.  With (R, S0, Sm, S1)
-    from :func:`_rk4_coefficients` for h, the two half steps over one
-    node interval see the control at exact linear interpolates
-    (:func:`_half_step_coefficients`), so they compose into one affine
-    map of the nodal values,
-
-        x_{i+1} = R^2 x_i + K0 B u_i + K1 B u_{i+1},
-        K0 = R (S0 + 3/4 Sm + 1/2 S1) + 1/2 S0 + 1/4 Sm,
-        K1 = R (1/4 Sm + 1/2 S1) + 1/2 S0 + 3/4 Sm + S1,
-
-    and the loop steps node to node.  The step forcing is written into
-    the output buffer, so memory is the output plus one array of its size.
+    Each node interval takes the exact step of :func:`_nodal_steps`, so
+    the samples carry no time-discretization error and a stiff generator
+    needs no finer step; the loop does one matrix product per node.
     """
     u = np.asarray(u, dtype=float)
     n_nodes, n = prob.n_steps + 1, prob.sys.n
@@ -304,19 +289,21 @@ def simulate_forward(prob: LqProblem, u) -> np.ndarray:
             f"{prob.sys.m} components, got shape {u.shape}"
         )
     cols = u.reshape(n_nodes, prob.sys.m, -1)
-    r, (e0, e1), (o0, o1) = _half_step_coefficients(prob.sys.a, prob.dt)
-    k0, k1 = r @ e0 + o0, r @ e1 + o1
-    out = np.empty((n_nodes, n, cols.shape[2]))
-    out[0] = prob.x0[:, None]
-    _interval_forcing(k0 @ prob.sys.b, k1 @ prob.sys.b, cols, out[1:])
-    return _affine_steps(r @ r, out, "state").reshape((n_nodes, n) + u.shape[2:])
+    out = _nodal_steps(prob.sys.a, prob.dt, prob.sys.b, cols, prob.x0[:, None], "state")
+    return out.reshape((n_nodes, n) + u.shape[2:])
 
 
 def adjoint_from_control(prob: LqProblem, u):
     """Recompute the state and adjoint generated by a given control.
 
     Integrates x' = A x + B u forward from x0, then the adjoint
-    y' = -A* y - C*(C x - z) backward from y(T) = P0 x(T).
+    y' = -A* y - C*(C x - z) backward from y(T) = P0 x(T).  The state
+    takes exact steps of dt/2 (:func:`_nodal_steps`, the midpoint
+    controls being node averages), so the adjoint pass, which takes
+    exact steps of dt, reads its forcing as quadratic through the node
+    and midpoint samples (:func:`_half_sampled_steps`).  The state is
+    exact for the piecewise-linear control; the adjoint's error is that
+    of the quadratic reading of C*(C x - z).
 
     Returns
     -------
@@ -329,27 +316,25 @@ def adjoint_from_control(prob: LqProblem, u):
             f"controls must have shape ({n_nodes}, {prob.sys.m}), got {u.shape}"
         )
     sys = prob.sys
-    # The state takes the half steps of simulate_forward one by one, so
-    # the adjoint pass below can sample it at half-step spacing.
-    r, first, second = _half_step_coefficients(sys.a, prob.dt)
-    x_fine = np.empty((2 * prob.n_steps + 1, sys.n, 1))
-    x_fine[0] = prob.x0[:, None]
-    for half, out in ((first, x_fine[1::2]), (second, x_fine[2::2])):
-        _interval_forcing(half[0] @ sys.b, half[1] @ sys.b, u[:, :, None], out)
-    x_fine = _affine_steps(r, x_fine, "state")[:, :, 0]
+    u_half = np.empty((2 * prob.n_steps + 1, sys.m, 1))
+    u_half[::2, :, 0] = u
+    u_half[1::2, :, 0] = 0.5 * (u[:-1] + u[1:])
+    x_half = _nodal_steps(
+        sys.a, 0.5 * prob.dt, sys.b, u_half, prob.x0[:, None], "state"
+    )[:, :, 0]
     # Backward pass in reversed time s = T - t: Y' = A* Y + g(T - s) with
-    # g = C*(C x - z); the reversed forcing samples come from the fine
+    # g = C*(C x - z); the reversed forcing samples come from the half-step
     # state grid, so no interpolation of computed values is needed.
-    g_fine = (x_fine @ sys.c.T - prob.target) @ sys.c  # C*(C x - z) row-wise
-    y_rev = _rk4_linear(
+    g_half = (x_half @ sys.c.T - prob.target) @ sys.c  # C*(C x - z) row-wise
+    y_rev = _half_sampled_steps(
         sys.a.T,
-        g_fine[::-1],
-        prob.p0 @ x_fine[-1],
+        g_half[::-1],
+        prob.p0 @ x_half[-1],
         prob.dt,
         prob.n_steps,
         what="adjoint",
     )
-    return x_fine[::2], y_rev[::-1]
+    return x_half[::2], y_rev[::-1]
 
 
 def _trapezoid(values: np.ndarray, dt: float):
@@ -635,8 +620,9 @@ def duality_residual(sys: LtiSystem, forward, backward, horizon: float, dt: floa
             = int <u, B* z> - int <y, g> + int <f, z> + int <M y, z>
 
     holds.  All data are nodal samples interpreted piecewise-linearly;
-    the integrals are evaluated by trapezoid quadrature, so the returned
-    residual is second-order in dt.
+    both systems take exact steps for that data (:func:`_nodal_steps`)
+    and the integrals are evaluated by trapezoid quadrature, so the
+    returned residual is second-order in dt.
     """
     y0, f, u, m_op = forward
     z_t, g = backward
@@ -656,17 +642,13 @@ def duality_residual(sys: LtiSystem, forward, backward, horizon: float, dt: floa
                 f"{name} must have shape ({nsteps + 1}, {width}), got {arr.shape}"
             )
 
-    def nodal_rk4(a_mat, w, v0, what):
-        # RK4 at step dt samples data that is linear between nodes at the
-        # two nodes and their average.
-        r, s0, sm, s1 = _rk4_coefficients(a_mat, dt, what)
-        out = np.empty(w.shape + (1,))
-        out[0] = v0[:, None]
-        _interval_forcing(s0 + 0.5 * sm, 0.5 * sm + s1, w[:, :, None], out[1:])
-        return _affine_steps(r, out, what)[:, :, 0]
-
-    y_nodes = nodal_rk4(sys.a + m_op, f + u @ sys.b.T, y0, "forward")
-    z_nodes = nodal_rk4(sys.a.T, g[::-1], z_t, "backward")[::-1]
+    eye = np.eye(n)
+    y_nodes = _nodal_steps(
+        sys.a + m_op, dt, eye, (f + u @ sys.b.T)[:, :, None], y0[:, None], "forward"
+    )[:, :, 0]
+    z_nodes = _nodal_steps(
+        sys.a.T, dt, eye, g[::-1, :, None], z_t[:, None], "backward"
+    )[::-1, :, 0]
 
     int_u_bz = _trapezoid(np.sum(u * (z_nodes @ sys.b), axis=1), dt)
     int_y_g = _trapezoid(np.sum(y_nodes * g, axis=1), dt)

@@ -107,6 +107,8 @@ class HypothesisReport:
     delta : float
         Coercivity constant of C*C, the squared smallest singular value
         of C.
+    delta_max : float
+        Squared largest singular value of C, the scale of ``delta``.
     t0 : float
         Horizon used for both Gramians.
     tol : float
@@ -120,6 +122,7 @@ class HypothesisReport:
     ker_ac_trivial: bool
     ker_astar_bstar_trivial: bool
     delta: float
+    delta_max: float
     t0: float
     tol: float
 
@@ -127,17 +130,17 @@ class HypothesisReport:
     def satisfied(self) -> bool:
         """Whether every hypothesis holds with a margin above rounding.
 
-        Each Gramian must be positive definite relative to its own scale:
-        its smallest eigenvalue above ``tol`` times its largest, the test
-        the kernel flags apply to singular values.  A smallest eigenvalue
-        at the rounding floor fails whatever its sign.
+        Each Gramian, and C*C, must be positive definite relative to its
+        own scale: its smallest eigenvalue above ``tol`` times its
+        largest, the test the kernel flags apply to singular values.  A
+        smallest eigenvalue at the rounding floor fails whatever its sign.
         """
         return (
             self.ker_ac_trivial
             and self.ker_astar_bstar_trivial
             and self.obs_ac > self.tol * self.obs_ac_max
             and self.obs_astar_bstar > self.tol * self.obs_astar_bstar_max
-            and self.delta > 0.0
+            and self.delta > self.tol * self.delta_max
         )
 
 
@@ -341,7 +344,7 @@ def check_hypotheses(
     (A*, B*) observability Gramians on [0, t0], kernel-intersection flags
     via a full-column-rank test on the stacked matrices [A; C] and
     [A*; B*] (singular values above ``tol`` times the largest), and the
-    coercivity constant ``delta`` of C*C.  Failures are reported, never
+    smallest and largest eigenvalues ``delta`` and ``delta_max`` of C*C.  Failures are reported, never
     raised.
     """
     gram_ac = observability_gramian((sys.a, sys.c), t0)
@@ -351,7 +354,6 @@ def check_hypotheses(
     ker_ac = _full_column_rank(np.vstack([sys.a, sys.c]), tol)
     ker_ab = _full_column_rank(np.vstack([sys.a.T, sys.b.T]), tol)
     sv_c = np.linalg.svd(sys.c, compute_uv=False)
-    delta = float(sv_c[-1] ** 2)
     return HypothesisReport(
         obs_ac=float(eig_ac[0]),
         obs_astar_bstar=float(eig_ab[0]),
@@ -359,7 +361,8 @@ def check_hypotheses(
         obs_astar_bstar_max=float(eig_ab[-1]),
         ker_ac_trivial=ker_ac,
         ker_astar_bstar_trivial=ker_ab,
-        delta=delta,
+        delta=float(sv_c[-1] ** 2),
+        delta_max=float(sv_c[0] ** 2),
         t0=float(t0),
         tol=float(tol),
     )

@@ -88,17 +88,10 @@ class DreSolution:
         Uniform time grid on [0, T].
     p_samples : (steps + 1, n, n) ndarray
         Symmetric samples P_T(t_j); the terminal sample equals p0 exactly.
-    p0 : (n, n) ndarray
-        Terminal value P_T(T).
     """
 
     grid: np.ndarray
     p_samples: np.ndarray
-    p0: np.ndarray
-
-    def at(self, j: int) -> np.ndarray:
-        """Sample P_T(t_j) by grid index."""
-        return self.p_samples[j]
 
 
 def _are_residual(sys: LtiSystem, p: np.ndarray):
@@ -233,7 +226,6 @@ def solve_dre(sys: LtiSystem, horizon: float, p0, steps: int) -> DreSolution:
     return DreSolution(
         grid=_lock(np.linspace(0.0, horizon, steps + 1)),
         p_samples=_lock(p_samples),
-        p0=_lock(p_samples[-1].copy()),
     )
 
 

@@ -580,10 +580,11 @@ def _null_space_margin(sys_, z, stat, samples, seed):
 def _sampled_cost_margins(prob, traj, v, eps_values):
     """Sampled J(u + eps v) - J(u) for each direction column of ``v``.
 
-    The state is affine in the control, and RK4 on a linear ODE is an
-    exact affine map of (x0, forcing), so x(u + eps v) = x(u) +
-    eps (x(u + v) - x(u)) up to rounding.  One batched forward solve of
-    [u, u + v_1, ..., u + v_k] therefore serves every eps.  Each margin
+    The state is affine in the control, and the exact nodal step of
+    :func:`~lqturnpike.lq.simulate_forward` is an affine map of (x0,
+    forcing), so x(u + eps v) = x(u) + eps (x(u + v) - x(u)) up to
+    rounding.  One batched forward solve of [u, u + v_1, ..., u + v_k]
+    therefore serves every eps.  Each margin
     is still the trapezoid cost of the perturbed (state, control) pair
     minus ``cost(prob, traj)``.  Returns shape (len(eps_values), k).
 

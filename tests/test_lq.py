@@ -1,15 +1,16 @@
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.signal import lsim
 
 import lqturnpike as lab
 from lqturnpike.errors import GridMismatchError, IntegrationError, ProblemSizeError
 from lqturnpike.lq import (
+    _half_sampled_steps,
     _kkt_system,
     _lifted_sweep,
-    _rk4_linear,
     _stepwise_sweep,
     _sweep_data,
     _trapezoid,
@@ -241,52 +242,66 @@ class TestSweepPaths:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-class TestRk4Linear:
-    def test_matches_four_stage_loop(self, rand4):
-        sys_, _, _ = rand4
+class TestExactSteps:
+    def test_closed_form_quadratic_forcing(self, rand4):
+        # For w(t) = w0 + w1 t + w2 t^2 the solution is
+        # e^{tA}(v0 - P0) + P0 + P1 t + P2 t^2 with P2 = -A^{-1} w2,
+        # P1 = A^{-1}(2 P2 - w1) and P0 = A^{-1}(P1 - w0).
         rng = np.random.Generator(np.random.Philox(key=9))
         h, nsteps = 1e-2, 200
-        for batch in ((), (3,)):
-            v = rng.standard_normal((4,) + batch)
-            forcing = rng.standard_normal((2 * nsteps + 1, 4) + batch)
-            got = _rk4_linear(sys_.a, forcing, v, h, nsteps)
-            want = [v]
-            for j in range(nsteps):
-                w0, wm, w1 = forcing[2 * j], forcing[2 * j + 1], forcing[2 * j + 2]
-                k1 = sys_.a @ v + w0
-                k2 = sys_.a @ (v + (0.5 * h) * k1) + wm
-                k3 = sys_.a @ (v + (0.5 * h) * k2) + wm
-                k4 = sys_.a @ (v + h * k3) + w1
-                v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                want.append(v)
-            want = np.array(want)
+        times = h * np.arange(nsteps + 1)
+        for a_mat in (np.array([[-1.0]]), np.array([[0.5]]), rand4[0].a):
+            n = a_mat.shape[0]
+            v0, w0, w1, w2 = rng.standard_normal((4, n))
+            half = 0.5 * h * np.arange(2 * nsteps + 1)[:, None]
+            got = _half_sampled_steps(a_mat, w0 + w1 * half + w2 * half**2, v0, h, nsteps)
+            p2 = -np.linalg.solve(a_mat, w2)
+            p1 = np.linalg.solve(a_mat, 2.0 * p2 - w1)
+            p0 = np.linalg.solve(a_mat, p1 - w0)
+            want = np.array([expm(t * a_mat) @ (v0 - p0) for t in times])
+            want += p0 + p1 * times[:, None] + p2 * times[:, None] ** 2
             assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
-    def test_unresolved_stiff_step_raises(self):
-        # dt = 1e-2 leaves the fastest heat_1d(50) modes far outside the
-        # RK4 stability region, so every integration must report divergence.
+    def test_stiff_heat_matches_lsim(self):
+        # dt = 1e-2 is far outside any explicit scheme's stability limit on
+        # heat_1d(50); the exact step has none, and lsim's interp=True is
+        # the same piecewise-linear control, so the two agree to rounding.
         prob = heat_problem(50)
-        u = np.ones((prob.n_steps + 1, 1))
-        calls = (
-            lambda: lab.simulate_forward(prob, u),
-            lambda: lab.simulate_forward(prob, np.repeat(u[:, :, None], 3, axis=2)),
-            lambda: lab.adjoint_from_control(prob, u),
+        sys_, t = prob.sys, prob.grid
+        prob = lab.LqProblem(
+            sys=sys_, horizon=prob.horizon, target=prob.target,
+            x0=np.random.Generator(np.random.Philox(key=10)).standard_normal(sys_.n),
+            p0=prob.p0, dt=prob.dt,
         )
-        with np.errstate(over="ignore", invalid="ignore"):
-            for call in calls:
-                with pytest.raises(IntegrationError):
-                    call()
-        # The step is rejected before integrating, so nothing overflows.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for call in calls:
-                with pytest.raises(IntegrationError):
-                    call()
+        u = np.stack([np.sin(2.0 * np.pi * t) + 0.5, np.cos(3.0 * t), t**2], axis=1)
+        u = u[:, None, :]
+        batched = lab.simulate_forward(prob, u)
+        plant = (sys_.a, sys_.b, np.eye(sys_.n), np.zeros((sys_.n, sys_.m)))
+        for k in range(u.shape[2]):
+            _, _, want = lsim(plant, u[:, :, k], t, X0=prob.x0, interp=True)
+            single = lab.simulate_forward(prob, u[:, :, k])
+            for got in (batched[:, :, k], single):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_unstable_generator_raises(self):
+        # x = e^{50 t} passes the blow-up limit well before T = 1.
+        sys_ = lab.make_system([[50.0]], [[1.0]], [[1.0]])
+        prob = lab.LqProblem(
+            sys=sys_, horizon=1.0, target=np.zeros(1), x0=np.ones(1),
+            p0=np.zeros((1, 1)), dt=1e-2,
+        )
+        u = np.zeros((prob.n_steps + 1, 1))
+        with pytest.raises(IntegrationError, match="blow-up limit"):
+            lab.simulate_forward(prob, u)
+        with pytest.raises(IntegrationError, match="blow-up limit"):
+            lab.adjoint_from_control(prob, u)
 
     def test_unstable_resolved_generator_integrates(self):
         h, nsteps = 1e-2, 200
-        got = _rk4_linear(np.array([[0.5]]), np.zeros((2 * nsteps + 1, 1)), [1.0], h, nsteps)
+        got = _half_sampled_steps(
+            np.array([[0.5]]), np.zeros((2 * nsteps + 1, 1)), [1.0], h, nsteps
+        )
         want = np.exp(0.5 * h * np.arange(nsteps + 1))
         assert np.max(np.abs(got[:, 0] - want) / want) <= 1e-10
 
@@ -299,8 +314,8 @@ def _refine(values, factor):
 
 
 class TestSimulateForward:
-    # The nodal integrators compose RK4's steps over each node interval;
-    # the reference steps _rk4_linear through forcing sampled on the
+    # The nodal integrators take one exact step per node interval; the
+    # reference steps _half_sampled_steps through forcing sampled on the
     # quarter grid (half steps) or the half grid (whole steps).
     def _problems(self, scalar, rand4):
         sys_, z, x0 = scalar
@@ -327,13 +342,13 @@ class TestSimulateForward:
         u = rng.standard_normal((nodes, sys_.m, 3))
         forcing = np.einsum("ij,tjb->tib", sys_.b, _refine(u, 4))
         x0 = np.repeat(prob.x0[:, None], 3, axis=1)
-        want = _rk4_linear(sys_.a, forcing, x0, 0.5 * dt, 2 * prob.n_steps)
+        want = _half_sampled_steps(sys_.a, forcing, x0, 0.5 * dt, 2 * prob.n_steps)
         self._close(lab.simulate_forward(prob, u), want[::2])
         self._close(lab.simulate_forward(prob, u[:, :, 0]), want[::2, :, 0])
 
         x_fine = want[:, :, 0]
         g_fine = (x_fine @ sys_.c.T - prob.target) @ sys_.c
-        y_want = _rk4_linear(
+        y_want = _half_sampled_steps(
             sys_.a.T, g_fine[::-1], prob.p0 @ x_fine[-1], dt, prob.n_steps
         )[::-1]
         x, y = lab.adjoint_from_control(prob, u[:, :, 0])
@@ -347,8 +362,8 @@ class TestSimulateForward:
         u = rng.standard_normal((nodes, sys_.m))
         m_op = 0.3 * rng.standard_normal((n, n))
         got = lab.duality_residual(sys_, (y0, f, u, m_op), (z_t, g), prob.horizon, dt)
-        y = _rk4_linear(sys_.a + m_op, _refine(f + u @ sys_.b.T, 2), y0, dt, prob.n_steps)
-        z = _rk4_linear(sys_.a.T, _refine(g, 2)[::-1], z_t, dt, prob.n_steps)[::-1]
+        y = _half_sampled_steps(sys_.a + m_op, _refine(f + u @ sys_.b.T, 2), y0, dt, prob.n_steps)
+        z = _half_sampled_steps(sys_.a.T, _refine(g, 2)[::-1], z_t, dt, prob.n_steps)[::-1]
         terms = np.array([
             y[-1] @ z_t,
             -(y0 @ z[0]),
@@ -385,6 +400,25 @@ class TestAdjointFromControl:
         x, y = lab.adjoint_from_control(prob, np.asarray(traj.u))
         assert np.max(np.abs(x - traj.x)) <= 1e-6
         assert np.max(np.abs(y - traj.y)) <= 1e-6
+
+    def test_second_order_against_sweep(self, scalar, rand4):
+        # The sweep is exact in time, so the gaps are adjoint_from_control's
+        # own error for the piecewise-linear reading of the sweep's controls.
+        sys4, z4, _ = rand4
+        for sys_, z, x0 in (scalar, (sys4, z4, np.ones(4))):
+            gaps = []
+            for dt in (1e-2, 5e-3):
+                prob = lab.LqProblem(
+                    sys=sys_, horizon=5.0, target=z, x0=x0, p0=np.eye(sys_.n), dt=dt
+                )
+                sweep = lab.solve_riccati_sweep(prob)
+                x, y = lab.adjoint_from_control(prob, sweep.u)
+                gaps.append(
+                    [np.max(np.abs(x - sweep.x)), np.max(np.abs(y - sweep.y))]
+                )
+            coarse, fine = np.array(gaps)
+            assert np.all(coarse <= 1e-4)
+            assert np.all(coarse >= 3.0 * fine)
 
 
 class TestCost:

@@ -170,6 +170,18 @@ class TestCheckHypotheses:
         sys_ = lab.make_system(-np.eye(2), np.ones((2, 1)), 2.0 * np.eye(2))
         assert abs(lab.check_hypotheses(sys_).delta - 4.0) < 1e-12
 
+    @pytest.mark.parametrize("c", [[[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0], [1.0, 0.0]]])
+    def test_rank_deficient_observation_fails_coercivity(self, c):
+        # (A, C) is observable and both kernels are trivial, but C has
+        # rank 1: delta sits at the rounding floor of C's scale (1.1e-32
+        # for the first C, exactly 0 for the second).
+        a = np.array([[0.0, 1.0], [-1.0, -1.0]])
+        report = lab.check_hypotheses(lab.make_system(a, np.eye(2), c))
+        assert report.ker_ac_trivial and report.ker_astar_bstar_trivial
+        assert report.obs_ac > report.tol * report.obs_ac_max
+        assert report.delta <= report.tol * report.delta_max
+        assert not report.satisfied
+
     def test_kernel_flag_matches_svd_rank(self):
         # Constructed rank deficiency: second state invisible to A and C.
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
