@@ -66,14 +66,8 @@ from .errors import (
     LqTurnpikeError,
     ProblemSizeError,
 )
-from .operators import LtiSystem, double_step_flow, riccati_step_flow
-from .riccati import (
-    _BLOWUP_LIMIT,
-    _check_terminal_cost,
-    _lock,
-    lifted_orbit,
-    solve_are,
-)
+from .operators import LtiSystem, riccati_backward_pass, riccati_step_flow
+from .riccati import _check_terminal_cost, _lock, lifted_orbit, solve_are
 
 __all__ = [
     "LqProblem",
@@ -88,6 +82,7 @@ __all__ = [
 ]
 
 TRANSCRIPTION_UNKNOWN_CAP = 2_000_000
+_BLOWUP_LIMIT = 1e12
 
 
 def _step_count(horizon: float, dt: float) -> int:
@@ -355,14 +350,6 @@ def cost(prob: LqProblem, traj: Trajectory) -> float:
     return float(_trapezoid(running, prob.dt) + terminal)
 
 
-# Augmented state sizes n + 1 up to this take the lifted sweep, larger
-# ones the stepwise loops.  Lifting saves per-call overhead, which only
-# matters while each node's matrix work is small.  On a 2-CPU x86-64 host
-# it was 26x faster at n + 1 = 2 (N = 10,000), 2.3x at 16 and 1.1x at
-# 32 (N = 2,000), and 1.25x slower at 51 (N = 25 and 2,000).
-_LIFTED_SWEEP_MAX_STATE = 16
-
-
 def _sweep_data(prob: LqProblem):
     """One-step flow, terminal value and initial state of the augmented sweep."""
     sys = prob.sys
@@ -377,58 +364,28 @@ def _sweep_data(prob: LqProblem):
     return riccati_step_flow(a_aug, b_aug, c_aug, prob.dt), q_end, x_start
 
 
-def _stepwise_sweep(flow, q_end, x_start, nsteps):
-    """Backward and forward sweep node by node; returns (q_nodes, x_aug)."""
-    e, w, g = flow
-    eye = np.eye(e.shape[0])
-    q_nodes = np.empty((nsteps + 1,) + e.shape)
-    q_nodes[nsteps] = q_end
-    for j in range(nsteps, 0, -1):
-        q = q_nodes[j]
-        prev = g + e.T @ q @ np.linalg.solve(eye + w @ q, e)
-        q_nodes[j - 1] = 0.5 * (prev + prev.T)
+def _forward_pass(flow, flows, q_nodes, x_start):
+    """Closed loop (I + W Q_{j+1}) x_aug(t_{j+1}) = E x_aug(t_j) from x_start.
 
-    x_aug = np.empty((nsteps + 1, e.shape[0]))
-    x_aug[0] = x_start
-    for j in range(nsteps):
-        x_aug[j + 1] = np.linalg.solve(eye + w @ q_nodes[j + 1], e @ x_aug[j])
-    return q_nodes, x_aug
-
-
-def _lifted_sweep(flow, q_end, x_start, nsteps):
-    """The sweep of :func:`_stepwise_sweep` by binary lifting.
-
-    Level k doubles the flow to 2^k steps and applies it to a whole block
-    of nodes at once: the backward nodes N - m, m in [2^k, 2^{k+1}), come
-    from N - (m - 2^k), and the forward nodes j in [2^k, 2^{k+1}) from
-    j - 2^k.  That is about 2 log2(N) batched calls for the same flops.
+    ``flows`` is what the backward pass returned: when it lifted,
+    ``flows[k]`` spans 2^k steps and level k takes the nodes j in
+    [2^k, 2^{k+1}) from j - 2^k in one batched call; when it is ``None``
+    the loop steps node by node with ``flow``.
     """
-    size = flow[0].shape[0]
-    eye = np.eye(size)
-    flows = [flow]  # flows[k] spans 2^k steps
-    while 2 ** len(flows) <= nsteps:
-        flows.append(double_step_flow(*flows[-1]))
-
-    q_rev = np.empty((nsteps + 1, size, size))  # q_rev[m] is node N - m
-    q_rev[0] = q_end
-    for level, (e, w, g) in enumerate(flows):
-        lo = 2**level
-        hi = min(2 * lo, nsteps + 1)
-        q = q_rev[: hi - lo]
-        # Broadcast by hand: numpy < 2 reads a 2-D b as a stack of vectors.
-        e_batch = np.broadcast_to(e, q.shape)
-        prev = g + e.T @ q @ np.linalg.solve(eye + w @ q, e_batch)
-        q_rev[lo:hi] = 0.5 * (prev + prev.swapaxes(1, 2))
-    q_nodes = q_rev[::-1]
-
-    x_aug = np.empty((nsteps + 1, size))
+    e, w, _ = flow
+    eye = np.eye(e.shape[0])
+    x_aug = np.empty((q_nodes.shape[0], e.shape[0]))
     x_aug[0] = x_start
+    if flows is None:
+        for j in range(q_nodes.shape[0] - 1):
+            x_aug[j + 1] = np.linalg.solve(eye + w @ q_nodes[j + 1], e @ x_aug[j])
+        return x_aug
     for level, (e, w, _) in enumerate(flows):
         lo = 2**level
-        hi = min(2 * lo, nsteps + 1)
+        hi = min(2 * lo, q_nodes.shape[0])
         rhs = (x_aug[: hi - lo] @ e.T)[:, :, None]
         x_aug[lo:hi] = np.linalg.solve(eye + w @ q_nodes[lo:hi], rhs)[:, :, 0]
-    return q_nodes, x_aug
+    return x_aug
 
 
 def solve_riccati_sweep(prob: LqProblem) -> Trajectory:
@@ -440,7 +397,8 @@ def solve_riccati_sweep(prob: LqProblem) -> Trajectory:
     equation of (A_aug, B_aug, C_aug) = ([[A, 0], [0, 0]], [B; 0], [C, -z])
     from Q(T) = [[P0, 0], [0, 0]], and carries the feedforward state r as
     its border column.  With the one-step flow (E, W, G) of
-    :func:`~lqturnpike.operators.riccati_step_flow`, the backward pass maps
+    :func:`~lqturnpike.operators.riccati_step_flow`, the backward pass
+    (:func:`~lqturnpike.operators.riccati_backward_pass`) maps
 
         Q_j = G + E* Q_{j+1} (I + W Q_{j+1})^{-1} E
 
@@ -452,13 +410,14 @@ def solve_riccati_sweep(prob: LqProblem) -> Trajectory:
     a stiff generator, and neither the algebraic Riccati solution nor
     stabilizability of (A, B) is needed.  Then y = P_T x + r, u = -B* y.
 
-    The same maps hold over 2^k steps with the doubled flow, so for a
-    small augmented state (n + 1 <= 16) both passes run by binary
-    lifting in O(log N) batched numpy calls, each block of nodes taken
-    from nodes 2^k steps away.  Larger states step node by node: there
-    each node's matrix work outweighs the call overhead that lifting
-    saves (on heat_1d(50), n + 1 = 51, lifting was 1.25x slower).  The
-    two paths agree to rounding, within 3e-14 relative on rand4.
+    The same maps hold over 2^k steps with the doubled flow, so when the
+    backward pass lifts (augmented state n + 1 <= 16) the forward pass
+    lifts with its doubled flows too, in O(log N) batched numpy calls,
+    each block of nodes taken from nodes 2^k steps away.  Larger states
+    step node by node: there each node's matrix work outweighs the call
+    overhead that lifting saves (on heat_1d(50), n + 1 = 51, lifting was
+    1.25x slower).  The two paths agree to rounding, within 3e-14
+    relative on rand4.
 
     Raises
     ------
@@ -467,8 +426,9 @@ def solve_riccati_sweep(prob: LqProblem) -> Trajectory:
     """
     sys = prob.sys
     n = sys.n
-    sweep = _lifted_sweep if n + 1 <= _LIFTED_SWEEP_MAX_STATE else _stepwise_sweep
-    q_nodes, x_aug = sweep(*_sweep_data(prob), prob.n_steps)
+    flow, q_end, x_start = _sweep_data(prob)
+    q_nodes, flows = riccati_backward_pass(flow, q_end, prob.n_steps)
+    x_aug = _forward_pass(flow, flows, q_nodes, x_start)
 
     x_nodes = np.ascontiguousarray(x_aug[:, :n])
     y_nodes = np.einsum("tij,tj->ti", q_nodes[:, :n, :], x_aug)

@@ -12,6 +12,8 @@ triple it provides the building blocks the rest of the package relies on:
 * the exact one-step flow of the Riccati equation of a triple, which is
   the one-step semigroup of its Hamiltonian, formed by
   structure-preserving doubling,
+* the backward pass of that flow over a uniform grid, which serves both
+  the differential Riccati solver and the tracking sweep,
 * finite-time observability Gramians, read off that flow, and
 * the structural hypothesis report (kernel intersections, observability
   margins, and the coercivity constant of ``C*C``) that the turnpike
@@ -285,6 +287,73 @@ def double_step_flow(e, w, g):
     g = g + e.T @ g @ e_solved
     e = e @ e_solved
     return e, 0.5 * (w + w.T), 0.5 * (g + g.T)
+
+
+# States of size up to this take the lifted backward pass, larger ones
+# step node by node.  Lifting saves per-call overhead, which only matters
+# while each node's matrix work is small.  On a 2-CPU x86-64 host the
+# lifted sweep was 26x faster at size 2 (N = 10,000), 2.3x at 16 and 1.1x
+# at 32 (N = 2,000), and 1.25x slower at 51 (N = 25 and 2,000).
+_LIFTED_SWEEP_MAX_STATE = 16
+
+
+def riccati_backward_pass(flow, q_end, nsteps: int):
+    """Riccati samples at every node of a uniform grid, exact up to rounding.
+
+    With the one-step flow ``(e, w, g)`` of :func:`riccati_step_flow`,
+    the pass maps
+
+        Q_j = G + E* Q_{j+1} (I + W Q_{j+1})^{-1} E
+
+    backward from ``Q_N = q_end``, which is stored as given.  The same
+    map holds over 2^k steps with the doubled flow, so a state of size up
+    to ``_LIFTED_SWEEP_MAX_STATE`` runs by binary lifting: level k takes
+    the nodes N - m, m in [2^k, 2^{k+1}), from N - (m - 2^k) in one
+    batched call, about log2(N) calls in all.  Larger states, whose
+    per-node matrix work outweighs the call overhead lifting saves, step
+    node by node.
+
+    Returns
+    -------
+    (q_nodes, flows) : ((nsteps + 1, n, n) ndarray, list or None)
+        ``flows[k]`` is the flow over 2^k steps when the pass lifted;
+        ``None`` when it stepped node by node.
+    """
+    if flow[0].shape[0] <= _LIFTED_SWEEP_MAX_STATE:
+        return _lifted_backward_pass(flow, q_end, nsteps)
+    return _stepwise_backward_pass(flow, q_end, nsteps), None
+
+
+def _stepwise_backward_pass(flow, q_end, nsteps):
+    e, w, g = flow
+    eye = np.eye(e.shape[0])
+    q_nodes = np.empty((nsteps + 1,) + e.shape)
+    q_nodes[nsteps] = q_end
+    for j in range(nsteps, 0, -1):
+        q = q_nodes[j]
+        prev = g + e.T @ q @ np.linalg.solve(eye + w @ q, e)
+        q_nodes[j - 1] = 0.5 * (prev + prev.T)
+    return q_nodes
+
+
+def _lifted_backward_pass(flow, q_end, nsteps):
+    size = flow[0].shape[0]
+    eye = np.eye(size)
+    flows = [flow]  # flows[k] spans 2^k steps
+    while 2 ** len(flows) <= nsteps:
+        flows.append(double_step_flow(*flows[-1]))
+
+    q_rev = np.empty((nsteps + 1, size, size))  # q_rev[m] is node N - m
+    q_rev[0] = q_end
+    for level, (e, w, g) in enumerate(flows):
+        lo = 2**level
+        hi = min(2 * lo, nsteps + 1)
+        q = q_rev[: hi - lo]
+        # Broadcast by hand: numpy < 2 reads a 2-D b as a stack of vectors.
+        e_batch = np.broadcast_to(e, q.shape)
+        prev = g + e.T @ q @ np.linalg.solve(eye + w @ q, e_batch)
+        q_rev[lo:hi] = 0.5 * (prev + prev.swapaxes(1, 2))
+    return q_rev[::-1], flows
 
 
 def observability_gramian(pair, t0: float) -> np.ndarray:

@@ -14,19 +14,14 @@ The finite-horizon value operator P_T(.) solves the matrix differential
 Riccati equation
 
     P_T'(t) + A* P_T(t) + P_T(t) A + C*C - P_T(t) B B* P_T(t) = 0,
-    P_T(T) = P0,
+    P_T(T) = P0.
 
-integrated backward in time with the classical fourth-order Runge-Kutta
-scheme.  The integrator is explicit: for stiff generators the step must
-resolve the fastest mode (|lambda_max| * dt below the RK4 stability
-bound), otherwise the integration diverges and is reported as such.
-
-:func:`lqturnpike.operators.riccati_step_flow` instead gives the exact
-flow of the same equation over one step, by structure-preserving
-doubling; the tracking sweep in :mod:`lqturnpike.lq` is built on it and
-needs no stability limit.  The RK4 solver stays the independent
-reference for that sweep.  :func:`lifted_orbit` walks a linear map's
-orbit by binary lifting, for the closed-loop and propagation checks.
+:func:`solve_dre` samples it with the exact one-step flow of
+:func:`lqturnpike.operators.riccati_step_flow`, formed by
+structure-preserving doubling, through the same backward pass as the
+tracking sweep in :mod:`lqturnpike.lq`, so stiff generators need no
+finer step.  :func:`lifted_orbit` walks a linear map's orbit by binary
+lifting, for the closed-loop and propagation checks.
 """
 
 from __future__ import annotations
@@ -44,7 +39,7 @@ from .errors import (
     NotStabilizableError,
     TruncationError,
 )
-from .operators import LtiSystem
+from .operators import LtiSystem, riccati_backward_pass, riccati_step_flow
 
 __all__ = [
     "AreSolution",
@@ -54,9 +49,6 @@ __all__ = [
     "value_function_check",
     "closed_loop_generator",
 ]
-
-_BLOWUP_LIMIT = 1e12
-
 
 @dataclass(frozen=True)
 class AreSolution:
@@ -180,16 +172,17 @@ def _check_terminal_cost(p0, n: int) -> np.ndarray:
 def solve_dre(sys: LtiSystem, horizon: float, p0, steps: int) -> DreSolution:
     """Solve the differential Riccati equation backward from P_T(T) = p0.
 
-    Classical RK4 with exactly ``steps`` uniform steps (at least 2) and no
-    automatic sub-stepping: the step count is the caller's contract.
-    Every sample is symmetrized after its step, and the terminal sample
-    is ``p0`` itself.
+    Samples P_T on ``steps`` uniform intervals (at least 2) with the
+    exact flow over one interval, :func:`~lqturnpike.operators.riccati_step_flow`,
+    applied by :func:`~lqturnpike.operators.riccati_backward_pass`.  The
+    samples carry no time-discretization error, so the step count sets
+    only where P_T is sampled, and a stiff generator needs no finer step.
+    Every sample is symmetrized, and the terminal sample is ``p0`` itself.
 
     Raises
     ------
     IntegrationError
-        If an iterate becomes non-finite or exceeds the blow-up limit,
-        which happens when the step does not resolve the fastest mode.
+        If a sample is non-finite.
     """
     horizon = float(horizon)
     if horizon <= 0.0:
@@ -198,31 +191,10 @@ def solve_dre(sys: LtiSystem, horizon: float, p0, steps: int) -> DreSolution:
     if steps < 2:
         raise ValueError(f"steps must be at least 2, got {steps}")
     p0 = _check_terminal_cost(p0, sys.n)
-    at, b, ctc = sys.a.T, sys.b, sys.c.T @ sys.c
-    h = horizon / steps
-
-    def rate(q):
-        s = at @ q
-        g = q @ b
-        return s + s.T + ctc - g @ g.T
-
-    p_samples = np.empty((steps + 1, sys.n, sys.n))
-    p_samples[steps] = p0
-    q = p0
-    for j in range(steps):
-        k1 = rate(q)
-        k2 = rate(q + (0.5 * h) * k1)
-        k3 = rate(q + (0.5 * h) * k2)
-        k4 = rate(q + h * k3)
-        q = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        q = 0.5 * (q + q.T)
-        # NaN-safe: the norm is inf for any inf entry and NaN for any NaN.
-        if not (np.linalg.norm(q) <= _BLOWUP_LIMIT):
-            raise IntegrationError(
-                f"Riccati integration diverged at backward step {j + 1} of {steps}; "
-                "reduce the step or check stiffness"
-            )
-        p_samples[steps - 1 - j] = q
+    flow = riccati_step_flow(sys.a, sys.b, sys.c, horizon / steps)
+    p_samples, _ = riccati_backward_pass(flow, p0, steps)
+    if not np.all(np.isfinite(p_samples)):
+        raise IntegrationError("Riccati flow produced non-finite samples")
     return DreSolution(
         grid=_lock(np.linspace(0.0, horizon, steps + 1)),
         p_samples=_lock(p_samples),

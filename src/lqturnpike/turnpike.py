@@ -21,7 +21,7 @@ convergence of Yosida-smoothed problems.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -232,7 +232,7 @@ def _windowed_control_gap(u_dev_sq_int: np.ndarray, grid: np.ndarray) -> np.ndar
 
 
 def _report_for_horizon(
-    sys, stat, are, horizon, z, x0, dt, solver_fn, fit_window_fractions
+    sys, stat, are, horizon, z, x0, scale, dt, solver_fn, fit_window_fractions
 ):
     prob = LqProblem(
         sys=sys,
@@ -256,33 +256,36 @@ def _report_for_horizon(
     prop_res = propagation_residual(h, sys, are, grid)
     lam_ref = -are.closed_loop_abscissa
 
-    scale = float(np.linalg.norm(x0 - stat.x_bar) + np.linalg.norm(stat.y_bar))
-    total = gap_x + gap_y + gap_u_window
     if scale <= _TRIVIAL_SCALE:
-        return grid, gap_x, gap_y, gap_u_window, h_norm, prop_res, lam_ref, {
-            "trivial": True,
-            "total": total,
-            "scale": scale,
-            "fitted_c": 0.0,
-            "fitted_lambda": lam_ref,
-            "c_min": 0.0,
-        }
-
-    layer = min(horizon / 2.0, 5.0 / lam_ref)
-    window = (fit_window_fractions[0] * layer, fit_window_fractions[1] * layer)
-    fitted_c, fitted_lambda = fit_decay_rate(
-        (grid, h_norm[::-1]), window
+        fitted_c, fitted_lambda, c_min = 0.0, lam_ref, 0.0
+    else:
+        layer = min(horizon / 2.0, 5.0 / lam_ref)
+        window = (fit_window_fractions[0] * layer, fit_window_fractions[1] * layer)
+        fitted_c, fitted_lambda = fit_decay_rate((grid, h_norm[::-1]), window)
+        total = gap_x + gap_y + gap_u_window
+        c_min = float(np.max(total / (_envelope(grid, horizon, fitted_lambda) * scale)))
+    # The shared constant and the bound need every horizon's c_min;
+    # verify_turnpike fills them in.
+    return TurnpikeReport(
+        horizon=horizon,
+        grid=grid,
+        gap_x=gap_x,
+        gap_y=gap_y,
+        gap_u_window=gap_u_window,
+        h_norm=h_norm,
+        fitted_c=fitted_c,
+        fitted_lambda=fitted_lambda,
+        lambda_reference=lam_ref,
+        propagation_residual=prop_res,
+        c_min=c_min,
+        c_uniform=np.nan,
+        bound_satisfied=False,
+        bound_margin=np.nan,
     )
-    envelope = np.exp(-fitted_lambda * grid) + np.exp(-fitted_lambda * (horizon - grid))
-    c_min = float(np.max(total / (envelope * scale)))
-    return grid, gap_x, gap_y, gap_u_window, h_norm, prop_res, lam_ref, {
-        "trivial": False,
-        "total": total,
-        "scale": scale,
-        "fitted_c": fitted_c,
-        "fitted_lambda": fitted_lambda,
-        "c_min": c_min,
-    }
+
+
+def _envelope(grid, horizon, lam):
+    return np.exp(-lam * grid) + np.exp(-lam * (horizon - grid))
 
 
 def verify_turnpike(
@@ -324,10 +327,11 @@ def verify_turnpike(
     horizons = [float(t) for t in horizons]
     z = np.asarray(z, dtype=float).reshape(sys.n)
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
+    scale = float(np.linalg.norm(x0 - stat.x_bar) + np.linalg.norm(stat.y_bar))
 
     def run(horizon):
         return _report_for_horizon(
-            sys, stat, are, horizon, z, x0, dt, solver_fn, fit_window_fractions
+            sys, stat, are, horizon, z, x0, scale, dt, solver_fn, fit_window_fractions
         )
 
     if jobs > 1 and len(horizons) > 1:
@@ -336,33 +340,20 @@ def verify_turnpike(
     else:
         partials = [run(t) for t in horizons]
 
-    c_uniform = max((p[7]["c_min"] for p in partials), default=0.0)
+    c_uniform = max((p.c_min for p in partials), default=0.0)
     reports = []
-    for horizon, partial in zip(horizons, partials):
-        grid, gap_x, gap_y, gap_uw, h_norm, prop_res, lam_ref, info = partial
-        if info["trivial"]:
-            margin = float(1e-8 - np.max(info["total"]))
+    for partial in partials:
+        total = partial.gap_x + partial.gap_y + partial.gap_u_window
+        if scale <= _TRIVIAL_SCALE:
+            margin = float(1e-8 - np.max(total))
             satisfied = bool(margin >= 0.0)
         else:
-            envelope = np.exp(-info["fitted_lambda"] * grid) + np.exp(
-                -info["fitted_lambda"] * (horizon - grid)
-            )
-            slack = c_uniform * info["scale"] * envelope - info["total"]
-            margin = float(np.min(slack))
-            satisfied = bool(margin >= -1e-12 * max(1.0, c_uniform * info["scale"]))
+            envelope = _envelope(partial.grid, partial.horizon, partial.fitted_lambda)
+            margin = float(np.min(c_uniform * scale * envelope - total))
+            satisfied = bool(margin >= -1e-12 * max(1.0, c_uniform * scale))
         reports.append(
-            TurnpikeReport(
-                horizon=horizon,
-                grid=grid,
-                gap_x=gap_x,
-                gap_y=gap_y,
-                gap_u_window=gap_uw,
-                h_norm=h_norm,
-                fitted_c=info["fitted_c"],
-                fitted_lambda=info["fitted_lambda"],
-                lambda_reference=lam_ref,
-                propagation_residual=prop_res,
-                c_min=info["c_min"],
+            replace(
+                partial,
                 c_uniform=c_uniform,
                 bound_satisfied=satisfied,
                 bound_margin=margin,

@@ -144,6 +144,23 @@ class TestCommands:
         dre_rows = open(tmp_path / "o" / "dre.csv").read().splitlines()
         assert dre_rows[0] == "t,i,j,value"
 
+    def test_riccati_stiff_heat_reaches_are(self, tmp_path):
+        # heat_1d's defaults (n = 50, T = 5, dt = 1e-2) are stiff; P_T(0)
+        # must reach the ARE's P, since the rod's closed loop decays fast.
+        path = write_config(
+            tmp_path, {"scenario": "heat_1d", "output_dir": str(tmp_path / "o")}
+        )
+        assert main(["riccati", "--config", path]) == 0
+
+        def first_matrix(name, n):
+            # The first n * n rows after the header: P at t = 0 in dre.csv.
+            with open(tmp_path / "o" / name) as handle:
+                rows = [next(handle).split(",") for _ in range(n * n + 1)][1:]
+            return np.array([float(row[-1]) for row in rows]).reshape(n, n)
+
+        p_are, p_dre = first_matrix("are.csv", 50), first_matrix("dre.csv", 50)
+        assert np.linalg.norm(p_dre - p_are) <= 1e-10 * np.linalg.norm(p_are)
+
     def test_turnpike_summary(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

@@ -10,11 +10,11 @@ from lqturnpike.errors import GridMismatchError, IntegrationError, ProblemSizeEr
 from lqturnpike.lq import (
     _half_sampled_steps,
     _kkt_system,
-    _lifted_sweep,
-    _stepwise_sweep,
+    _forward_pass,
     _sweep_data,
     _trapezoid,
 )
+from lqturnpike.operators import _lifted_backward_pass, _stepwise_backward_pass
 from lqturnpike.verification import _sampled_cost_margins
 
 
@@ -141,14 +141,14 @@ class TestKktSystem:
 
 
 class TestSolveRiccatiSweep:
-    def test_zero_target_relation_exact(self, scalar, rand4):
+    def test_zero_target_relation_exact(self, scalar, rand4, rk4_dre):
         sys_, _, _ = scalar
         prob = scalar_problem(sys_, np.zeros(1), np.ones(1), horizon=2.0)
         traj = lab.solve_riccati_sweep(prob)
-        dre = lab.solve_dre(sys_, 2.0, np.zeros((1, 1)), 2 * prob.n_steps)
-        relation = np.einsum("tij,tj->ti", dre.p_samples[::2], traj.x)
+        p_samples = rk4_dre(sys_, 2.0, np.zeros((1, 1)), 2 * prob.n_steps)
+        relation = np.einsum("tij,tj->ti", p_samples[::2], traj.x)
         assert np.max(np.abs(traj.y - relation)) <= 1e-13
-        # The exact-step flow against the RK4 DRE at n > 1, also with P0 != 0.
+        # The exact-step flow against the RK4 oracle at n > 1, also with P0 != 0.
         sys4, _, _ = rand4
         x0 = np.random.Generator(np.random.Philox(key=4)).standard_normal(4)
         for p0 in (np.zeros((4, 4)), 0.5 * np.eye(4)):
@@ -156,8 +156,8 @@ class TestSolveRiccatiSweep:
                 sys=sys4, horizon=2.0, target=np.zeros(4), x0=x0, p0=p0, dt=1e-3
             )
             traj = lab.solve_riccati_sweep(prob)
-            dre = lab.solve_dre(sys4, 2.0, p0, 2 * prob.n_steps)
-            relation = np.einsum("tij,tj->ti", dre.p_samples[::2], traj.x)
+            p_samples = rk4_dre(sys4, 2.0, p0, 2 * prob.n_steps)
+            relation = np.einsum("tij,tj->ti", p_samples[::2], traj.x)
             assert np.max(np.abs(traj.y - relation)) <= 1e-13
 
     def test_agrees_with_transcription(self, scalar):
@@ -232,10 +232,11 @@ class TestSweepPaths:
             ),
         )
         for prob in probs:
-            n, data = prob.sys.n, _sweep_data(prob)
-            (q_lift, x_lift), (q_step, x_step) = (
-                sweep(*data, prob.n_steps) for sweep in (_lifted_sweep, _stepwise_sweep)
-            )
+            n, (flow, q_end, x_start) = prob.sys.n, _sweep_data(prob)
+            q_lift, flows = _lifted_backward_pass(flow, q_end, prob.n_steps)
+            x_lift = _forward_pass(flow, flows, q_lift, x_start)
+            q_step = _stepwise_backward_pass(flow, q_end, prob.n_steps)
+            x_step = _forward_pass(flow, None, q_step, x_start)
             y_lift = np.einsum("tij,tj->ti", q_lift[:, :n, :], x_lift)
             y_step = np.einsum("tij,tj->ti", q_step[:, :n, :], x_step)
             for got, want in ((x_lift[:, :n], x_step[:, :n]), (y_lift, y_step)):
