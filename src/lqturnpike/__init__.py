@@ -50,7 +50,6 @@ from .operators import (
 from .riccati import (
     AreSolution,
     DreSolution,
-    closed_loop_generator,
     solve_are,
     solve_dre,
     value_function_check,

@@ -629,8 +629,9 @@ def duality_residual(sys: LtiSystem, forward, backward, horizon: float, dt: floa
 def solve_infinite_horizon(sys: LtiSystem, x0, horizon: float, dt: float) -> Trajectory:
     """Closed-loop realization of the infinite-horizon problem, truncated.
 
-    Solves the Riccati equation, then walks x' = (A - BB*P) x exactly on
-    the grid as the orbit of the one-step propagator e^{dt(A - BB*P)}
+    Solves the Riccati equation, then walks x' = A_cl x, with the
+    closed-loop generator ``A_cl = A - BB*P`` of :func:`solve_are`, exactly
+    on the grid as the orbit of the one-step propagator e^{dt A_cl}
     (:func:`~lqturnpike.riccati.lifted_orbit`) and sets y = P x,
     u = -B* P x.
 
@@ -644,8 +645,7 @@ def solve_infinite_horizon(sys: LtiSystem, x0, horizon: float, dt: float) -> Tra
     dt = float(dt)
     nsteps = _step_count(horizon, dt)
     are = solve_are(sys)
-    a_cl = sys.a - sys.b @ (sys.b.T @ are.p)
-    x_nodes = lifted_orbit(expm(dt * a_cl), x0, nsteps)
+    x_nodes = lifted_orbit(expm(dt * are.a_cl), x0, nsteps)
     if not np.all(np.isfinite(x_nodes)):
         raise IntegrationError("closed-loop trajectory has non-finite values")
     y_nodes = x_nodes @ are.p

@@ -89,15 +89,11 @@ def stationary_rows(triple):
 
 
 def study_rows(rows):
-    return ["k", "err_x", "err_u", "err_y"], [
-        (k, ex, eu, ey) for k, ex, eu, ey in rows
-    ]
+    return ["k", "err_x", "err_u", "err_y"], rows
 
 
 def dynamic_study_rows(rows):
-    return ["k", "err_u_l2", "err_x_max", "err_y_max"], [
-        (k, eu, ex, ey) for k, eu, ex, ey in rows
-    ]
+    return ["k", "err_u_l2", "err_x_max", "err_y_max"], rows
 
 
 def trajectory_rows(traj):

@@ -1,4 +1,4 @@
-"""Algebraic and differential Riccati equations and the closed-loop generator.
+"""Algebraic and differential Riccati equations.
 
 The infinite-horizon value operator P is the stabilizing solution of
 
@@ -6,8 +6,11 @@ The infinite-horizon value operator P is the stabilizing solution of
 
 computed here by the Hamiltonian-Schur method (ordered real Schur form of
 the 2n x 2n Hamiltonian) followed by a few Newton-Kleinman refinement
-steps.  ``<P xi, xi>`` is the optimal infinite-horizon cost from xi, a
-fact :func:`value_function_check` verifies against brute-force quadrature
+steps.  :func:`solve_are` also returns the closed-loop generator
+A - BB*P, formed once, and its spectral abscissa, whose negation is the
+turnpike rate; every closed-loop computation reads it from there.
+``<P xi, xi>`` is the optimal infinite-horizon cost from xi, a fact
+:func:`value_function_check` verifies against brute-force quadrature
 along the closed-loop trajectory.
 
 The finite-horizon value operator P_T(.) solves the matrix differential
@@ -26,7 +29,6 @@ lifting, for the closed-loop and propagation checks.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +41,12 @@ from .errors import (
     NotStabilizableError,
     TruncationError,
 )
-from .operators import LtiSystem, riccati_backward_pass, riccati_step_flow
+from .operators import (
+    LtiSystem,
+    riccati_backward_pass,
+    riccati_step_flow,
+    spectral_abscissa,
+)
 
 __all__ = [
     "AreSolution",
@@ -47,7 +54,6 @@ __all__ = [
     "solve_are",
     "solve_dre",
     "value_function_check",
-    "closed_loop_generator",
 ]
 
 @dataclass(frozen=True)
@@ -61,13 +67,16 @@ class AreSolution:
     residual : float
         Relative Frobenius norm of ``A*P + PA + C*C - PBB*P``.
     closed_loop_abscissa : float
-        Largest real part of the eigenvalues of ``A - BB*P``; its negation
-        is the closed-loop decay rate.
+        Largest real part of the eigenvalues of ``a_cl``; its negation is
+        the closed-loop decay rate.
+    a_cl : (n, n) ndarray
+        Read-only closed-loop generator ``A - (BB*)P``.
     """
 
     p: np.ndarray
     residual: float
     closed_loop_abscissa: float
+    a_cl: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -131,10 +140,11 @@ def solve_are(sys: LtiSystem, tol: float = 1e-10, newton_steps: int = 5) -> AreS
     p = 0.5 * (p + p.T)
 
     res, rel = _are_residual(sys, p)
-    for _ in range(newton_steps):
-        if rel <= 1e-14:
-            break
+    for step in range(newton_steps + 1):
+        # Every exit leaves a_cl formed from the final p.
         a_cl = sys.a - bbt @ p
+        if rel <= 1e-14 or step == newton_steps:
+            break
         try:
             delta = solve_continuous_lyapunov(a_cl.T, -res)
         except Exception:  # Lyapunov solve can only fail far from a solution
@@ -145,8 +155,12 @@ def solve_are(sys: LtiSystem, tol: float = 1e-10, newton_steps: int = 5) -> AreS
         raise ConvergenceError(
             f"Riccati residual {rel:.3e} above tolerance {tol:.1e} after refinement"
         )
-    abscissa = float(np.max(np.linalg.eigvals(sys.a - bbt @ p).real))
-    return AreSolution(p=_lock(p), residual=rel, closed_loop_abscissa=abscissa)
+    return AreSolution(
+        p=_lock(p),
+        residual=rel,
+        closed_loop_abscissa=spectral_abscissa(a_cl),
+        a_cl=_lock(a_cl),
+    )
 
 
 def _lock(*arrays):
@@ -234,9 +248,9 @@ def value_function_check(
 ):
     """Compare <P xi, xi> with the simulated infinite-horizon cost.
 
-    Walks the closed-loop trajectory x' = (A - BB*P) x from xi exactly on
-    the grid, as the orbit of the one-step propagator e^{h(A - BB*P)}
-    (:func:`lifted_orbit`), and integrates the running cost
+    Walks the closed-loop trajectory x' = A_cl x, with ``A_cl = are.a_cl``,
+    from xi exactly on the grid, as the orbit of the one-step propagator
+    e^{h A_cl} (:func:`lifted_orbit`), and integrates the running cost
     |Cx|^2 + |u|^2, u = -B*P x, by trapezoid quadrature on [0, horizon].
 
     Returns
@@ -256,8 +270,7 @@ def value_function_check(
     dt = float(dt)
     if horizon <= 0.0 or dt <= 0.0:
         raise ValueError("horizon and dt must be positive")
-    a_cl = sys.a - sys.b @ (sys.b.T @ are.p)
-    tail = np.linalg.norm(expm(horizon * a_cl), 2)
+    tail = np.linalg.norm(expm(horizon * are.a_cl), 2)
     if tail > 1e-6:
         raise TruncationError(
             f"closed-loop propagator norm {tail:.3e} at t={horizon} exceeds 1e-6; "
@@ -265,7 +278,7 @@ def value_function_check(
         )
     nsteps = max(2, int(round(horizon / dt)))
     h = horizon / nsteps
-    x = lifted_orbit(expm(h * a_cl), xi, nsteps)
+    x = lifted_orbit(expm(h * are.a_cl), xi, nsteps)
     if not np.all(np.isfinite(x)):
         raise IntegrationError("closed-loop trajectory has non-finite values")
     cx = x @ sys.c.T
@@ -274,24 +287,3 @@ def value_function_check(
     simulated = float(h * (np.sum(running) - 0.5 * (running[0] + running[-1])))
     quad_form = float(xi @ (are.p @ xi))
     return quad_form, simulated
-
-
-def closed_loop_generator(sys: LtiSystem, are: AreSolution):
-    """Closed-loop generator A - BB*P and its decay rate.
-
-    Returns
-    -------
-    (a_cl, lam) : ((n, n) ndarray, float)
-        ``lam`` is the negated spectral abscissa of the generator; it is
-        positive whenever the coercivity hypothesis on C holds.  A
-        nonpositive rate is reported as a warning, not an error.
-    """
-    a_cl = sys.a - sys.b @ (sys.b.T @ are.p)
-    lam = -float(np.max(np.linalg.eigvals(a_cl).real))
-    if lam <= 0.0:
-        warnings.warn(
-            f"closed-loop decay rate {lam:.3e} is not positive; "
-            "the coercivity hypothesis on C appears to be violated",
-            stacklevel=2,
-        )
-    return a_cl, lam

@@ -63,6 +63,16 @@ def _check_target(sys: LtiSystem, z) -> np.ndarray:
     return z
 
 
+def _check_ks(ks) -> list:
+    """Smoothing parameters as floats; nonempty and strictly increasing."""
+    ks = [float(k) for k in ks]
+    if not ks:
+        raise ValueError("ks must be nonempty")
+    if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
+        raise ValueError("ks must be strictly increasing")
+    return ks
+
+
 def _solve_kkt(a: np.ndarray, b: np.ndarray, c: np.ndarray, z: np.ndarray):
     n = a.shape[0]
     m = b.shape[1]
@@ -154,11 +164,7 @@ def stationary_convergence_study(sys: LtiSystem, z, ks):
     -------
     list of (k, err_x, err_u, err_y) tuples, ordered by k.
     """
-    ks = [float(k) for k in ks]
-    if not ks:
-        raise ValueError("ks must be nonempty")
-    if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
-        raise ValueError("ks must be strictly increasing")
+    ks = _check_ks(ks)
     z = _check_target(sys, z)
     exact = solve_stationary(sys, z)
     rows = []

@@ -30,7 +30,7 @@ from .errors import DimensionError, UndefinedRateError
 from .lq import LqProblem, Trajectory, _trapezoid, solve_riccati_sweep, solve_transcription
 from .operators import LtiSystem, approx_control_operator, make_system
 from .riccati import AreSolution, lifted_orbit
-from .stationary import StationaryTriple
+from .stationary import StationaryTriple, _check_ks
 
 __all__ = [
     "TurnpikeReport",
@@ -47,6 +47,14 @@ SOLVERS = {
     "transcription": solve_transcription,
     "riccati-sweep": solve_riccati_sweep,
 }
+
+
+def _solver(name: str):
+    """The registered solver function called ``name``."""
+    if name not in SOLVERS:
+        raise ValueError(f"unknown solver '{name}', expected one of {sorted(SOLVERS)}")
+    return SOLVERS[name]
+
 
 # Below this deviation scale the problem starts on the turnpike and the
 # envelope degenerates; gaps are then compared against solver tolerance.
@@ -133,24 +141,26 @@ def h_trajectory(traj: Trajectory, stat: StationaryTriple, are: AreSolution) -> 
 
 
 def propagation_residual(h: np.ndarray, sys: LtiSystem, are: AreSolution, grid) -> float:
-    """Max defect of g(t) = e^{t(A - BB*P)*} g(0) with g(t) = h(T - t).
+    """Max defect of g(t) = e^{t A_cl*} g(0) with g(t) = h(T - t).
 
+    ``A_cl = A - BB*P`` is the closed-loop generator ``are.a_cl``.
     The propagator is evaluated at every node, as the orbit of g(0) under
     the one-step matrix exponential (one ``expm`` per call), walked by
     binary lifting (:func:`~lqturnpike.riccati.lifted_orbit`); by the
     semigroup law it agrees with the per-node exponential up to rounding.
-    Returns ``max_j |g(t_j) - e^{t_j(A - BB*P)*} g(0)|``.
+    Returns ``max_j |g(t_j) - e^{t_j A_cl*} g(0)|``.
     """
     grid = np.asarray(grid, dtype=float)
     h = np.asarray(h, dtype=float)
-    if h.shape[0] != grid.shape[0]:
-        raise DimensionError("h and grid must have the same number of nodes")
+    if h.shape != (grid.shape[0], sys.n):
+        raise DimensionError(
+            f"h must have shape ({grid.shape[0]}, {sys.n}): one state per grid node"
+        )
     if grid.shape[0] < 2:
         return 0.0
     dt = _uniform_step(grid, "propagation check")
-    a_cl_star = (sys.a - sys.b @ (sys.b.T @ are.p)).T
     g = h[::-1]
-    predicted = lifted_orbit(expm(dt * a_cl_star), g[0], g.shape[0] - 1)
+    predicted = lifted_orbit(expm(dt * are.a_cl.T), g[0], g.shape[0] - 1)
     return float(np.max(np.linalg.norm(g - predicted, axis=1)))
 
 
@@ -319,11 +329,7 @@ def verify_turnpike(
     -------
     list of TurnpikeReport, ordered like ``horizons``.
     """
-    if solver not in SOLVERS:
-        raise ValueError(
-            f"unknown solver '{solver}', expected one of {sorted(SOLVERS)}"
-        )
-    solver_fn = SOLVERS[solver]
+    solver_fn = _solver(solver)
     horizons = [float(t) for t in horizons]
     z = np.asarray(z, dtype=float).reshape(sys.n)
     x0 = np.asarray(x0, dtype=float).reshape(sys.n)
@@ -419,16 +425,8 @@ def yosida_dynamic_study(prob: LqProblem, ks, solver: str = "riccati-sweep", job
     where err_u_l2 is the L2-in-time control error and the other two are
     max-over-nodes state and adjoint errors.
     """
-    ks = [float(k) for k in ks]
-    if not ks:
-        raise ValueError("ks must be nonempty")
-    if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
-        raise ValueError("ks must be strictly increasing")
-    if solver not in SOLVERS:
-        raise ValueError(
-            f"unknown solver '{solver}', expected one of {sorted(SOLVERS)}"
-        )
-    solver_fn = SOLVERS[solver]
+    ks = _check_ks(ks)
+    solver_fn = _solver(solver)
     base = solver_fn(prob)
     dt = prob.dt
 

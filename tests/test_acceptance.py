@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from lqturnpike.verification import run_suite
+from lqturnpike.verification import CheckResult, Record, run_suite
 
 _CHECKS = {}
 
@@ -30,6 +30,48 @@ def _assert_criterion(full_results, key):
     print(result.line())
     assert result.passed, result.detail
     return result
+
+
+def test_check_result_fails_on_a_record_or_the_cap():
+    # A failing record, and separately a cap overrun, each fail the
+    # criterion, and neither line claims its bound holds.
+    ok = Record("residual", 1e-12, "<=", 1e-10)
+    bad = Record("residual", 1e-2, "<=", 1e-10)
+    passing = CheckResult("0 demo", cap=1.0, records=[ok], runtime=0.5)
+    assert passing.passed
+    assert passing.line() == (
+        "PASS  0 demo: residual = 1e-12 <= 1e-10; runtime (s) = 0.5 < 1"
+    )
+
+    failing = CheckResult("0 demo", cap=1.0, records=[ok, bad], runtime=0.5)
+    assert not failing.passed
+    assert "residual = 0.01 > 1e-10" in failing.line()
+    assert "0.01 <= 1e-10" not in failing.line()
+
+    overrun = CheckResult("0 demo", cap=1.0, records=[ok], runtime=2.0)
+    assert not overrun.passed
+    assert "runtime (s) = 2 >= 1" in overrun.line()
+    assert "2 < 1" not in overrun.line()
+
+    untimed = CheckResult("0 demo", cap=1.0, records=[ok])
+    assert not untimed.passed
+
+
+@pytest.mark.parametrize(
+    "record, holds, shown",
+    [
+        (Record("x", 1.0, "<", 1.0), False, "x = 1 >= 1"),
+        (Record("x", 1.0, ">=", 1.0), True, "x = 1 >= 1"),
+        (Record("x", 0.5, ">=", 1.0), False, "x = 0.5 < 1"),
+        (Record("x", 1, "==", 0), False, "x = 1 != 0"),
+        (Record("x", 4.0, "in", (2.5, 8.0)), True, "x = 4 in [2.5, 8]"),
+        (Record("x", 1.0, "in", (2.5, 8.0)), False, "x = 1 not in [2.5, 8]"),
+        (Record("x", float("nan"), "<=", 1.0), False, "x = nan > 1"),
+    ],
+)
+def test_record_comparators(record, holds, shown):
+    assert record.holds() is holds
+    assert record.text() == shown
 
 
 def test_criterion_01_scalar_are(full_results):

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,7 +58,7 @@ class TestExitCodes:
         code = main(["stationary", "--out", out])
         assert code == 0
         assert os.path.exists(os.path.join(out, "stationary.csv"))
-        manifest = json.load(open(os.path.join(out, "manifest.json")))
+        manifest = json.loads(Path(out, "manifest.json").read_text())
         for name in manifest["outputs"]:
             assert os.path.exists(os.path.join(out, name))
 
@@ -119,6 +120,12 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 1
         assert "scalar-are" in captured.err
+        # The corrupted P fails exactly the checks that read it as the
+        # fixed point: the ARE value, DRE constancy and propagation.
+        failed = {
+            line.split()[1] for line in captured.out.splitlines() if line.startswith("FAIL")
+        }
+        assert failed == {"1", "4", "5"}
 
 
 class TestCommands:
@@ -128,7 +135,7 @@ class TestCommands:
             {"scenario": "scalar", "horizons": [1.0], "output_dir": str(tmp_path / "o")},
         )
         assert main(["solve", "--config", path]) == 0
-        rows = open(tmp_path / "o" / "trajectory.csv").read().splitlines()
+        rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()
         assert rows[0] == "t,kind,index,value"
         assert len(rows) == 1 + 3 * 1001
 
@@ -138,10 +145,10 @@ class TestCommands:
             {"scenario": "scalar", "horizons": [1.0], "output_dir": str(tmp_path / "o")},
         )
         assert main(["riccati", "--config", path]) == 0
-        are_rows = open(tmp_path / "o" / "are.csv").read().splitlines()
+        are_rows = (tmp_path / "o" / "are.csv").read_text().splitlines()
         p_value = float(are_rows[1].split(",")[-1])
         assert abs(p_value - (np.sqrt(2.0) - 1.0)) < 1e-10
-        dre_rows = open(tmp_path / "o" / "dre.csv").read().splitlines()
+        dre_rows = (tmp_path / "o" / "dre.csv").read_text().splitlines()
         assert dre_rows[0] == "t,i,j,value"
 
     def test_riccati_stiff_heat_reaches_are(self, tmp_path):
@@ -171,7 +178,7 @@ class TestCommands:
             },
         )
         assert main(["turnpike", "--config", path]) == 0
-        lines = open(tmp_path / "o" / "turnpike_summary.csv").read().splitlines()
+        lines = (tmp_path / "o" / "turnpike_summary.csv").read_text().splitlines()
         assert lines[0] == (
             "T,fitted_c,fitted_lambda,lambda_reference,"
             "propagation_residual,bound_satisfied"
@@ -194,7 +201,7 @@ class TestCommands:
             },
         )
         assert main(["turnpike", "--config", path]) == 0
-        lines = open(tmp_path / "o" / "turnpike_summary.csv").read().splitlines()
+        lines = (tmp_path / "o" / "turnpike_summary.csv").read_text().splitlines()
         fitted_lambda = float(lines[1].split(",")[2])
         assert fitted_lambda > 0.0
 
@@ -209,7 +216,7 @@ class TestCommands:
             },
         )
         assert main(["yosida", "--config", path]) == 0
-        stat_lines = open(tmp_path / "o" / "yosida_stationary.csv").read().splitlines()
+        stat_lines = (tmp_path / "o" / "yosida_stationary.csv").read_text().splitlines()
         assert stat_lines[0] == "k,err_x,err_u,err_y"
         assert len(stat_lines) == 4
 
@@ -223,7 +230,7 @@ class TestCommands:
 
         triple = lab.solve_stationary(*lab.scalar_example()[:2])
         parsed = {}
-        for line in open(tmp_path / "o" / "stationary.csv").read().splitlines()[1:]:
+        for line in (tmp_path / "o" / "stationary.csv").read_text().splitlines()[1:]:
             name, idx, value = line.split(",")
             parsed[(name, int(idx))] = float(value)
         assert parsed[("x_bar", 0)] == triple.x_bar[0]
@@ -252,8 +259,8 @@ class TestCommands:
         assert main(["turnpike", "--config", base, "--jobs", "1"]) == 0
         assert main(["turnpike", "--config", other, "--jobs", "4"]) == 0
         for name in ("turnpike_summary.csv", "turnpike_T2.csv", "turnpike_T3.csv"):
-            a = open(tmp_path / "o1" / name, "rb").read()
-            b = open(tmp_path / "o2" / name, "rb").read()
+            a = (tmp_path / "o1" / name).read_bytes()
+            b = (tmp_path / "o2" / name).read_bytes()
             assert a == b
 
     def test_manifest_records_environment_and_peak_rss(self, tmp_path):
@@ -263,7 +270,7 @@ class TestCommands:
 
         out = tmp_path / "o"
         assert main(["stationary", "--out", str(out)]) == 0
-        manifest = json.load(open(out / "manifest.json"))
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["environment"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,

@@ -638,7 +638,7 @@ class TestInfiniteHorizon:
     def test_decay_envelope(self, scalar, scalar_pipeline):
         sys_, _, _ = scalar
         _, are = scalar_pipeline
-        _, lam = lab.closed_loop_generator(sys_, are)
+        lam = -are.closed_loop_abscissa
         traj = lab.solve_infinite_horizon(sys_, np.ones(1), 10.0, 1e-3)
         envelope = np.exp(-lam * traj.grid)
         assert np.all(np.abs(traj.x[:, 0]) <= envelope * (1.0 + 1e-9))

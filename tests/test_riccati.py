@@ -185,39 +185,37 @@ class TestValueFunction:
 
 
 class TestClosedLoopGenerator:
-    def test_scalar_generator_and_rate(self, scalar, scalar_pipeline):
-        sys_, _, _ = scalar
+    """``AreSolution.a_cl`` is A - BB*P; its abscissa gives the decay rate."""
+
+    def test_scalar_generator_and_rate(self, scalar_pipeline):
         _, are = scalar_pipeline
-        a_cl, lam = lab.closed_loop_generator(sys_, are)
-        assert abs(a_cl[0, 0] + np.sqrt(2.0)) <= 1e-10
-        assert abs(lam - np.sqrt(2.0)) <= 1e-10
+        assert abs(are.a_cl[0, 0] + np.sqrt(2.0)) <= 1e-10
+        assert abs(-are.closed_loop_abscissa - np.sqrt(2.0)) <= 1e-10
+        assert not are.a_cl.flags.writeable
 
     def test_zero_observation_keeps_generator(self):
         sys_ = lab.make_system(-np.eye(2), np.ones((2, 1)), np.zeros((2, 2)))
         are = lab.solve_are(sys_)
-        a_cl, lam = lab.closed_loop_generator(sys_, are)
-        assert np.allclose(a_cl, sys_.a, atol=1e-12)
-        assert abs(lam - 1.0) <= 1e-12
+        assert np.allclose(are.a_cl, sys_.a, atol=1e-12)
+        assert abs(-are.closed_loop_abscissa - 1.0) <= 1e-12
 
     def test_rate_agrees_with_lognorm_fit(self):
         # Oracle: least-squares fit of log ||e^{t A_cl}|| over t in [1, 5].
         sys_ = lab.random_stable(4, 2, 6)
         are = lab.solve_are(sys_)
-        a_cl, lam = lab.closed_loop_generator(sys_, are)
+        lam = -are.closed_loop_abscissa
         grid = np.linspace(1.0, 5.0, 81)
         norms = np.array(
-            [np.linalg.norm(lab.semigroup(lab.make_system(a_cl, sys_.b, sys_.c), t), 2)
+            [np.linalg.norm(lab.semigroup(lab.make_system(are.a_cl, sys_.b, sys_.c), t), 2)
              for t in grid]
         )
         _, lam_fit = fit_decay_rate((grid, norms), (1.0, 5.0))
         assert abs(lam_fit - lam) <= 0.02 * lam
 
-    def test_decay_envelope_with_fitted_amplitude(self, scalar, scalar_pipeline):
-        sys_, _, _ = scalar
+    def test_decay_envelope_with_fitted_amplitude(self, scalar_pipeline):
         _, are = scalar_pipeline
-        a_cl, lam = lab.closed_loop_generator(sys_, are)
         grid = np.linspace(0.0, 20.0, 201)
-        norms = np.array([np.exp(a_cl[0, 0] * t) for t in grid])
+        norms = np.array([np.exp(are.a_cl[0, 0] * t) for t in grid])
         c_fit, lam_fit = fit_decay_rate((grid, norms), (0.0, 20.0))
         envelope = c_fit * np.exp(-lam_fit * grid)
         assert np.all(norms <= envelope * (1.0 + 1e-9))
