@@ -25,7 +25,6 @@ import os
 import platform
 import resource
 import sys as _sys
-import tempfile
 import time
 
 import numpy as np
@@ -53,7 +52,7 @@ from .scenarios import (
 )
 from .stationary import solve_stationary, stationary_convergence_study
 from .turnpike import SOLVERS, verify_turnpike, yosida_dynamic_study
-from .verification import run_suite
+from .verification import check_determinism, run_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -84,10 +83,11 @@ class _Manifest:
     """Collects timings and output paths; written as manifest.json.
 
     The manifest also records the Python, numpy and scipy versions and the
-    process's peak resident set size when it is written.
+    process's peak resident set size when it is written.  ``config`` is
+    None for a command that reads no configuration.
     """
 
-    def __init__(self, command: str, config: ExperimentConfig, out_dir: str):
+    def __init__(self, command: str, config: ExperimentConfig | None, out_dir: str):
         self.command = command
         self.config = config
         self.out_dir = out_dir
@@ -112,7 +112,7 @@ class _Manifest:
     def finalize(self) -> None:
         payload = {
             "command": self.command,
-            "config": dataclasses.asdict(self.config),
+            "config": None if self.config is None else dataclasses.asdict(self.config),
             "version": __version__,
             "timings_s": {k: round(v, 6) for k, v in self.timings.items()},
             "total_s": round(time.perf_counter() - self._t0, 6),
@@ -136,13 +136,13 @@ def _resolve_config(args) -> ExperimentConfig:
     else:
         config = config_from_dict({"scenario": "scalar"})
     updates = {}
-    if getattr(args, "horizon", None):
+    if args.horizon:
         updates["horizons"] = tuple(float(t) for t in args.horizon)
-    if getattr(args, "dt", None) is not None:
+    if args.dt is not None:
         updates["dt"] = float(args.dt)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         updates["seed"] = int(args.seed)
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         updates["output_dir"] = args.out
     if updates:
         config = dataclasses.replace(config, **updates)
@@ -189,7 +189,7 @@ def cmd_solve(args) -> int:
             p0=np.zeros((system.n, system.n)), dt=config.dt,
         )
     with manifest.stage("solve"):
-        traj = SOLVERS[config.solver or "transcription"](prob)
+        traj = SOLVERS[config.solver](prob)
     with manifest.stage("emit"):
         manifest.write_csv("trajectory.csv", *reporting.trajectory_rows(traj))
         value = cost(prob, traj)
@@ -230,7 +230,7 @@ def cmd_turnpike(args) -> int:
             z=target,
             x0=x0,
             dt=config.dt,
-            solver=config.solver or "transcription",
+            solver=config.solver,
             jobs=args.jobs,
         )
     with manifest.stage("emit"):
@@ -265,7 +265,7 @@ def cmd_yosida(args) -> int:
             p0=np.zeros((system.n, system.n)), dt=config.dt,
         )
         dyn_rows = yosida_dynamic_study(
-            prob, config.ks, solver=config.solver or "transcription", jobs=args.jobs
+            prob, config.ks, solver=config.solver, jobs=args.jobs
         )
     manifest.write_csv("yosida_dynamic.csv", *reporting.dynamic_study_rows(dyn_rows))
     manifest.finalize()
@@ -276,49 +276,17 @@ def cmd_yosida(args) -> int:
     return EXIT_OK
 
 
-def _rerun_determinism_check(jobs, fault_inject) -> tuple:
-    """Criterion 12 core: the quick suite twice, outputs compared byte-wise."""
-    with tempfile.TemporaryDirectory() as tmp:
-        dir_a = os.path.join(tmp, "a")
-        dir_b = os.path.join(tmp, "b")
-        run_suite("quick", out_dir=dir_a, jobs=jobs, fault_inject=fault_inject)
-        run_suite("quick", out_dir=dir_b, jobs=jobs, fault_inject=fault_inject)
-        names_a = sorted(os.listdir(dir_a))
-        if names_a != sorted(os.listdir(dir_b)):
-            return False, "rerun produced a different file list"
-        for name in names_a:
-            with open(os.path.join(dir_a, name), "rb") as fa, open(
-                os.path.join(dir_b, name), "rb"
-            ) as fb:
-                if fa.read() != fb.read():
-                    return False, f"{name} differs between reruns"
-        return True, f"{len(names_a)} files byte-identical across reruns"
-
-
 def cmd_verify(args) -> int:
-    out_dir = args.out or os.environ.get("LQTURNPIKE_OUT", "out")
-    os.makedirs(out_dir, exist_ok=True)
-    config = config_from_dict({"scenario": "scalar", "output_dir": out_dir})
-    manifest = _Manifest(f"verify-{args.suite}", config, out_dir)
+    os.makedirs(args.out, exist_ok=True)
+    manifest = _Manifest(f"verify-{args.suite}", None, args.out)
     with manifest.stage("suite"):
-        results = run_suite(
-            args.suite, out_dir=out_dir, jobs=args.jobs, fault_inject=args.fault_inject
-        )
+        results = run_suite(args.suite, out_dir=args.out, jobs=args.jobs)
+    with manifest.stage("determinism"):
+        determinism = check_determinism(args.suite, manifest.timings["suite"], args.jobs)
+    determinism.runtime = manifest.timings["determinism"]
+    results.append(determinism)
     for result in results:
         print(result.line())
-
-    with manifest.stage("determinism"):
-        identical, note = _rerun_determinism_check(args.jobs, args.fault_inject)
-    cap = 60.0 if args.suite == "quick" else 300.0
-    suite_elapsed = manifest.timings["suite"]
-    in_time = suite_elapsed <= cap
-    det_passed = identical and in_time
-    status = "PASS" if det_passed else "FAIL"
-    print(
-        f"{status}  12 determinism: {note}; {args.suite} suite "
-        f"{suite_elapsed:.1f}s (cap {cap:.0f}s) "
-        f"[{manifest.timings['determinism']:.2f}s]"
-    )
 
     manifest.outputs.extend(
         name for result in results for name, _, _ in result.artifacts
@@ -326,33 +294,36 @@ def cmd_verify(args) -> int:
     manifest.outputs.append("verify_summary.csv")
     manifest.finalize()
     failed = [r.criterion for r in results if not r.passed]
-    if not det_passed:
-        failed.append("12 determinism")
     if failed:
         print(f"verify: FAILED criteria: {', '.join(failed)}", file=_sys.stderr)
         return EXIT_CHECK_FAILED
-    print(f"verify: all {len(results) + 1} criteria passed ({args.suite} suite)")
+    print(f"verify: all {len(results)} criteria passed ({args.suite} suite)")
     return EXIT_OK
 
 
-def _add_common(parser, with_horizons=True):
+def _add_common(parser):
     parser.add_argument("--config", help="path to a JSON experiment configuration")
-    if with_horizons:
-        parser.add_argument(
-            "--T",
-            dest="horizon",
-            action="append",
-            type=float,
-            help="horizon override; repeat for a list",
-        )
+    parser.add_argument(
+        "--T",
+        dest="horizon",
+        action="append",
+        type=float,
+        help="horizon override; repeat for a list",
+    )
     parser.add_argument("--dt", type=float, help="time step override")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--out", help="output directory override")
+    parser.add_argument(
+        "--out", help="output directory override (default: the config's output_dir)"
+    )
+    _add_jobs(parser)
+
+
+def _add_jobs(parser):
     parser.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("LQTURNPIKE_JOBS", "1")),
-        help="max concurrent solves for horizon/k sweeps",
+        default=1,
+        help="max concurrent solves for horizon/k sweeps (default: 1)",
     )
 
 
@@ -377,15 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run the acceptance suite")
     vp.add_argument("suite", choices=("quick", "full"), help="suite flavor")
-    vp.add_argument("--out", help="output directory (default: out)")
-    vp.add_argument(
-        "--jobs", type=int, default=int(os.environ.get("LQTURNPIKE_JOBS", "1"))
-    )
-    vp.add_argument(
-        "--fault-inject",
-        choices=("are",),
-        help=argparse.SUPPRESS,  # test hook: corrupt a stage to force failure
-    )
+    vp.add_argument("--out", default="out", help="output directory (default: out)")
+    _add_jobs(vp)
     vp.set_defaults(func=cmd_verify)
     return parser
 

@@ -13,13 +13,13 @@ runs bit for bit.
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError
 from .operators import LtiSystem, make_system, spectral_abscissa
+from .turnpike import _solver
 
 __all__ = [
     "ExperimentConfig",
@@ -129,36 +129,23 @@ def heat_1d(
 
 _DEFAULT_TOLERANCES = {"solver": 1e-10}
 
+# Where a scenario departs from the ExperimentConfig defaults; a custom
+# scenario reads n and m off its matrices.
 _SCENARIO_DEFAULTS = {
-    "scalar": {"n": 1, "m": 1, "dt": 1e-3},
-    "random_stable": {"n": 4, "m": 2, "dt": 1e-3},
+    "scalar": {"n": 1, "m": 1},
+    "random_stable": {"n": 4, "m": 2},
     "heat_1d": {"n": 50, "m": 1, "dt": 1e-2},
-    "custom": {"n": None, "m": None, "dt": 1e-3},
-}
-
-_KNOWN_KEYS = {
-    "scenario",
-    "n",
-    "m",
-    "seed",
-    "horizons",
-    "dt",
-    "target",
-    "ks",
-    "tolerances",
-    "output_dir",
-    "margin",
-    "control",
-    "interval",
-    "x0",
-    "system",
-    "solver",
+    "custom": {},
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment configuration with defaults filled in."""
+    """Validated experiment configuration with defaults filled in.
+
+    The fields are the configuration schema: :func:`config_from_dict`
+    accepts exactly these keys and takes each default from here.
+    """
 
     scenario: str
     n: int
@@ -175,7 +162,13 @@ class ExperimentConfig:
     interval: tuple = (0.25, 0.75)
     x0: object = None
     system: object = None  # inline matrices for the custom scenario
-    solver: str | None = None  # None picks the scenario default
+    solver: str = "transcription"  # a name in turnpike.SOLVERS
+
+
+# Every key a configuration may set, with the dataclass default where there is one.
+_FIELD_DEFAULTS = {
+    f.name: None if f.default is MISSING else f.default for f in fields(ExperimentConfig)
+}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -214,9 +207,14 @@ def _check_time_grid(dt: float, horizons) -> None:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Validate a configuration mapping and fill in its defaults.
+
+    The keys are the fields of :class:`ExperimentConfig`.  An omitted key
+    takes the field's default, or the scenario's own ``n``, ``m`` or ``dt``.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
+    unknown = sorted(set(raw) - set(_FIELD_DEFAULTS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     scenario = raw.get("scenario")
@@ -224,40 +222,39 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"unknown scenario {scenario!r}; valid names: {', '.join(SCENARIO_NAMES)}"
         )
-    defaults = _SCENARIO_DEFAULTS[scenario]
+    cfg = {**_FIELD_DEFAULTS, **_SCENARIO_DEFAULTS[scenario], **raw}
 
-    n = raw.get("n", defaults["n"])
-    m = raw.get("m", defaults["m"])
     if scenario == "custom":
-        system = raw.get("system")
+        system = cfg["system"]
         if system is None:
             raise ConfigError("custom scenario requires a 'system' entry")
         try:
             a = np.asarray(system["a"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError("custom system must define matrix 'a'") from exc
-        n = n if n is not None else a.shape[0]
-        m = m if m is not None else np.asarray(system.get("b", [[0.0]])).shape[1]
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"n must be a positive integer, got {n!r}")
-    if not isinstance(m, int) or m < 1:
-        raise ConfigError(f"m must be a positive integer, got {m!r}")
+        if cfg["n"] is None:
+            cfg["n"] = a.shape[0]
+        if cfg["m"] is None:
+            cfg["m"] = np.asarray(system.get("b", [[0.0]])).shape[1]
+    for key in ("n", "m"):
+        if not isinstance(cfg[key], int) or cfg[key] < 1:
+            raise ConfigError(f"{key} must be a positive integer, got {cfg[key]!r}")
 
-    seed = raw.get("seed", 42)
+    seed = cfg["seed"]
     if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
         raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
 
-    dt = float(raw.get("dt", defaults["dt"]))
-    horizons = tuple(float(t) for t in raw.get("horizons", (5.0, 10.0, 20.0)))
-    _check_time_grid(dt, horizons)
+    cfg["dt"] = float(cfg["dt"])
+    cfg["horizons"] = tuple(float(t) for t in cfg["horizons"])
+    _check_time_grid(cfg["dt"], cfg["horizons"])
 
-    ks = tuple(float(k) for k in raw.get("ks", (10.0, 100.0, 1000.0)))
+    cfg["ks"] = ks = tuple(float(k) for k in cfg["ks"])
     if any(k <= 0 for k in ks):
         raise ConfigError("all ks must be positive")
     if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
         raise ConfigError("ks must be strictly increasing")
 
-    tolerances = dict(_DEFAULT_TOLERANCES)
+    cfg["tolerances"] = tolerances = dict(_DEFAULT_TOLERANCES)
     extra_tol = raw.get("tolerances", {})
     if not isinstance(extra_tol, dict):
         raise ConfigError("tolerances must be an object")
@@ -270,50 +267,28 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"tolerance '{key}' must be positive, got {value}")
         tolerances[key] = value
 
-    control = raw.get("control", "distributed")
-    if control not in HEAT_CONTROLS:
+    if cfg["control"] not in HEAT_CONTROLS:
         raise ConfigError(
-            f"unknown control kind {control!r}, expected one of {HEAT_CONTROLS}"
+            f"unknown control kind {cfg['control']!r}, expected one of {HEAT_CONTROLS}"
         )
-    interval = tuple(float(v) for v in raw.get("interval", (0.25, 0.75)))
-    if len(interval) != 2:
-        raise ConfigError(f"interval must have two endpoints, got {interval}")
+    cfg["interval"] = tuple(float(v) for v in cfg["interval"])
+    if len(cfg["interval"]) != 2:
+        raise ConfigError(f"interval must have two endpoints, got {cfg['interval']}")
 
-    margin = float(raw.get("margin", 1.0))
-    if margin <= 0.0:
-        raise ConfigError(f"margin must be positive, got {margin}")
+    cfg["margin"] = float(cfg["margin"])
+    if cfg["margin"] <= 0.0:
+        raise ConfigError(f"margin must be positive, got {cfg['margin']}")
 
-    solver = raw.get("solver")
-    if solver is not None and solver not in ("transcription", "riccati-sweep"):
-        raise ConfigError(
-            f"unknown solver {solver!r}, expected 'transcription' or 'riccati-sweep'"
-        )
-
-    # Precedence for the output directory: config entry, then the
-    # LQTURNPIKE_OUT environment variable, then "out".
-    default_out = os.environ.get("LQTURNPIKE_OUT", "out")
-    return ExperimentConfig(
-        scenario=scenario,
-        n=n,
-        m=m,
-        seed=seed,
-        horizons=horizons,
-        dt=dt,
-        target=raw.get("target"),
-        ks=ks,
-        tolerances=tolerances,
-        output_dir=str(raw.get("output_dir", default_out)),
-        margin=margin,
-        control=control,
-        interval=interval,
-        x0=raw.get("x0"),
-        system=raw.get("system"),
-        solver=solver,
-    )
+    _solver(cfg["solver"])  # ConfigError unless a name in turnpike.SOLVERS
+    cfg["output_dir"] = str(cfg["output_dir"])
+    return ExperimentConfig(**cfg)
 
 
 def build_scenario(config: ExperimentConfig):
-    """Materialize (system, target, initial state) from a configuration."""
+    """Materialize (system, target, initial state) from a configuration.
+
+    Raises ConfigError when the built system's (n, m) is not the config's.
+    """
     if config.scenario == "scalar":
         sys, z, x0 = scalar_example()
     elif config.scenario == "random_stable":
@@ -341,6 +316,11 @@ def build_scenario(config: ExperimentConfig):
         )
     else:  # pragma: no cover - guarded by config validation
         raise ConfigError(f"unknown scenario {config.scenario!r}")
+    if (sys.n, sys.m) != (config.n, config.m):
+        raise ConfigError(
+            f"config sets (n, m) = ({config.n}, {config.m}), but scenario "
+            f"'{config.scenario}' builds ({sys.n}, {sys.m})"
+        )
 
     if isinstance(config.target, (list, tuple)) and config.scenario != "custom":
         z = np.asarray(config.target, dtype=float)

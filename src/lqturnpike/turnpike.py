@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DimensionError, UndefinedRateError
+from .errors import ConfigError, DimensionError, UndefinedRateError
 from .lq import LqProblem, Trajectory, _trapezoid, solve_riccati_sweep, solve_transcription
 from .operators import LtiSystem, approx_control_operator, make_system
 from .riccati import AreSolution, lifted_orbit
@@ -51,14 +51,26 @@ SOLVERS = {
 
 def _solver(name: str):
     """The registered solver function called ``name``."""
-    if name not in SOLVERS:
-        raise ValueError(f"unknown solver '{name}', expected one of {sorted(SOLVERS)}")
+    if not isinstance(name, str) or name not in SOLVERS:
+        raise ConfigError(f"unknown solver {name!r}, expected one of {sorted(SOLVERS)}")
     return SOLVERS[name]
+
+
+def _map(fn, items: list, jobs: int) -> list:
+    """``[fn(x) for x in items]``, on up to ``jobs`` threads, in the order of ``items``."""
+    if jobs > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 # Below this deviation scale the problem starts on the turnpike and the
 # envelope degenerates; gaps are then compared against solver tolerance.
 _TRIVIAL_SCALE = 1e-12
+
+# The rate is fitted on these fractions of the initial layer, clear of
+# the noise at both of its ends.
+_FIT_WINDOW = (0.1, 0.9)
 
 
 @dataclass(frozen=True)
@@ -241,9 +253,7 @@ def _windowed_control_gap(u_dev_sq_int: np.ndarray, grid: np.ndarray) -> np.ndar
     return np.sqrt(np.maximum(u_dev_sq_int[hi] - u_dev_sq_int[lo], 0.0))
 
 
-def _report_for_horizon(
-    sys, stat, are, horizon, z, x0, scale, dt, solver_fn, fit_window_fractions
-):
+def _report_for_horizon(sys, stat, are, horizon, z, x0, scale, dt, solver_fn):
     prob = LqProblem(
         sys=sys,
         horizon=horizon,
@@ -270,7 +280,7 @@ def _report_for_horizon(
         fitted_c, fitted_lambda, c_min = 0.0, lam_ref, 0.0
     else:
         layer = min(horizon / 2.0, 5.0 / lam_ref)
-        window = (fit_window_fractions[0] * layer, fit_window_fractions[1] * layer)
+        window = (_FIT_WINDOW[0] * layer, _FIT_WINDOW[1] * layer)
         fitted_c, fitted_lambda = fit_decay_rate((grid, h_norm[::-1]), window)
         total = gap_x + gap_y + gap_u_window
         c_min = float(np.max(total / (_envelope(grid, horizon, fitted_lambda) * scale)))
@@ -309,7 +319,6 @@ def verify_turnpike(
     dt: float = 1e-3,
     solver: str = "transcription",
     jobs: int = 1,
-    fit_window_fractions=(0.1, 0.9),
 ):
     """Turnpike reports for a list of horizons with one shared constant.
 
@@ -317,7 +326,7 @@ def verify_turnpike(
     cost, node-wise gaps against the stationary triple are collected, the
     decay rate of the reversed deviation is fitted on the initial layer
     (of length ``min(T/2, 5 / lambda_reference)``, trimmed to its inner
-    fractions to avoid endpoint noise), and the envelope bound
+    10%-90% to avoid endpoint noise), and the envelope bound
 
         gap(t) <= c (e^{-lambda t} + e^{-lambda (T - t)}) (|x0 - x_bar| + |y_bar|)
 
@@ -336,15 +345,9 @@ def verify_turnpike(
     scale = float(np.linalg.norm(x0 - stat.x_bar) + np.linalg.norm(stat.y_bar))
 
     def run(horizon):
-        return _report_for_horizon(
-            sys, stat, are, horizon, z, x0, scale, dt, solver_fn, fit_window_fractions
-        )
+        return _report_for_horizon(sys, stat, are, horizon, z, x0, scale, dt, solver_fn)
 
-    if jobs > 1 and len(horizons) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            partials = list(pool.map(run, horizons))
-    else:
-        partials = [run(t) for t in horizons]
+    partials = _map(run, horizons, jobs)
 
     c_uniform = max((p.c_min for p in partials), default=0.0)
     reports = []
@@ -449,7 +452,4 @@ def yosida_dynamic_study(prob: LqProblem, ks, solver: str = "riccati-sweep", job
         err_y = float(np.max(np.linalg.norm(traj_k.y - base.y, axis=1)))
         return (k, err_u, err_x, err_y)
 
-    if jobs > 1 and len(ks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, ks))
-    return [run(k) for k in ks]
+    return _map(run, ks, jobs)

@@ -8,16 +8,19 @@ together with the check's wall-clock cap, which :func:`run_suite` times.
 ``run_suite`` executes the whole list (a reduced but criterion-complete
 set in the quick suite), optionally writing the data-bearing CSV
 artifacts, and is deliberately deterministic: identical invocations
-produce byte-identical files.
+produce byte-identical files.  :func:`check_determinism`, criterion 12,
+checks that property and the suite's wall-clock cap.
 """
 
 from __future__ import annotations
 
+import filecmp
 import math
 import operator
 import os
+import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -45,13 +48,23 @@ from .turnpike import (
     yosida_dynamic_study,
 )
 
-__all__ = ["CheckResult", "Record", "SuiteContext", "run_suite", "CRITERIA"]
+__all__ = [
+    "CheckResult",
+    "Record",
+    "SuiteContext",
+    "run_suite",
+    "check_determinism",
+    "CRITERIA",
+]
 
 # Random-stable seeds used by the rate-recovery check.  The log-linear fit
 # identifies the dominant decay mode, so the seeds are chosen with the two
 # slowest closed-loop modes well separated; draws whose slowest modes form
 # a complex pair have no single dominant rate over a finite window.
 RATE_SEEDS = (3, 6, 12)
+
+# Wall-clock cap of each suite, in seconds.
+SUITE_CAPS = {"quick": 60.0, "full": 300.0}
 
 # comparator -> (test, the comparator a failing record is printed with)
 _COMPARATORS = {
@@ -125,10 +138,9 @@ class SuiteContext:
     :func:`run_suite` call builds its own.
     """
 
-    def __init__(self, quick: bool = False, jobs: int = 1, fault_inject=None):
+    def __init__(self, quick: bool = False, jobs: int = 1):
         self.quick = quick
         self.jobs = max(1, int(jobs))
-        self.fault_inject = fault_inject
 
     # scalar pipeline -----------------------------------------------------
 
@@ -143,11 +155,7 @@ class SuiteContext:
 
     @cached_property
     def scalar_are(self):
-        are = solve_are(self.scalar[0])
-        if self.fault_inject == "are":
-            # Test hook: corrupt the value operator to force a failure.
-            return replace(are, p=are.p + 0.01)
-        return are
+        return solve_are(self.scalar[0])
 
     @property
     def scalar_horizons(self):
@@ -577,17 +585,17 @@ CRITERIA = [
 ]
 
 
-def run_suite(suite: str = "quick", out_dir=None, jobs: int = 1, fault_inject=None):
+def run_suite(suite: str = "quick", out_dir=None, jobs: int = 1):
     """Run the acceptance checks and optionally write their CSV artifacts.
 
     Returns the list of :class:`CheckResult`, one per criterion, in
     criterion order.  Criterion 12 (byte-identical reruns and the wall
-    clock caps) is a property of this function itself and is asserted by
-    the test suite, which invokes it twice and compares outputs.
+    clock caps) is a property of this function itself, checked by
+    :func:`check_determinism`.
     """
-    if suite not in ("quick", "full"):
+    if suite not in SUITE_CAPS:
         raise ValueError(f"unknown suite '{suite}', expected 'quick' or 'full'")
-    ctx = SuiteContext(quick=(suite == "quick"), jobs=jobs, fault_inject=fault_inject)
+    ctx = SuiteContext(quick=(suite == "quick"), jobs=jobs)
     results = []
     for check in CRITERIA:
         start = time.perf_counter()
@@ -606,3 +614,29 @@ def run_suite(suite: str = "quick", out_dir=None, jobs: int = 1, fault_inject=No
             summary_rows,
         )
     return results
+
+
+# --- criterion 12 --------------------------------------------------------
+
+
+def check_determinism(suite: str, suite_runtime: float, jobs: int = 1) -> CheckResult:
+    """Criterion 12: two quick-suite reruns write byte-identical files.
+
+    Also bounds ``suite_runtime``, the measured runtime of one ``suite``
+    run, by the suite's cap, which caps the two reruns as well.  Like the
+    other checks, the result is untimed: the caller sets ``runtime``.
+    """
+    cap = SUITE_CAPS[suite]
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = [os.path.join(tmp, name) for name in ("a", "b")]
+        for out_dir in dirs:
+            run_suite("quick", out_dir=out_dir, jobs=jobs)
+        names = set(os.listdir(dirs[0])) | set(os.listdir(dirs[1]))
+        # A file missing from one rerun lands in ``errors``.
+        _, mismatch, errors = filecmp.cmpfiles(*dirs, names, shallow=False)
+    differing = len(mismatch) + len(errors)
+    records = [
+        Record("files differing between reruns", differing, "==", 0),
+        Record(f"{suite} suite runtime (s)", suite_runtime, "<=", cap),
+    ]
+    return CheckResult("12 determinism", cap, records)

@@ -1,10 +1,12 @@
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lqturnpike import verification
 from lqturnpike.cli import main
 from lqturnpike.reporting import format_value, render_csv
 
@@ -114,9 +116,18 @@ class TestExitCodes:
         )
         assert main(["riccati", "--config", path]) == 3
 
-    def test_fault_injection_fails_named_criterion(self, tmp_path, capsys):
+    def test_fault_injection_fails_named_criterion(self, tmp_path, capsys, monkeypatch):
+        # Corrupt the suite's scalar value operator.  A plain property, since
+        # a cached_property assigned after class creation never gets its name.
+        solve = verification.SuiteContext.scalar_are.func
+
+        def corrupted(ctx):
+            are = solve(ctx)
+            return replace(are, p=are.p + 0.01)
+
+        monkeypatch.setattr(verification.SuiteContext, "scalar_are", property(corrupted))
         out = str(tmp_path / "vfail")
-        code = main(["verify", "quick", "--out", out, "--fault-inject", "are"])
+        code = main(["verify", "quick", "--out", out])
         captured = capsys.readouterr()
         assert code == 1
         assert "scalar-are" in captured.err
@@ -126,6 +137,17 @@ class TestExitCodes:
             line.split()[1] for line in captured.out.splitlines() if line.startswith("FAIL")
         }
         assert failed == {"1", "4", "5"}
+        assert "PASS  12 determinism: files differing between reruns = 0 == 0" in captured.out
+        manifest = json.loads(Path(out, "manifest.json").read_text())
+        assert manifest["config"] is None
+
+    def test_dimension_mismatch_is_input_error(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {"scenario": "heat_1d", "m": 3, "output_dir": str(tmp_path / "out")},
+        )
+        assert main(["stationary", "--config", path]) == 2
+        assert "(n, m) = (50, 3)" in capsys.readouterr().err
 
 
 class TestCommands:

@@ -1,11 +1,19 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lqturnpike as lab
 from lqturnpike.errors import ConfigError
-from lqturnpike.scenarios import build_scenario, config_from_dict
+from lqturnpike.scenarios import ExperimentConfig, build_scenario, config_from_dict
+from lqturnpike.turnpike import SOLVERS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+CUSTOM_1X1 = {"a": [[-1.0]], "b": [[1.0]], "c": [[1.0]]}
 
 
 class TestScalarExample:
@@ -142,6 +150,40 @@ class TestConfig:
             config_from_dict({"scenario": "scalar", "tolerances": {"rank": 1e-10}})
         assert "rank" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "raw, n, m, dt",
+        [
+            ({"scenario": "scalar"}, 1, 1, 1e-3),
+            ({"scenario": "random_stable"}, 4, 2, 1e-3),
+            ({"scenario": "heat_1d"}, 50, 1, 1e-2),
+            ({"scenario": "custom", "system": CUSTOM_1X1}, 1, 1, 1e-3),
+        ],
+    )
+    def test_defaults_come_from_the_dataclass(self, raw, n, m, dt):
+        config = config_from_dict(raw)
+        assert config == ExperimentConfig(n=n, m=m, dt=dt, **raw)
+        assert config.solver == "transcription"
+
+    def test_every_registered_solver_accepted(self):
+        for name in SOLVERS:
+            assert config_from_dict({"scenario": "scalar", "solver": name}).solver == name
+
+    def test_unknown_solver_lists_registry(self):
+        for bad in ("newton", None, ["transcription"]):
+            with pytest.raises(ConfigError) as excinfo:
+                config_from_dict({"scenario": "scalar", "solver": bad})
+            for name in SOLVERS:
+                assert name in str(excinfo.value)
+
+    def test_readme_schema_lists_the_dataclass_fields(self):
+        text = README.read_text(encoding="utf-8")
+        table = text.split("### Configuration schema", 1)[1].split("\n## ", 1)[0]
+        first_cells = [
+            line.split("|")[1] for line in table.splitlines() if line.startswith("| `")
+        ]
+        keys = {key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)}
+        assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
+
     def test_bad_seed_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"scenario": "scalar", "seed": -1})
@@ -202,3 +244,17 @@ class TestBuildScenario:
         )
         _, z, x0 = build_scenario(config)
         assert z[0] == 3.0 and x0[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"scenario": "heat_1d", "m": 3},
+            {"scenario": "scalar", "n": 5},
+            {"scenario": "custom", "n": 3, "system": CUSTOM_1X1, "target": [1.0]},
+        ],
+    )
+    def test_dimensions_must_match_the_built_system(self, raw):
+        config = config_from_dict(raw)
+        with pytest.raises(ConfigError) as excinfo:
+            build_scenario(config)
+        assert f"(n, m) = ({config.n}, {config.m})" in str(excinfo.value)
