@@ -46,7 +46,7 @@ class TruncationError(LqTurnpikeError):
 
 
 class GridMismatchError(LqTurnpikeError, ValueError):
-    """Sampled data does not live on the expected time grid."""
+    """Sampled data is off the expected time grid, or the grid is too coarse."""
 
 
 class UndefinedRateError(LqTurnpikeError, ValueError):

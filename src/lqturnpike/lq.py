@@ -90,7 +90,7 @@ def _step_count(horizon: float, dt: float) -> int:
     ratio = horizon / dt
     nsteps = int(round(ratio))
     if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * max(1.0, ratio):
-        raise ValueError(f"horizon {horizon} is not an integer multiple of dt {dt}")
+        raise ValueError(f"dt {dt} does not divide horizon {horizon} into whole steps")
     return nsteps
 
 
@@ -278,7 +278,7 @@ def simulate_forward(prob: LqProblem, u) -> np.ndarray:
     """
     u = np.asarray(u, dtype=float)
     n_nodes, n = prob.n_steps + 1, prob.sys.n
-    if u.shape[0] != n_nodes or u.shape[1] != prob.sys.m:
+    if u.shape[:2] != (n_nodes, prob.sys.m):
         raise GridMismatchError(
             f"controls must be sampled on the {n_nodes}-node grid with "
             f"{prob.sys.m} components, got shape {u.shape}"

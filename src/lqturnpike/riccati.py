@@ -37,6 +37,7 @@ from scipy.linalg import expm, schur, solve_continuous_lyapunov
 from .errors import (
     ConvergenceError,
     DimensionError,
+    GridMismatchError,
     IntegrationError,
     NotStabilizableError,
     TruncationError,
@@ -202,6 +203,8 @@ def solve_dre(sys: LtiSystem, horizon: float, p0, steps: int) -> DreSolution:
 
     Raises
     ------
+    GridMismatchError
+        If ``steps`` is below 2.
     IntegrationError
         If a sample is non-finite.
     """
@@ -210,7 +213,9 @@ def solve_dre(sys: LtiSystem, horizon: float, p0, steps: int) -> DreSolution:
         raise ValueError(f"horizon must be positive, got {horizon}")
     steps = int(steps)
     if steps < 2:
-        raise ValueError(f"steps must be at least 2, got {steps}")
+        raise GridMismatchError(
+            f"steps must be at least 2, got {steps}: refine dt or lengthen the horizon"
+        )
     p0 = _check_terminal_cost(p0, sys.n)
     flow = riccati_step_flow(sys.a, sys.b, sys.c, horizon / steps)
     p_samples, _ = riccati_backward_pass(flow, p0, steps)

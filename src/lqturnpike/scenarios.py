@@ -13,12 +13,14 @@ runs bit for bit.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError
+from .lq import _step_count
 from .operators import LtiSystem, make_system, spectral_abscissa
+from .stationary import _check_ks
 from .turnpike import _solver
 
 __all__ = [
@@ -30,7 +32,6 @@ __all__ = [
     "build_scenario",
 ]
 
-SCENARIO_NAMES = ("scalar", "random_stable", "heat_1d", "custom")
 HEAT_PROFILES = ("bump", "sine", "zero")
 HEAT_CONTROLS = ("distributed", "boundary_flavored")
 
@@ -51,9 +52,9 @@ def random_stable(n: int, m: int, seed: int, margin: float = 1.0) -> LtiSystem:
     least 0.1, which guarantees the coercivity hypothesis.
     """
     if n < 1 or m < 1:
-        raise ValueError("n and m must be at least 1")
+        raise ConfigError(f"n and m must be at least 1, got n = {n}, m = {m}")
     if margin <= 0.0:
-        raise ValueError(f"margin must be positive, got {margin}")
+        raise ConfigError(f"margin must be positive, got {margin}")
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     a = gen.standard_normal((n, n))
     a = a - (spectral_abscissa(a) + margin) * np.eye(n)
@@ -90,7 +91,7 @@ def heat_1d(
     system and the target profile sampled at the interior nodes.
     """
     if n < 3:
-        raise ValueError(f"need at least 3 interior nodes, got {n}")
+        raise ConfigError(f"heat_1d needs n >= 3 interior nodes, got n = {n}")
     if control not in HEAT_CONTROLS:
         raise ConfigError(
             f"unknown control kind '{control}', expected one of {HEAT_CONTROLS}"
@@ -99,6 +100,8 @@ def heat_1d(
         raise ConfigError(
             f"unknown target profile '{profile}', expected one of {HEAT_PROFILES}"
         )
+    if len(interval) != 2:
+        raise ConfigError(f"control interval must have two endpoints, got {interval}")
     dx = 1.0 / (n + 1)
     a = (np.diag(np.full(n - 1, 1.0), -1)
          + np.diag(np.full(n, -2.0))
@@ -127,24 +130,13 @@ def heat_1d(
     return make_system(a, b, np.eye(n)), z
 
 
-_DEFAULT_TOLERANCES = {"solver": 1e-10}
-
-# Where a scenario departs from the ExperimentConfig defaults; a custom
-# scenario reads n and m off its matrices.
-_SCENARIO_DEFAULTS = {
-    "scalar": {"n": 1, "m": 1},
-    "random_stable": {"n": 4, "m": 2},
-    "heat_1d": {"n": 50, "m": 1, "dt": 1e-2},
-    "custom": {},
-}
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Validated experiment configuration with defaults filled in.
 
     The fields are the configuration schema: :func:`config_from_dict`
-    accepts exactly these keys and takes each default from here.
+    accepts these keys where the scenario reads them, and takes each
+    default from here unless the scenario sets its own.
     """
 
     scenario: str
@@ -155,7 +147,6 @@ class ExperimentConfig:
     dt: float = 1e-3
     target: object = None  # profile name, inline vector, or None for default
     ks: tuple = (10.0, 100.0, 1000.0)
-    tolerances: dict = field(default_factory=lambda: dict(_DEFAULT_TOLERANCES))
     output_dir: str = "out"
     margin: float = 1.0
     control: str = "distributed"
@@ -170,16 +161,66 @@ _FIELD_DEFAULTS = {
     f.name: None if f.default is MISSING else f.default for f in fields(ExperimentConfig)
 }
 
+_COMMON_KEYS = ("scenario", "horizons", "dt", "target", "x0", "ks", "solver", "output_dir")
 
-def load_config(path) -> ExperimentConfig:
-    """Load and validate a JSON experiment configuration.
+# Per scenario: where its defaults depart from the dataclass's, and the keys it
+# reads besides _COMMON_KEYS, which all read.  A custom scenario reads n and m
+# off its matrices.
+_SCENARIOS = {
+    "scalar": ({"n": 1, "m": 1}, ()),
+    "random_stable": ({"n": 4, "m": 2}, ("n", "m", "seed", "margin")),
+    "heat_1d": ({"n": 50, "m": 1, "dt": 1e-2}, ("n", "control", "interval")),
+    "custom": ({}, ("system",)),
+}
 
-    Unknown keys are rejected; each invariant violation is reported with
-    the offending field and value.
-    """
+
+def _integer(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _seed(value) -> int:
+    if not 0 <= _integer(value) < 2**64:
+        raise ValueError(f"expected a 64-bit unsigned integer, got {value!r}")
+    return value
+
+
+def _numbers(value) -> tuple:
+    if isinstance(value, str):
+        raise TypeError(f"expected a list of numbers, got {value!r}")
+    return tuple(float(v) for v in value)
+
+
+def _solver_name(name: str) -> str:
+    _solver(name)  # ConfigError unless a name in turnpike.SOLVERS
+    return name
+
+
+# The one parse of each typed key.  The builders that read n, m, margin,
+# control and interval check their ranges; _check_time_grid checks dt
+# against the horizons.
+_PARSERS = {
+    "n": _integer,
+    "m": _integer,
+    "seed": _seed,
+    "dt": float,
+    "horizons": _numbers,
+    "ks": lambda ks: tuple(_check_ks(_numbers(ks))),
+    "margin": float,
+    "interval": _numbers,
+    "target": lambda z: z if z is None or isinstance(z, str) else _numbers(z),
+    "x0": lambda x0: None if x0 is None else _numbers(x0),
+    "solver": _solver_name,
+    "output_dir": str,
+}
+
+
+def _read_json(path):
+    """The JSON value in the file at ``path``; ConfigError if absent or malformed."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            return json.load(handle)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
@@ -187,7 +228,11 @@ def load_config(path) -> ExperimentConfig:
             f"config file {path} is not valid JSON: line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}"
         ) from exc
-    return config_from_dict(raw)
+
+
+def load_config(path) -> ExperimentConfig:
+    """Load and validate a JSON experiment configuration (:func:`config_from_dict`)."""
+    return config_from_dict(_read_json(path))
 
 
 def _check_time_grid(dt: float, horizons) -> None:
@@ -199,96 +244,61 @@ def _check_time_grid(dt: float, horizons) -> None:
     for t_final in horizons:
         if t_final <= 0.0:
             raise ConfigError(f"horizons must be positive, got {t_final}")
-        ratio = t_final / dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-            raise ConfigError(
-                f"dt {dt} does not divide horizon {t_final} into whole steps"
-            )
+        try:
+            _step_count(t_final, dt)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+
+def _custom_system(system) -> LtiSystem:
+    """The custom scenario's inline system; ConfigError if it is malformed."""
+    try:
+        return make_system(system["a"], system["b"], system["c"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config key 'system' must hold matrices a, b, c: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a configuration mapping and fill in its defaults.
 
-    The keys are the fields of :class:`ExperimentConfig`.  An omitted key
-    takes the field's default, or the scenario's own ``n``, ``m`` or ``dt``.
+    The keys are the fields of :class:`ExperimentConfig` that the scenario
+    reads (``_SCENARIOS``); any other key is rejected, as is a profile-name
+    target off ``heat_1d``.  An omitted key takes the scenario's default, else the
+    field's.  Each typed value is parsed once (``_PARSERS``); a malformed one
+    is a ConfigError naming its key.  The builders check the ranges of the
+    values they read.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = sorted(set(raw) - set(_FIELD_DEFAULTS))
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     scenario = raw.get("scenario")
-    if scenario not in SCENARIO_NAMES:
+    if not isinstance(scenario, str) or scenario not in _SCENARIOS:
         raise ConfigError(
-            f"unknown scenario {scenario!r}; valid names: {', '.join(SCENARIO_NAMES)}"
+            f"unknown scenario {scenario!r}; valid names: {', '.join(_SCENARIOS)}"
         )
-    cfg = {**_FIELD_DEFAULTS, **_SCENARIO_DEFAULTS[scenario], **raw}
-
+    defaults, reads = _SCENARIOS[scenario]
+    unread = sorted(set(raw) - set(_COMMON_KEYS) - set(reads))
+    if unread:
+        raise ConfigError(
+            f"scenario '{scenario}' does not read config key(s) {', '.join(unread)}; "
+            f"it reads {', '.join(sorted(_COMMON_KEYS + reads))}"
+        )
+    cfg = {**_FIELD_DEFAULTS, **defaults, **raw}
     if scenario == "custom":
-        system = cfg["system"]
-        if system is None:
-            raise ConfigError("custom scenario requires a 'system' entry")
+        system = _custom_system(cfg["system"])
+        cfg["n"], cfg["m"] = system.n, system.m
+    for key, parse in _PARSERS.items():
         try:
-            a = np.asarray(system["a"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("custom system must define matrix 'a'") from exc
-        if cfg["n"] is None:
-            cfg["n"] = a.shape[0]
-        if cfg["m"] is None:
-            cfg["m"] = np.asarray(system.get("b", [[0.0]])).shape[1]
-    for key in ("n", "m"):
-        if not isinstance(cfg[key], int) or cfg[key] < 1:
-            raise ConfigError(f"{key} must be a positive integer, got {cfg[key]!r}")
-
-    seed = cfg["seed"]
-    if not isinstance(seed, int) or seed < 0 or seed >= 2**64:
-        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
-
-    cfg["dt"] = float(cfg["dt"])
-    cfg["horizons"] = tuple(float(t) for t in cfg["horizons"])
+            cfg[key] = parse(cfg[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config key '{key}': {exc}") from exc
+    if isinstance(cfg["target"], str) and scenario != "heat_1d":
+        raise ConfigError("config key 'target': profile names are for heat_1d only")
     _check_time_grid(cfg["dt"], cfg["horizons"])
-
-    cfg["ks"] = ks = tuple(float(k) for k in cfg["ks"])
-    if any(k <= 0 for k in ks):
-        raise ConfigError("all ks must be positive")
-    if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
-        raise ConfigError("ks must be strictly increasing")
-
-    cfg["tolerances"] = tolerances = dict(_DEFAULT_TOLERANCES)
-    extra_tol = raw.get("tolerances", {})
-    if not isinstance(extra_tol, dict):
-        raise ConfigError("tolerances must be an object")
-    unknown_tol = sorted(set(extra_tol) - set(_DEFAULT_TOLERANCES))
-    if unknown_tol:
-        raise ConfigError(f"unknown tolerance keys: {', '.join(unknown_tol)}")
-    for key, value in extra_tol.items():
-        value = float(value)
-        if value <= 0.0:
-            raise ConfigError(f"tolerance '{key}' must be positive, got {value}")
-        tolerances[key] = value
-
-    if cfg["control"] not in HEAT_CONTROLS:
-        raise ConfigError(
-            f"unknown control kind {cfg['control']!r}, expected one of {HEAT_CONTROLS}"
-        )
-    cfg["interval"] = tuple(float(v) for v in cfg["interval"])
-    if len(cfg["interval"]) != 2:
-        raise ConfigError(f"interval must have two endpoints, got {cfg['interval']}")
-
-    cfg["margin"] = float(cfg["margin"])
-    if cfg["margin"] <= 0.0:
-        raise ConfigError(f"margin must be positive, got {cfg['margin']}")
-
-    _solver(cfg["solver"])  # ConfigError unless a name in turnpike.SOLVERS
-    cfg["output_dir"] = str(cfg["output_dir"])
     return ExperimentConfig(**cfg)
 
 
 def build_scenario(config: ExperimentConfig):
-    """Materialize (system, target, initial state) from a configuration.
-
-    Raises ConfigError when the built system's (n, m) is not the config's.
-    """
+    """Materialize (system, target, initial state); each builder checks what it reads."""
     if config.scenario == "scalar":
         sys, z, x0 = scalar_example()
     elif config.scenario == "random_stable":
@@ -298,33 +308,15 @@ def build_scenario(config: ExperimentConfig):
         profile = config.target if isinstance(config.target, str) else "bump"
         sys, z = heat_1d(config.n, config.control, config.interval, profile)
         x0 = np.zeros(config.n)
-    elif config.scenario == "custom":
-        system = config.system
-        try:
-            sys = make_system(system["a"], system["b"], system["c"])
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(
-                "custom scenario requires 'system' with matrices a, b, c"
-            ) from exc
-        if config.target is None or isinstance(config.target, str):
+    else:  # custom; config_from_dict admits no other scenario
+        sys = _custom_system(config.system)
+        if config.target is None:
             raise ConfigError("custom scenario requires an inline 'target' vector")
-        z = np.asarray(config.target, dtype=float)
-        x0 = (
-            np.zeros(sys.n)
-            if config.x0 is None
-            else np.asarray(config.x0, dtype=float)
-        )
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unknown scenario {config.scenario!r}")
-    if (sys.n, sys.m) != (config.n, config.m):
-        raise ConfigError(
-            f"config sets (n, m) = ({config.n}, {config.m}), but scenario "
-            f"'{config.scenario}' builds ({sys.n}, {sys.m})"
-        )
+        x0 = np.zeros(sys.n)
 
-    if isinstance(config.target, (list, tuple)) and config.scenario != "custom":
+    if config.target is not None and not isinstance(config.target, str):
         z = np.asarray(config.target, dtype=float)
-    if config.x0 is not None and config.scenario != "custom":
+    if config.x0 is not None:
         x0 = np.asarray(config.x0, dtype=float)
     if z.shape != (sys.n,):
         raise ConfigError(f"target must have length {sys.n}, got shape {z.shape}")

@@ -64,10 +64,12 @@ def _check_target(sys: LtiSystem, z) -> np.ndarray:
 
 
 def _check_ks(ks) -> list:
-    """Smoothing parameters as floats; nonempty and strictly increasing."""
+    """Smoothing parameters as floats; nonempty, positive and strictly increasing."""
     ks = [float(k) for k in ks]
     if not ks:
         raise ValueError("ks must be nonempty")
+    if any(k <= 0.0 for k in ks):
+        raise ValueError("all ks must be positive")
     if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
         raise ValueError("ks must be strictly increasing")
     return ks
@@ -158,7 +160,7 @@ def stationary_convergence_study(sys: LtiSystem, z, ks):
     Parameters
     ----------
     ks : sequence of float
-        Nonempty, strictly increasing smoothing parameters.
+        Nonempty, positive, strictly increasing smoothing parameters.
 
     Returns
     -------

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigError, DimensionError, UndefinedRateError
+from .errors import ConfigError, DimensionError, GridMismatchError, UndefinedRateError
 from .lq import LqProblem, Trajectory, _trapezoid, solve_riccati_sweep, solve_transcription
 from .operators import LtiSystem, approx_control_operator, make_system
 from .riccati import AreSolution, lifted_orbit
@@ -218,6 +218,8 @@ def fit_decay_rate(series, window) -> tuple:
 
     Raises
     ------
+    GridMismatchError
+        If the window holds fewer than 5 nodes.
     UndefinedRateError
         If the series is identically zero on the window.
     """
@@ -229,8 +231,9 @@ def fit_decay_rate(series, window) -> tuple:
     a, b = float(window[0]), float(window[1])
     mask = (t >= a) & (t <= b)
     if int(np.sum(mask)) < 5:
-        raise ValueError(
-            f"fit window [{a}, {b}] contains {int(np.sum(mask))} nodes, need >= 5"
+        raise GridMismatchError(
+            f"fit window [{a}, {b}] contains {int(np.sum(mask))} nodes, need >= 5: "
+            "refine dt or lengthen the horizon"
         )
     tw = t[mask]
     mw = mag[mask]

@@ -142,12 +142,61 @@ class TestExitCodes:
         assert manifest["config"] is None
 
     def test_dimension_mismatch_is_input_error(self, tmp_path, capsys):
+        # heat_1d builds one control column, so it does not read m.
         path = write_config(
             tmp_path,
             {"scenario": "heat_1d", "m": 3, "output_dir": str(tmp_path / "out")},
         )
         assert main(["stationary", "--config", path]) == 2
-        assert "(n, m) = (50, 3)" in capsys.readouterr().err
+        assert "does not read config key(s) m" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, config, flags, message",
+        [
+            ("stationary", {"scenario": "heat_1d", "n": 2}, [], "needs n >= 3"),
+            ("stationary", {"scenario": "random_stable", "n": 0}, [], "n and m must be"),
+            ("stationary", {"scenario": "random_stable", "n": True}, [], "key 'n'"),
+            ("stationary", {"scenario": "random_stable", "seed": True}, [], "key 'seed'"),
+            ("yosida", {"scenario": "scalar", "ks": []}, [], "key 'ks'"),
+            ("yosida", {"scenario": "scalar", "ks": "abc"}, [], "key 'ks'"),
+            ("yosida", {"scenario": "scalar", "ks": [-1, 2]}, [], "key 'ks'"),
+            ("stationary", {"scenario": "scalar", "horizons": 5}, [], "key 'horizons'"),
+            ("stationary", {"scenario": "scalar", "dt": "x"}, [], "key 'dt'"),
+            ("stationary", {"scenario": "random_stable", "margin": "x"}, [], "key 'margin'"),
+            ("stationary", {"scenario": "random_stable", "margin": 0}, [], "margin must be"),
+            ("stationary", {"scenario": "heat_1d", "interval": "ab"}, [], "key 'interval'"),
+            ("stationary", {"scenario": "heat_1d", "interval": [0.2]}, [], "interval must"),
+            ("stationary", {"scenario": "scalar", "x0": "abc"}, [], "key 'x0'"),
+            ("stationary", {"scenario": "scalar", "x0": ["a"]}, [], "key 'x0'"),
+            ("stationary", {"scenario": "scalar", "tolerances": {"solver": "x"}}, [],
+             "does not read config key(s) tolerances"),
+            ("stationary", {"scenario": "scalar", "target": "sine"}, [], "key 'target'"),
+            ("stationary", {"scenario": "scalar", "control": "distributed"}, [],
+             "does not read config key(s) control"),
+            ("stationary", {"scenario": "scalar"}, ["--seed", "3"],
+             "does not read config key(s) seed"),
+            ("solve", {"scenario": "scalar"}, ["--T", "1e-12", "--dt", "1"],
+             "dt 1.0 does not divide horizon 1e-12"),
+            ("riccati", {"scenario": "scalar"}, ["--T", "0.001", "--dt", "0.001"],
+             "refine dt or lengthen the horizon"),
+            ("turnpike", {"scenario": "scalar"}, ["--T", "0.002", "--dt", "0.001"],
+             "refine dt or lengthen the horizon"),
+            ("turnpike", {"scenario": "scalar"}, ["--jobs", "0"], "--jobs"),
+            ("verify", None, ["quick", "--jobs", "-3"], "--jobs"),
+        ],
+    )
+    def test_malformed_input_is_input_error(
+        self, tmp_path, capsys, command, config, flags, message
+    ):
+        argv = [command, *flags, "--out", str(tmp_path / "out")]
+        if config is not None:
+            argv += ["--config", write_config(tmp_path, config)]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag before main runs it
+            code = exc.code
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestCommands:

@@ -458,6 +458,8 @@ class TestCost:
         traj = lab.solve_transcription(other)
         with pytest.raises(GridMismatchError):
             lab.cost(prob, traj)
+        with pytest.raises(GridMismatchError):
+            lab.simulate_forward(prob, np.zeros(prob.n_steps + 1))
 
     def test_parallelogram_minimality_and_curvature(self, scalar):
         # Perturbed costs exceed the optimum, and the quadratic-in-epsilon

@@ -8,7 +8,13 @@ import pytest
 
 import lqturnpike as lab
 from lqturnpike.errors import ConfigError
-from lqturnpike.scenarios import ExperimentConfig, build_scenario, config_from_dict
+from lqturnpike.scenarios import (
+    _COMMON_KEYS,
+    _SCENARIOS,
+    ExperimentConfig,
+    build_scenario,
+    config_from_dict,
+)
 from lqturnpike.turnpike import SOLVERS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -109,8 +115,9 @@ class TestHeat1d:
             lab.heat_1d(5, control="pointwise")
 
     def test_distributed_interval_validated(self):
-        with pytest.raises(ConfigError):
-            lab.heat_1d(5, interval=(0.9, 0.1))
+        for interval in ((0.9, 0.1), (0.2,)):
+            with pytest.raises(ConfigError):
+                lab.heat_1d(5, interval=interval)
 
 
 class TestConfig:
@@ -121,7 +128,6 @@ class TestConfig:
         assert config.scenario == "scalar"
         assert config.dt == 1e-3
         assert config.horizons == (5.0, 10.0, 20.0)
-        assert config.tolerances["solver"] == 1e-10
 
     def test_pde_scale_default_step(self):
         config = config_from_dict({"scenario": "heat_1d", "horizons": [5.0]})
@@ -146,9 +152,6 @@ class TestConfig:
             with pytest.raises(ConfigError) as excinfo:
                 config_from_dict({"scenario": "scalar", key: 0.1})
             assert key in str(excinfo.value)
-        with pytest.raises(ConfigError) as excinfo:
-            config_from_dict({"scenario": "scalar", "tolerances": {"rank": 1e-10}})
-        assert "rank" in str(excinfo.value)
 
     @pytest.mark.parametrize(
         "raw, n, m, dt",
@@ -178,17 +181,28 @@ class TestConfig:
     def test_readme_schema_lists_the_dataclass_fields(self):
         text = README.read_text(encoding="utf-8")
         table = text.split("### Configuration schema", 1)[1].split("\n## ", 1)[0]
-        first_cells = [
-            line.split("|")[1] for line in table.splitlines() if line.startswith("| `")
-        ]
-        keys = {key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)}
-        assert keys == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        rows = [line.split("|") for line in table.splitlines() if line.startswith("| `")]
+        read_by = {}
+        for cells in rows:
+            named = set(re.findall(r"`(\w+)`", cells[3]))
+            if cells[3].strip() == "all":
+                named = set(_SCENARIOS)
+            for key in re.findall(r"`(\w+)`", cells[1]):
+                read_by[key] = named
+        assert set(read_by) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+        for key, named in read_by.items():
+            assert named == {
+                name for name, (_, reads) in _SCENARIOS.items()
+                if key in _COMMON_KEYS or key in reads
+            }, key
 
     def test_bad_seed_rejected(self):
-        with pytest.raises(ConfigError):
-            config_from_dict({"scenario": "scalar", "seed": -1})
-        with pytest.raises(ConfigError):
-            config_from_dict({"scenario": "scalar", "seed": 2**64})
+        for seed in (-1, 2**64, True, 1.5):
+            with pytest.raises(ConfigError) as excinfo:
+                config_from_dict({"scenario": "random_stable", "seed": seed})
+            assert "'seed'" in str(excinfo.value)
+        top = config_from_dict({"scenario": "random_stable", "seed": 2**64 - 1})
+        assert top.seed == 2**64 - 1
 
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -254,7 +268,9 @@ class TestBuildScenario:
         ],
     )
     def test_dimensions_must_match_the_built_system(self, raw):
-        config = config_from_dict(raw)
+        # A scenario that fixes a dimension does not read it as a key, so a
+        # config cannot claim a size the scenario does not build.
+        key = "m" if "m" in raw else "n"
         with pytest.raises(ConfigError) as excinfo:
-            build_scenario(config)
-        assert f"(n, m) = ({config.n}, {config.m})" in str(excinfo.value)
+            config_from_dict(raw)
+        assert f"does not read config key(s) {key}" in str(excinfo.value)

@@ -155,3 +155,5 @@ class TestConvergenceStudy:
             lab.stationary_convergence_study(sys_, z, [])
         with pytest.raises(ValueError):
             lab.stationary_convergence_study(sys_, z, [4.0, 2.0])
+        with pytest.raises(ValueError):
+            lab.stationary_convergence_study(sys_, z, [-1.0, 2.0])
