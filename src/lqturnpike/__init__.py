@@ -40,12 +40,12 @@ from .lq import (
 from .operators import (
     HypothesisReport,
     LtiSystem,
-    approx_control_operator,
     check_hypotheses,
     make_system,
     observability_gramian,
     semigroup,
     yosida,
+    yosida_system,
 )
 from .riccati import (
     AreSolution,
@@ -57,10 +57,10 @@ from .riccati import (
 from .stationary import (
     StationaryTriple,
     solve_stationary,
-    solve_stationary_approx,
     stationary_convergence_study,
 )
 from .turnpike import (
+    EnergyReport,
     TurnpikeReport,
     energy_diagnostics,
     fit_decay_rate,
@@ -71,6 +71,7 @@ from .turnpike import (
 )
 from .scenarios import (
     ExperimentConfig,
+    build_scenario,
     heat_1d,
     load_config,
     random_stable,

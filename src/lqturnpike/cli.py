@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import platform
@@ -42,7 +41,7 @@ from .errors import (
     UniquenessError,
 )
 from .lq import LqProblem, cost
-from .riccati import solve_are, solve_dre
+from .riccati import _step_count, solve_are, solve_dre
 from .scenarios import ExperimentConfig, _read_json, build_scenario, config_from_dict
 from .stationary import solve_stationary, stationary_convergence_study
 from .turnpike import SOLVERS, verify_turnpike, yosida_dynamic_study
@@ -79,8 +78,10 @@ class _Manifest:
     """Collects timings and output paths; written as manifest.json.
 
     The manifest also records the Python, numpy and scipy versions and the
-    process's peak resident set size when it is written.  ``config`` is
-    None for a command that reads no configuration.
+    process's peak resident set size when it is written.  Its ``config``
+    holds the values the scenario read, with the built n and m
+    (:meth:`ExperimentConfig.read_values`), and is None for a command that
+    reads no configuration.
     """
 
     def __init__(self, command: str, config: ExperimentConfig | None, out_dir: str):
@@ -108,7 +109,7 @@ class _Manifest:
     def finalize(self) -> None:
         payload = {
             "command": self.command,
-            "config": None if self.config is None else dataclasses.asdict(self.config),
+            "config": None if self.config is None else self.config.read_values(),
             "version": __version__,
             "timings_s": {k: round(v, 6) for k, v in self.timings.items()},
             "total_s": round(time.perf_counter() - self._t0, 6),
@@ -192,7 +193,7 @@ def cmd_riccati(args) -> int:
     manifest.write_csv("are.csv", *reporting.are_rows(are))
     with manifest.stage("dre"):
         horizon = config.horizons[0]
-        steps = int(round(horizon / config.dt))
+        steps = _step_count(horizon, config.dt)
         dre = solve_dre(system, horizon, np.zeros((system.n, system.n)), steps)
     manifest.write_csv("dre.csv", *reporting.dre_rows(dre))
     manifest.finalize()

@@ -67,7 +67,7 @@ from .errors import (
     ProblemSizeError,
 )
 from .operators import LtiSystem, riccati_backward_pass, riccati_step_flow
-from .riccati import _check_terminal_cost, _lock, lifted_orbit, solve_are
+from .riccati import _check_terminal_cost, _lock, _step_count, lifted_orbit, solve_are
 
 __all__ = [
     "LqProblem",
@@ -83,15 +83,6 @@ __all__ = [
 
 TRANSCRIPTION_UNKNOWN_CAP = 2_000_000
 _BLOWUP_LIMIT = 1e12
-
-
-def _step_count(horizon: float, dt: float) -> int:
-    """Number of whole steps of ``dt`` in ``horizon``; at least one."""
-    ratio = horizon / dt
-    nsteps = int(round(ratio))
-    if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * max(1.0, ratio):
-        raise ValueError(f"dt {dt} does not divide horizon {horizon} into whole steps")
-    return nsteps
 
 
 @dataclass(frozen=True)
@@ -144,7 +135,7 @@ class LqProblem:
 
     @property
     def n_steps(self) -> int:
-        return int(round(self.horizon / self.dt))
+        return _step_count(self.horizon, self.dt)
 
     @property
     def grid(self) -> np.ndarray:

@@ -6,9 +6,9 @@ operator C, all real matrices acting on Euclidean spaces.  On top of the
 triple it provides the building blocks the rest of the package relies on:
 
 * evaluation of the state semigroup ``e^{tA}``,
-* the resolvent smoother ``J_k = k (kI - A)^{-1}`` and the smoothed
-  control operator ``B_k = J_k B`` used to emulate unbounded control
-  operators at finite resolution,
+* the resolvent smoother ``J_k = k (kI - A)^{-1}`` and the approximate
+  system ``(A, J_k B, C)`` of :func:`yosida_system`, the one way the
+  package replaces a rough control operator by a bounded one,
 * the exact one-step flow of the Riccati equation of a triple, which is
   the one-step semigroup of its Hamiltonian, formed by
   structure-preserving doubling,
@@ -25,8 +25,8 @@ admissible at every fixed dimension, but that alone does not carry the
 turnpike estimate to the limit: the paper's hypothesis is that the
 admissibility constant, the largest eigenvalue of
 ``observability_gramian((A*, B*), tau)``, stays uniform along the
-approximating sequences (the Yosida operators B_k and the refined
-boundary column).
+approximating sequences (the Yosida systems ``(A, J_k B, C)`` and the
+refined boundary column).
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
     "make_system",
     "semigroup",
     "yosida",
-    "approx_control_operator",
+    "yosida_system",
     "observability_gramian",
     "check_hypotheses",
 ]
@@ -232,9 +232,21 @@ def yosida(sys: LtiSystem, k: float) -> np.ndarray:
         raise ResolventError(f"kI - A is singular for k={k}") from exc
 
 
-def approx_control_operator(sys: LtiSystem, k: float) -> np.ndarray:
-    """Smoothed control operator B_k = J_k B."""
-    return yosida(sys, k) @ sys.b
+def yosida_system(sys: LtiSystem, k: float) -> LtiSystem:
+    """The approximate system (A, J_k B, C), solved by the exact problem's own solver."""
+    return make_system(sys.a, yosida(sys, k) @ sys.b, sys.c)
+
+
+def _check_ks(ks) -> list:
+    """Smoothing parameters as floats; nonempty, positive and strictly increasing."""
+    ks = [float(k) for k in ks]
+    if not ks:
+        raise ValueError("ks must be nonempty")
+    if any(k <= 0.0 for k in ks):
+        raise ValueError("all ks must be positive")
+    if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
+        raise ValueError("ks must be strictly increasing")
+    return ks
 
 
 def riccati_step_flow(a, b, c, dt: float):

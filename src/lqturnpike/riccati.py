@@ -178,6 +178,15 @@ def _lock(*arrays):
     return arrays[0]
 
 
+def _step_count(horizon: float, dt: float) -> int:
+    """Number of whole steps of ``dt`` in ``horizon``; at least one."""
+    ratio = horizon / dt
+    nsteps = int(round(ratio))
+    if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * max(1.0, ratio):
+        raise ValueError(f"dt {dt} does not divide horizon {horizon} into whole steps")
+    return nsteps
+
+
 def _check_terminal_cost(p0, n: int) -> np.ndarray:
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (n, n):
@@ -261,9 +270,10 @@ def value_function_check(
     """Compare <P xi, xi> with the simulated infinite-horizon cost.
 
     Walks the closed-loop trajectory x' = A_cl x, with ``A_cl = are.a_cl``,
-    from xi exactly on the grid, as the orbit of the one-step propagator
-    e^{h A_cl} (:func:`lifted_orbit`), and integrates the running cost
-    |Cx|^2 + |u|^2, u = -B*P x, by trapezoid quadrature on [0, horizon].
+    from xi exactly on the grid of step ``dt``, as the orbit of the
+    one-step propagator e^{dt A_cl} (:func:`lifted_orbit`), and integrates
+    the running cost |Cx|^2 + |u|^2, u = -B*P x, by trapezoid quadrature
+    on [0, horizon].
 
     Returns
     -------
@@ -276,26 +286,27 @@ def value_function_check(
         norm above 1e-6, so the tail of the integral is not negligible.
     IntegrationError
         If the trajectory has non-finite values.
+    ValueError
+        If ``dt`` does not divide ``horizon`` into whole steps.
     """
     xi = np.asarray(xi, dtype=float).reshape(sys.n)
     horizon = float(horizon)
     dt = float(dt)
     if horizon <= 0.0 or dt <= 0.0:
         raise ValueError("horizon and dt must be positive")
+    nsteps = _step_count(horizon, dt)
     tail = np.linalg.norm(expm(horizon * are.a_cl), 2)
     if tail > 1e-6:
         raise TruncationError(
             f"closed-loop propagator norm {tail:.3e} at t={horizon} exceeds 1e-6; "
             "increase the truncation horizon"
         )
-    nsteps = max(2, int(round(horizon / dt)))
-    h = horizon / nsteps
-    x = lifted_orbit(expm(h * are.a_cl), xi, nsteps)
+    x = lifted_orbit(expm(dt * are.a_cl), xi, nsteps)
     if not np.all(np.isfinite(x)):
         raise IntegrationError("closed-loop trajectory has non-finite values")
     cx = x @ sys.c.T
     u = x @ are.p @ sys.b  # u = -B*P x; only |u|^2 enters
     running = np.sum(cx * cx, axis=1) + np.sum(u * u, axis=1)
-    simulated = float(h * (np.sum(running) - 0.5 * (running[0] + running[-1])))
+    simulated = float(dt * (np.sum(running) - 0.5 * (running[0] + running[-1])))
     quad_form = float(xi @ (are.p @ xi))
     return quad_form, simulated

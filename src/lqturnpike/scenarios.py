@@ -18,9 +18,8 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .lq import _step_count
-from .operators import LtiSystem, make_system, spectral_abscissa
-from .stationary import _check_ks
+from .operators import LtiSystem, _check_ks, make_system, spectral_abscissa
+from .riccati import _step_count
 from .turnpike import _solver
 
 __all__ = [
@@ -155,6 +154,11 @@ class ExperimentConfig:
     system: object = None  # inline matrices for the custom scenario
     solver: str = "transcription"  # a name in turnpike.SOLVERS
 
+    def read_values(self) -> dict:
+        """The values of the keys this scenario reads, with the built n and m."""
+        reads = _SCENARIOS[self.scenario][1]
+        return {key: getattr(self, key) for key in (*_COMMON_KEYS, *reads, "n", "m")}
+
 
 # Every key a configuration may set, with the dataclass default where there is one.
 _FIELD_DEFAULTS = {
@@ -186,10 +190,22 @@ def _seed(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _numbers(value) -> tuple:
     if isinstance(value, str):
         raise TypeError(f"expected a list of numbers, got {value!r}")
-    return tuple(float(v) for v in value)
+    return tuple(_number(v) for v in value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
 
 
 def _solver_name(name: str) -> str:
@@ -204,15 +220,15 @@ _PARSERS = {
     "n": _integer,
     "m": _integer,
     "seed": _seed,
-    "dt": float,
+    "dt": _number,
     "horizons": _numbers,
     "ks": lambda ks: tuple(_check_ks(_numbers(ks))),
-    "margin": float,
+    "margin": _number,
     "interval": _numbers,
     "target": lambda z: z if z is None or isinstance(z, str) else _numbers(z),
     "x0": lambda x0: None if x0 is None else _numbers(x0),
     "solver": _solver_name,
-    "output_dir": str,
+    "output_dir": _string,
 }
 
 

@@ -1,4 +1,4 @@
-"""Stationary optimization: the steady-state KKT triple and its smoothed variants.
+"""Stationary optimization: the steady-state KKT triple and its Yosida convergence.
 
 The stationary problem minimizes ``|Cx - z|^2 + |u|^2`` over all pairs with
 ``Ax + Bu = 0``.  Its optimality system is the linear saddle-point system
@@ -10,7 +10,9 @@ The stationary problem minimizes ``|Cx - z|^2 + |u|^2`` over all pairs with
 in the unknowns (x, u, y), where y is the Lagrange multiplier of the
 equality constraint.  The system is solved directly as one dense linear
 solve of dimension 2n + m; non-uniqueness surfaces as rank deficiency of
-the KKT matrix.
+the KKT matrix.  The approximate problems of the convergence study are the
+same problem on :func:`~lqturnpike.operators.yosida_system`, solved by the
+same :func:`solve_stationary`.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, UniquenessError
-from .operators import LtiSystem, approx_control_operator
+from .operators import LtiSystem, _check_ks, yosida_system
 
 __all__ = [
     "StationaryTriple",
     "solve_stationary",
-    "solve_stationary_approx",
     "stationary_convergence_study",
 ]
 
@@ -42,8 +43,8 @@ class StationaryTriple:
     * ``residual_adjoint``    = |A* y_bar + C*(C x_bar - z)|
     * ``residual_control``    = |u_bar + B* y_bar|
 
-    where B is the (possibly smoothed) control operator the triple was
-    solved with.
+    where A, B and C are the system the triple was solved with; for a
+    :func:`~lqturnpike.operators.yosida_system` B is B_k.
     """
 
     x_bar: np.ndarray
@@ -63,21 +64,9 @@ def _check_target(sys: LtiSystem, z) -> np.ndarray:
     return z
 
 
-def _check_ks(ks) -> list:
-    """Smoothing parameters as floats; nonempty, positive and strictly increasing."""
-    ks = [float(k) for k in ks]
-    if not ks:
-        raise ValueError("ks must be nonempty")
-    if any(k <= 0.0 for k in ks):
-        raise ValueError("all ks must be positive")
-    if any(k2 <= k1 for k1, k2 in zip(ks, ks[1:])):
-        raise ValueError("ks must be strictly increasing")
-    return ks
-
-
-def _solve_kkt(a: np.ndarray, b: np.ndarray, c: np.ndarray, z: np.ndarray):
-    n = a.shape[0]
-    m = b.shape[1]
+def _solve_kkt(sys: LtiSystem, z: np.ndarray):
+    a, b, c = sys.a, sys.b, sys.c
+    n, m = sys.n, sys.m
     dim = 2 * n + m
     kkt = np.zeros((dim, dim))
     rhs = np.zeros(dim)
@@ -114,21 +103,6 @@ def _solve_kkt(a: np.ndarray, b: np.ndarray, c: np.ndarray, z: np.ndarray):
     return sol[:n], sol[n : n + m], sol[n + m :]
 
 
-def _triple_from(a, b_eff, c, z) -> StationaryTriple:
-    x_bar, u_bar, y_bar = _solve_kkt(a, b_eff, c, z)
-    res_constraint = float(np.linalg.norm(a @ x_bar + b_eff @ u_bar))
-    res_adjoint = float(np.linalg.norm(a.T @ y_bar + c.T @ (c @ x_bar - z)))
-    res_control = float(np.linalg.norm(u_bar + b_eff.T @ y_bar))
-    return StationaryTriple(
-        x_bar=x_bar,
-        u_bar=u_bar,
-        y_bar=y_bar,
-        residual_constraint=res_constraint,
-        residual_adjoint=res_adjoint,
-        residual_control=res_control,
-    )
-
-
 def solve_stationary(sys: LtiSystem, z) -> StationaryTriple:
     """Solve the stationary problem for target z.
 
@@ -140,22 +114,20 @@ def solve_stationary(sys: LtiSystem, z) -> StationaryTriple:
         deficient rank.
     """
     z = _check_target(sys, z)
-    return _triple_from(sys.a, sys.b, sys.c, z)
-
-
-def solve_stationary_approx(sys: LtiSystem, z, k: float) -> StationaryTriple:
-    """Solve the stationary problem with the smoothed control operator B_k.
-
-    Identical to :func:`solve_stationary` with B replaced by
-    ``B_k = J_k B``; the control residual is evaluated against B_k.
-    """
-    z = _check_target(sys, z)
-    b_k = approx_control_operator(sys, k)
-    return _triple_from(sys.a, b_k, sys.c, z)
+    x_bar, u_bar, y_bar = _solve_kkt(sys, z)
+    a, b, c = sys.a, sys.b, sys.c
+    return StationaryTriple(
+        x_bar=x_bar,
+        u_bar=u_bar,
+        y_bar=y_bar,
+        residual_constraint=float(np.linalg.norm(a @ x_bar + b @ u_bar)),
+        residual_adjoint=float(np.linalg.norm(a.T @ y_bar + c.T @ (c @ x_bar - z))),
+        residual_control=float(np.linalg.norm(u_bar + b.T @ y_bar)),
+    )
 
 
 def stationary_convergence_study(sys: LtiSystem, z, ks):
-    """Error table of the smoothed triples against the exact triple.
+    """Error table of the triples of ``yosida_system(sys, k)`` against the exact triple.
 
     Parameters
     ----------
@@ -167,11 +139,10 @@ def stationary_convergence_study(sys: LtiSystem, z, ks):
     list of (k, err_x, err_u, err_y) tuples, ordered by k.
     """
     ks = _check_ks(ks)
-    z = _check_target(sys, z)
     exact = solve_stationary(sys, z)
     rows = []
     for k in ks:
-        approx = solve_stationary_approx(sys, z, k)
+        approx = solve_stationary(yosida_system(sys, k), z)
         rows.append(
             (
                 k,

@@ -28,9 +28,9 @@ from scipy.linalg import expm
 
 from .errors import ConfigError, DimensionError, GridMismatchError, UndefinedRateError
 from .lq import LqProblem, Trajectory, _trapezoid, solve_riccati_sweep, solve_transcription
-from .operators import LtiSystem, approx_control_operator, make_system
+from .operators import LtiSystem, _check_ks, yosida_system
 from .riccati import AreSolution, lifted_orbit
-from .stationary import StationaryTriple, _check_ks
+from .stationary import StationaryTriple
 
 __all__ = [
     "TurnpikeReport",
@@ -416,14 +416,14 @@ def energy_diagnostics(
     )
 
 
-def yosida_dynamic_study(prob: LqProblem, ks, solver: str = "riccati-sweep", jobs: int = 1):
+def yosida_dynamic_study(prob: LqProblem, ks, solver: str, jobs: int = 1):
     """Convergence table of Yosida-smoothed dynamic problems.
 
-    For each k the tracking problem is re-solved with the control
-    operator replaced by B_k = J_k B (same horizon, target, initial
-    state, terminal cost, and step), and the error against the exact-B
-    solution is tabulated.  Distinct k values may solve concurrently;
-    rows come back ordered by k either way.
+    For each k the tracking problem is re-solved by ``solver`` on
+    ``yosida_system(prob.sys, k)``, whose control operator is B_k = J_k B
+    (same horizon, target, initial state, terminal cost, and step), and
+    the error against the exact-B solution is tabulated.  Distinct k
+    values may solve concurrently; rows come back ordered by k either way.
 
     Returns
     -------
@@ -434,23 +434,11 @@ def yosida_dynamic_study(prob: LqProblem, ks, solver: str = "riccati-sweep", job
     ks = _check_ks(ks)
     solver_fn = _solver(solver)
     base = solver_fn(prob)
-    dt = prob.dt
 
     def run(k):
-        sys_k = make_system(
-            prob.sys.a, approx_control_operator(prob.sys, k), prob.sys.c
-        )
-        prob_k = LqProblem(
-            sys=sys_k,
-            horizon=prob.horizon,
-            target=prob.target,
-            x0=prob.x0,
-            p0=prob.p0,
-            dt=dt,
-        )
-        traj_k = solver_fn(prob_k)
+        traj_k = solver_fn(replace(prob, sys=yosida_system(prob.sys, k)))
         du_sq = np.sum((traj_k.u - base.u) ** 2, axis=1)
-        err_u = float(np.sqrt(_trapezoid(du_sq, dt)))
+        err_u = float(np.sqrt(_trapezoid(du_sq, prob.dt)))
         err_x = float(np.max(np.linalg.norm(traj_k.x - base.x, axis=1)))
         err_y = float(np.max(np.linalg.norm(traj_k.y - base.y, axis=1)))
         return (k, err_u, err_x, err_y)

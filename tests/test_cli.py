@@ -183,12 +183,23 @@ class TestExitCodes:
              "refine dt or lengthen the horizon"),
             ("turnpike", {"scenario": "scalar"}, ["--jobs", "0"], "--jobs"),
             ("verify", None, ["quick", "--jobs", "-3"], "--jobs"),
+            ("stationary", {"scenario": "scalar", "output_dir": None}, [],
+             "key 'output_dir'"),
+            ("stationary", {"scenario": "scalar", "dt": True, "horizons": [1]}, [],
+             "key 'dt'"),
+            ("stationary", {"scenario": "scalar", "horizons": [True]}, [], "key 'horizons'"),
+            ("stationary", {"scenario": "scalar", "ks": [True, 2]}, [], "key 'ks'"),
+            ("stationary", {"scenario": "random_stable", "margin": True}, [],
+             "key 'margin'"),
         ],
     )
     def test_malformed_input_is_input_error(
-        self, tmp_path, capsys, command, config, flags, message
+        self, tmp_path, capsys, monkeypatch, command, config, flags, message
     ):
-        argv = [command, *flags, "--out", str(tmp_path / "out")]
+        monkeypatch.chdir(tmp_path)  # a run that got through writes nothing elsewhere
+        argv = [command, *flags]
+        if config is None or "output_dir" not in config:
+            argv += ["--out", str(tmp_path / "out")]
         if config is not None:
             argv += ["--config", write_config(tmp_path, config)]
         try:
@@ -350,3 +361,12 @@ class TestCommands:
         # The interpreter with numpy and scipy loaded is already past 1 MiB.
         assert isinstance(manifest["peak_rss_mb"], float)
         assert 1.0 < manifest["peak_rss_mb"] < 1e6
+
+    def test_manifest_records_only_the_keys_read(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["stationary", "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        for unread in ("seed", "margin", "control", "interval", "system"):
+            assert unread not in config
+        assert (config["scenario"], config["n"], config["m"]) == ("scalar", 1, 1)
+        assert config["output_dir"] == str(out)

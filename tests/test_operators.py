@@ -104,19 +104,41 @@ class TestYosida:
             assert all(b <= a + 1e-15 for a, b in zip(errs[1:], errs[2:]))
             assert errs[-1] <= 1e-3 * np.linalg.norm(x)
 
+    # The approximate control operator B_k = J_k B is yosida_system(sys, k).b.
+
     def test_approx_control_operator_scalar(self):
         sys_ = lab.make_system([[-1.0]], [[1.0]], [[1.0]])
-        assert abs(lab.approx_control_operator(sys_, 1.0)[0, 0] - 0.5) < 1e-15
+        assert abs(lab.yosida_system(sys_, 1.0).b[0, 0] - 0.5) < 1e-15
 
     def test_approx_control_operator_zero_generator(self):
         b = np.array([[2.0], [3.0]])
         sys_ = lab.make_system(np.zeros((2, 2)), b, np.eye(2))
-        assert np.allclose(lab.approx_control_operator(sys_, 4.0), b, atol=1e-14)
+        assert np.allclose(lab.yosida_system(sys_, 4.0).b, b, atol=1e-14)
 
     def test_approx_control_operator_monotone_scalar(self):
         sys_ = lab.make_system([[-1.0]], [[1.0]], [[1.0]])
-        vals = [lab.approx_control_operator(sys_, k)[0, 0] for k in (10, 100, 1000)]
+        vals = [lab.yosida_system(sys_, k).b[0, 0] for k in (10, 100, 1000)]
         assert vals[0] < vals[1] < vals[2] < 1.0
+
+    def test_yosida_system_keeps_a_and_c(self, rand4):
+        sys_, _, _ = rand4
+        approx = lab.yosida_system(sys_, 8.0)
+        assert np.array_equal(approx.a, sys_.a) and np.array_equal(approx.c, sys_.c)
+        assert np.array_equal(approx.b, lab.yosida(sys_, 8.0) @ sys_.b)
+
+    @pytest.mark.parametrize("control", ["distributed", "boundary_flavored"])
+    def test_admissibility_constant_rises_to_the_exact_one(self, control):
+        # A is symmetric, so J_k is a contraction that commutes with the
+        # semigroup, and the (A*, B_k*) Gramian J_k G J_k grows with k
+        # towards the exact Gramian G.
+        sys_, _ = lab.heat_1d(50, control)
+        consts = [
+            lab.check_hypotheses(lab.yosida_system(sys_, 10.0**j)).obs_astar_bstar_max
+            for j in range(1, 6)
+        ]
+        exact = lab.check_hypotheses(sys_).obs_astar_bstar_max
+        assert all(a < b for a, b in zip(consts, consts[1:]))
+        assert consts[-1] < exact
 
 
 class TestObservabilityGramian:

@@ -183,6 +183,13 @@ class TestValueFunction:
         with pytest.raises(TruncationError):
             lab.value_function_check(sys_, are, np.ones(1), 1.0, 1e-3)
 
+    def test_step_must_divide_horizon(self, scalar, scalar_pipeline):
+        # The same rule as every other grid: no silent change of step.
+        sys_, _, _ = scalar
+        _, are = scalar_pipeline
+        with pytest.raises(ValueError, match="dt 0.3 does not divide horizon 20.0"):
+            lab.value_function_check(sys_, are, np.ones(1), 20.0, 0.3)
+
 
 class TestClosedLoopGenerator:
     """``AreSolution.a_cl`` is A - BB*P; its abscissa gives the decay rate."""

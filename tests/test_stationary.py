@@ -84,19 +84,21 @@ class TestSolveStationary:
 
 
 class TestSolveStationaryApprox:
+    # The approximate problem is the exact one on yosida_system(sys, k).
+
     def test_scalar_hand_kkt_with_smoothed_control(self, scalar):
         # Oracle: constraint becomes -x + u/2 = 0; minimizing (x-1)^2 + u^2
         # over that line gives x = 1/5, u = 2/5, and y = -(x - 1) / ... the
         # adjoint equation y = x - 1 yields y = -4/5.
         sys_, z, _ = scalar
-        triple = lab.solve_stationary_approx(sys_, z, k=1.0)
+        triple = lab.solve_stationary(lab.yosida_system(sys_, 1.0), z)
         assert abs(triple.x_bar[0] - 0.2) < 1e-12
         assert abs(triple.u_bar[0] - 0.4) < 1e-12
         assert abs(triple.y_bar[0] + 0.8) < 1e-12
 
     def test_zero_target(self, scalar):
         sys_, _, _ = scalar
-        triple = lab.solve_stationary_approx(sys_, np.zeros(1), k=3.0)
+        triple = lab.solve_stationary(lab.yosida_system(sys_, 3.0), np.zeros(1))
         assert abs(triple.x_bar[0]) < 1e-14
         assert abs(triple.u_bar[0]) < 1e-14
         assert abs(triple.y_bar[0]) < 1e-14
@@ -104,7 +106,7 @@ class TestSolveStationaryApprox:
     def test_large_k_matches_exact(self, scalar):
         sys_, z, _ = scalar
         exact = lab.solve_stationary(sys_, z)
-        approx = lab.solve_stationary_approx(sys_, z, k=1e6)
+        approx = lab.solve_stationary(lab.yosida_system(sys_, 1e6), z)
         assert abs(approx.x_bar[0] - exact.x_bar[0]) < 1e-5
         assert abs(approx.u_bar[0] - exact.u_bar[0]) < 1e-5
         assert abs(approx.y_bar[0] - exact.y_bar[0]) < 1e-5
@@ -113,8 +115,8 @@ class TestSolveStationaryApprox:
         # u_k = -B_k* y_k at solver tolerance, for each k.
         sys_, z, _ = rand4
         for k in (2.0, 16.0, 256.0):
-            triple = lab.solve_stationary_approx(sys_, z, k)
-            b_k = lab.approx_control_operator(sys_, k)
+            b_k = lab.yosida(sys_, k) @ sys_.b
+            triple = lab.solve_stationary(lab.yosida_system(sys_, k), z)
             defect = np.linalg.norm(triple.u_bar + b_k.T @ triple.y_bar)
             assert defect <= 1e-10 * max(1.0, np.linalg.norm(triple.u_bar))
 
