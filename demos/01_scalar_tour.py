@@ -40,11 +40,15 @@ def run():
     print("\ndifferential Riccati equation from zero terminal cost")
     print(f"  P_T(0) after T = 10 : {dre.p_samples[0][0, 0]:.12f} (tends to P)")
 
-    quad, sim = lab.value_function_check(sys_, are, np.array([1.0]), 12.0, 1e-3)
-    print("\nvalue function against brute-force quadrature")
-    print(f"  <P xi, xi> = {quad:.12f}, simulated cost = {sim:.12f}")
+    # Zero target and no terminal cost: the closed loop's cost up to T = 12
+    # is the infinite-horizon value <P xi, xi> up to a tail below 1e-14.
+    prob = lab.LqProblem(sys=sys_, horizon=12.0, target=np.zeros(1),
+                         x0=np.array([1.0]), p0=np.zeros((1, 1)), dt=1e-3)
+    traj = lab.solve_infinite_horizon(prob)
+    value = lab.cost(prob, traj)
+    print("\nvalue function against the closed-loop cost")
+    print(f"  <P xi, xi> = {are.p[0, 0]:.12f}, closed-loop cost = {value:.12f}")
 
-    traj = lab.solve_infinite_horizon(sys_, np.array([1.0]), 5.0, 1e-3)
     print("\nclosed-loop decay x(t) = e^(-sqrt(2) t)")
     for t_check in (0.5, 1.0, 2.0):
         idx = int(round(t_check / 1e-3))

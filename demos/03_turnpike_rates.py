@@ -22,7 +22,7 @@ def run():
 
     horizons = [5.0, 10.0, 20.0, 40.0]
     reports = lab.verify_turnpike(
-        sys_, stat, are, horizons, z=z, x0=x0, dt=1e-3
+        sys_, stat, are, horizons, z=z, x0=x0, dt=1e-3, solver="transcription"
     )
 
     print(f"{'T':>5} {'gap_x(T/2)':>12} {'fitted c':>10} {'fitted rate':>12} "

@@ -22,7 +22,6 @@ from .errors import (
     NotStabilizableError,
     ProblemSizeError,
     ResolventError,
-    TruncationError,
     UndefinedRateError,
     UniquenessError,
 )
@@ -52,7 +51,6 @@ from .riccati import (
     DreSolution,
     solve_are,
     solve_dre,
-    value_function_check,
 )
 from .stationary import (
     StationaryTriple,

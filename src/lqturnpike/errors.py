@@ -41,10 +41,6 @@ class IntegrationError(LqTurnpikeError):
     """A time integration diverged (norm blow-up)."""
 
 
-class TruncationError(LqTurnpikeError):
-    """A truncation horizon is too short for the requested accuracy."""
-
-
 class GridMismatchError(LqTurnpikeError, ValueError):
     """Sampled data is off the expected time grid, or the grid is too coarse."""
 

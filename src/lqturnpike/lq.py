@@ -47,6 +47,9 @@ Two solvers with independent error structure are provided:
     whose per-node matrix work dominates, step node by node.
 
 Both solvers are pure functions returning an immutable :class:`Trajectory`.
+:func:`solve_infinite_horizon` realizes the infinite-horizon problem on
+the same grid, the Riccati closed loop around the stationary pair; it
+does not solve the finite-horizon problem.
 """
 
 from __future__ import annotations
@@ -68,6 +71,7 @@ from .errors import (
 )
 from .operators import LtiSystem, riccati_backward_pass, riccati_step_flow
 from .riccati import _check_terminal_cost, _lock, _step_count, lifted_orbit, solve_are
+from .stationary import solve_stationary
 
 __all__ = [
     "LqProblem",
@@ -115,10 +119,6 @@ class LqProblem:
         n = self.sys.n
         horizon = float(self.horizon)
         dt = float(self.dt)
-        if horizon <= 0.0:
-            raise ValueError(f"horizon must be positive, got {horizon}")
-        if dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {dt}")
         _step_count(horizon, dt)
         target = np.asarray(self.target, dtype=float).reshape(-1)
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
@@ -617,30 +617,37 @@ def duality_residual(sys: LtiSystem, forward, backward, horizon: float, dt: floa
     )
 
 
-def solve_infinite_horizon(sys: LtiSystem, x0, horizon: float, dt: float) -> Trajectory:
-    """Closed-loop realization of the infinite-horizon problem, truncated.
+def solve_infinite_horizon(prob: LqProblem) -> Trajectory:
+    """Closed-loop realization of the infinite-horizon problem on the problem's grid.
 
-    Solves the Riccati equation, then walks x' = A_cl x, with the
-    closed-loop generator ``A_cl = A - BB*P`` of :func:`solve_are`, exactly
-    on the grid as the orbit of the one-step propagator e^{dt A_cl}
-    (:func:`~lqturnpike.riccati.lifted_orbit`) and sets y = P x,
-    u = -B* P x.
+    Solves the stationary pair (x_bar, y_bar) of ``prob.target`` and the
+    Riccati equation once, then walks
+
+        x(t) = x_bar + e^{t A_cl} (x0 - x_bar),
+
+    with the closed-loop generator ``A_cl = A - BB*P`` of :func:`solve_are`,
+    exactly on the grid as the orbit of the one-step propagator e^{dt A_cl}
+    (:func:`~lqturnpike.riccati.lifted_orbit`), and sets
+    y = y_bar + P (x - x_bar), u = -B* y.  The infinite-horizon problem has
+    no terminal cost, so ``prob.p0`` is not read; with a zero target,
+    ``cost(prob, traj)`` approximates the optimal cost <P x0, x0>.
 
     Raises
     ------
+    UniquenessError
+        If the stationary triple is not unique.
     IntegrationError
         If the trajectory has non-finite values.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    horizon = float(horizon)
-    dt = float(dt)
-    nsteps = _step_count(horizon, dt)
+    sys = prob.sys
+    stat = solve_stationary(sys, prob.target)
     are = solve_are(sys)
-    x_nodes = lifted_orbit(expm(dt * are.a_cl), x0, nsteps)
+    dev = lifted_orbit(expm(prob.dt * are.a_cl), prob.x0 - stat.x_bar, prob.n_steps)
+    x_nodes = stat.x_bar + dev
     if not np.all(np.isfinite(x_nodes)):
         raise IntegrationError("closed-loop trajectory has non-finite values")
-    y_nodes = x_nodes @ are.p
+    y_nodes = stat.y_bar + dev @ are.p
     u_nodes = -(y_nodes @ sys.b)
-    grid = np.linspace(0.0, horizon, nsteps + 1)
+    grid = prob.grid
     _lock(grid, x_nodes, y_nodes, u_nodes)
     return Trajectory(grid=grid, x=x_nodes, y=y_nodes, u=u_nodes, method="closed-loop")

@@ -9,9 +9,6 @@ the 2n x 2n Hamiltonian) followed by a few Newton-Kleinman refinement
 steps.  :func:`solve_are` also returns the closed-loop generator
 A - BB*P, formed once, and its spectral abscissa, whose negation is the
 turnpike rate; every closed-loop computation reads it from there.
-``<P xi, xi>`` is the optimal infinite-horizon cost from xi, a fact
-:func:`value_function_check` verifies against brute-force quadrature
-along the closed-loop trajectory.
 
 The finite-horizon value operator P_T(.) solves the matrix differential
 Riccati equation
@@ -32,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, schur, solve_continuous_lyapunov
+from scipy.linalg import schur, solve_continuous_lyapunov
 
 from .errors import (
     ConvergenceError,
@@ -40,7 +37,6 @@ from .errors import (
     GridMismatchError,
     IntegrationError,
     NotStabilizableError,
-    TruncationError,
 )
 from .operators import (
     LtiSystem,
@@ -54,7 +50,6 @@ __all__ = [
     "DreSolution",
     "solve_are",
     "solve_dre",
-    "value_function_check",
 ]
 
 @dataclass(frozen=True)
@@ -179,7 +174,14 @@ def _lock(*arrays):
 
 
 def _step_count(horizon: float, dt: float) -> int:
-    """Number of whole steps of ``dt`` in ``horizon``; at least one."""
+    """Number of whole steps of ``dt`` in ``horizon``; at least one.
+
+    The one check that a time grid's horizon and step are positive.
+    """
+    if horizon <= 0.0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
     ratio = horizon / dt
     nsteps = int(round(ratio))
     if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * max(1.0, ratio):
@@ -258,55 +260,3 @@ def lifted_orbit(m, v0, nsteps: int) -> np.ndarray:
         if lo <= nsteps:
             power = power @ power
     return orbit
-
-
-def value_function_check(
-    sys: LtiSystem,
-    are: AreSolution,
-    xi,
-    horizon: float,
-    dt: float,
-):
-    """Compare <P xi, xi> with the simulated infinite-horizon cost.
-
-    Walks the closed-loop trajectory x' = A_cl x, with ``A_cl = are.a_cl``,
-    from xi exactly on the grid of step ``dt``, as the orbit of the
-    one-step propagator e^{dt A_cl} (:func:`lifted_orbit`), and integrates
-    the running cost |Cx|^2 + |u|^2, u = -B*P x, by trapezoid quadrature
-    on [0, horizon].
-
-    Returns
-    -------
-    (quadratic_form, simulated_cost) : tuple of float
-
-    Raises
-    ------
-    TruncationError
-        If the closed-loop propagator at the truncation horizon still has
-        norm above 1e-6, so the tail of the integral is not negligible.
-    IntegrationError
-        If the trajectory has non-finite values.
-    ValueError
-        If ``dt`` does not divide ``horizon`` into whole steps.
-    """
-    xi = np.asarray(xi, dtype=float).reshape(sys.n)
-    horizon = float(horizon)
-    dt = float(dt)
-    if horizon <= 0.0 or dt <= 0.0:
-        raise ValueError("horizon and dt must be positive")
-    nsteps = _step_count(horizon, dt)
-    tail = np.linalg.norm(expm(horizon * are.a_cl), 2)
-    if tail > 1e-6:
-        raise TruncationError(
-            f"closed-loop propagator norm {tail:.3e} at t={horizon} exceeds 1e-6; "
-            "increase the truncation horizon"
-        )
-    x = lifted_orbit(expm(dt * are.a_cl), xi, nsteps)
-    if not np.all(np.isfinite(x)):
-        raise IntegrationError("closed-loop trajectory has non-finite values")
-    cx = x @ sys.c.T
-    u = x @ are.p @ sys.b  # u = -B*P x; only |u|^2 enters
-    running = np.sum(cx * cx, axis=1) + np.sum(u * u, axis=1)
-    simulated = float(dt * (np.sum(running) - 0.5 * (running[0] + running[-1])))
-    quad_form = float(xi @ (are.p @ xi))
-    return quad_form, simulated

@@ -319,8 +319,8 @@ def verify_turnpike(
     *,
     z,
     x0,
-    dt: float = 1e-3,
-    solver: str = "transcription",
+    dt: float,
+    solver: str,
     jobs: int = 1,
 ):
     """Turnpike reports for a list of horizons with one shared constant.

@@ -340,7 +340,7 @@ def check_rate_recovery(ctx: SuiteContext) -> CheckResult:
             horizon = float(max(10.0, np.ceil(10.0 / lam_ref)))
             report = verify_turnpike(
                 sys_, stat, are, [horizon],
-                z=np.ones(4), x0=np.zeros(4), dt=1e-3,
+                z=np.ones(4), x0=np.zeros(4), dt=1e-3, solver="transcription",
             )[0]
             err = abs(report.fitted_lambda - lam_ref) / lam_ref
             records.append(Record(f"seed-{seed} rate error", err, "<=", 0.05))

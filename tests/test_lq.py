@@ -26,8 +26,21 @@ def scalar_problem(sys_, z, x0, horizon=10.0, dt=1e-3, p0=None):
 class TestProblemValidation:
     def test_step_must_divide_horizon(self, scalar):
         sys_, z, x0 = scalar
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dt 0.0003 does not divide horizon 1.0"):
             scalar_problem(sys_, z, x0, horizon=1.0, dt=3e-4)
+
+    def test_coarse_step_must_divide_horizon(self, scalar):
+        # The same rule as every other grid: no silent change of step.
+        sys_, z, x0 = scalar
+        with pytest.raises(ValueError, match="dt 0.3 does not divide horizon 20.0"):
+            scalar_problem(sys_, z, x0, horizon=20.0, dt=0.3)
+
+    def test_horizon_and_step_must_be_positive(self, scalar):
+        sys_, z, x0 = scalar
+        with pytest.raises(ValueError, match="horizon must be positive, got -1.0"):
+            scalar_problem(sys_, z, x0, horizon=-1.0, dt=-0.1)
+        with pytest.raises(ValueError, match="dt must be positive, got 0.0"):
+            scalar_problem(sys_, z, x0, horizon=1.0, dt=0.0)
 
     def test_terminal_cost_must_be_psd(self, scalar):
         sys_, z, x0 = scalar
@@ -570,6 +583,16 @@ class TestDualityResidual:
         )
         assert res <= 1e-10
 
+    def test_negative_horizon_and_step_rejected(self, scalar):
+        # T / dt is a whole positive count here, but the grid runs backward.
+        sys_, _, _ = scalar
+        zeros = np.zeros((11, 1))
+        with pytest.raises(ValueError, match="horizon must be positive, got -1.0"):
+            lab.duality_residual(
+                sys_, (np.ones(1), zeros, zeros, np.zeros((1, 1))), (np.ones(1), zeros),
+                -1.0, -0.1,
+            )
+
     def test_second_order_in_dt(self, scalar):
         sys_, _, _ = scalar
         residuals = {}
@@ -616,31 +639,68 @@ class TestDualityResidual:
 class TestInfiniteHorizon:
     def test_zero_state(self, scalar):
         sys_, _, _ = scalar
-        traj = lab.solve_infinite_horizon(sys_, np.zeros(1), 5.0, 1e-3)
+        traj = lab.solve_infinite_horizon(
+            scalar_problem(sys_, np.zeros(1), np.zeros(1), horizon=5.0)
+        )
         assert np.allclose(traj.x, 0.0, atol=0.0)
         assert traj.method == "closed-loop"
 
+    def test_zero_state_costs_zero(self, scalar):
+        sys_, _, _ = scalar
+        prob = scalar_problem(sys_, np.zeros(1), np.zeros(1), horizon=12.0)
+        assert lab.cost(prob, lab.solve_infinite_horizon(prob)) == 0.0
+
     def test_scalar_closed_loop_exponential(self, scalar):
         sys_, _, _ = scalar
-        traj = lab.solve_infinite_horizon(sys_, np.ones(1), 5.0, 1e-3)
+        prob = scalar_problem(sys_, np.zeros(1), np.ones(1), horizon=5.0)
+        traj = lab.solve_infinite_horizon(prob)
         for t_check in (0.5, 1.0, 2.0):
             idx = int(round(t_check / 1e-3))
             assert abs(traj.x[idx, 0] - np.exp(-np.sqrt(2.0) * t_check)) <= 1e-8
 
     def test_cost_matches_value_operator(self, scalar, scalar_pipeline):
+        # <P x0, x0> is the optimal infinite-horizon cost.
         sys_, _, _ = scalar
         _, are = scalar_pipeline
-        traj = lab.solve_infinite_horizon(sys_, np.ones(1), 20.0, 1e-3)
-        prob = lab.LqProblem(
-            sys=sys_, horizon=20.0, target=np.zeros(1), x0=np.ones(1),
-            p0=np.zeros((1, 1)), dt=1e-3,
-        )
-        assert abs(lab.cost(prob, traj) - are.p[0, 0]) <= 1e-6
+        prob = scalar_problem(sys_, np.zeros(1), np.ones(1), horizon=20.0)
+        assert abs(lab.cost(prob, lab.solve_infinite_horizon(prob)) - are.p[0, 0]) <= 1e-6
+
+    def test_scalar_cost_matches_quadrature(self, scalar, scalar_pipeline):
+        # For the scalar system P = sqrt(2) - 1, and the tail beyond
+        # T = 12 is below 1e-14.
+        sys_, _, _ = scalar
+        _, are = scalar_pipeline
+        assert abs(are.p[0, 0] - (np.sqrt(2.0) - 1.0)) <= 1e-10
+        prob = scalar_problem(sys_, np.zeros(1), np.ones(1), horizon=12.0)
+        value = lab.cost(prob, lab.solve_infinite_horizon(prob))
+        assert abs(value - (np.sqrt(2.0) - 1.0)) <= 1e-6
+
+    def test_quadratic_homogeneity(self, scalar):
+        sys_, _, _ = scalar
+        costs = []
+        for scale in (1.0, 2.0):
+            prob = scalar_problem(sys_, np.zeros(1), scale * np.ones(1), horizon=12.0)
+            costs.append(lab.cost(prob, lab.solve_infinite_horizon(prob)))
+        assert abs(costs[1] - 4.0 * costs[0]) <= 1e-9
 
     def test_decay_envelope(self, scalar, scalar_pipeline):
         sys_, _, _ = scalar
         _, are = scalar_pipeline
         lam = -are.closed_loop_abscissa
-        traj = lab.solve_infinite_horizon(sys_, np.ones(1), 10.0, 1e-3)
+        prob = scalar_problem(sys_, np.zeros(1), np.ones(1), horizon=10.0)
+        traj = lab.solve_infinite_horizon(prob)
         envelope = np.exp(-lam * traj.grid)
         assert np.all(np.abs(traj.x[:, 0]) <= envelope * (1.0 + 1e-9))
+
+    def test_target_shifts_to_the_stationary_pair(self, scalar):
+        # z = 1: (x_bar, y_bar) = (1/2, -1/2), so from x0 = 0 the closed
+        # loop is x = (1 - e^{-sqrt(2) t}) / 2 and y = -1/2 + P (x - 1/2).
+        sys_, z, _ = scalar
+        traj = lab.solve_infinite_horizon(
+            scalar_problem(sys_, z, np.zeros(1), horizon=5.0)
+        )
+        x_exact = 0.5 * (1.0 - np.exp(-np.sqrt(2.0) * traj.grid))
+        y_exact = -0.5 + (np.sqrt(2.0) - 1.0) * (x_exact - 0.5)
+        assert np.max(np.abs(traj.x[:, 0] - x_exact)) <= 1e-8
+        assert np.max(np.abs(traj.y[:, 0] - y_exact)) <= 1e-8
+        assert np.array_equal(traj.u, -traj.y)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import lqturnpike as lab
-from lqturnpike.errors import NotStabilizableError, TruncationError
+from lqturnpike.errors import NotStabilizableError
 from lqturnpike.operators import (
     _lifted_backward_pass,
     _stepwise_backward_pass,
@@ -153,42 +153,6 @@ class TestLiftedOrbit:
         got = lifted_orbit(m, want[0], nsteps)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-class TestValueFunction:
-    def test_zero_state(self, scalar, scalar_pipeline):
-        sys_, _, _ = scalar
-        _, are = scalar_pipeline
-        quad, sim = lab.value_function_check(sys_, are, np.zeros(1), 12.0, 1e-3)
-        assert quad == 0.0 and abs(sim) < 1e-14
-
-    def test_scalar_matches_quadrature(self, scalar, scalar_pipeline):
-        sys_, _, _ = scalar
-        _, are = scalar_pipeline
-        quad, sim = lab.value_function_check(sys_, are, np.ones(1), 12.0, 1e-3)
-        assert abs(quad - (np.sqrt(2.0) - 1.0)) <= 1e-10
-        assert abs(quad - sim) <= 1e-6
-
-    def test_quadratic_homogeneity(self, scalar, scalar_pipeline):
-        sys_, _, _ = scalar
-        _, are = scalar_pipeline
-        quad1, sim1 = lab.value_function_check(sys_, are, np.ones(1), 12.0, 1e-3)
-        quad2, sim2 = lab.value_function_check(sys_, are, 2.0 * np.ones(1), 12.0, 1e-3)
-        assert abs(quad2 - 4.0 * quad1) <= 1e-12
-        assert abs(sim2 - 4.0 * sim1) <= 1e-9
-
-    def test_short_horizon_rejected(self, scalar, scalar_pipeline):
-        sys_, _, _ = scalar
-        _, are = scalar_pipeline
-        with pytest.raises(TruncationError):
-            lab.value_function_check(sys_, are, np.ones(1), 1.0, 1e-3)
-
-    def test_step_must_divide_horizon(self, scalar, scalar_pipeline):
-        # The same rule as every other grid: no silent change of step.
-        sys_, _, _ = scalar
-        _, are = scalar_pipeline
-        with pytest.raises(ValueError, match="dt 0.3 does not divide horizon 20.0"):
-            lab.value_function_check(sys_, are, np.ones(1), 20.0, 0.3)
 
 
 class TestClosedLoopGenerator:

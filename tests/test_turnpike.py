@@ -165,7 +165,8 @@ class TestVerifyTurnpike:
         stat0 = lab.solve_stationary(sys_, np.zeros(1))
         are = lab.solve_are(sys_)
         reports = verify_turnpike(
-            sys_, stat0, are, [2.0], z=np.zeros(1), x0=stat0.x_bar, dt=1e-3
+            sys_, stat0, are, [2.0], z=np.zeros(1), x0=stat0.x_bar, dt=1e-3,
+            solver="transcription",
         )
         assert reports[0].bound_satisfied
         assert np.max(reports[0].gap_x) <= 1e-9
@@ -174,7 +175,8 @@ class TestVerifyTurnpike:
         sys_, z, x0 = scalar
         stat, are = scalar_pipeline
         reports = verify_turnpike(
-            sys_, stat, are, [5.0, 10.0, 20.0], z=z, x0=x0, dt=1e-3
+            sys_, stat, are, [5.0, 10.0, 20.0], z=z, x0=x0, dt=1e-3,
+            solver="transcription",
         )
         assert all(r.bound_satisfied for r in reports)
         assert all(r.fitted_lambda > 0 for r in reports)
@@ -194,7 +196,8 @@ class TestVerifyTurnpike:
         sys_, z, x0 = scalar
         stat, are = scalar_pipeline
         reports = verify_turnpike(
-            sys_, stat, are, [5.0, 10.0, 20.0, 40.0], z=z, x0=x0, dt=1e-3
+            sys_, stat, are, [5.0, 10.0, 20.0, 40.0], z=z, x0=x0, dt=1e-3,
+            solver="transcription",
         )
         c_values = [r.c_min for r in reports]
         assert max(c_values) <= 2.0 * min(c_values)
@@ -204,7 +207,7 @@ class TestVerifyTurnpike:
         sys_, z, x0 = scalar
         stat, are = scalar_pipeline
         report = verify_turnpike(
-            sys_, stat, are, [10.0], z=z, x0=x0, dt=1e-3
+            sys_, stat, are, [10.0], z=z, x0=x0, dt=1e-3, solver="transcription"
         )[0]
         scale = np.linalg.norm(x0 - stat.x_bar) + np.linalg.norm(stat.y_bar)
         envelope = np.exp(-report.fitted_lambda * report.grid) + np.exp(
@@ -218,7 +221,7 @@ class TestVerifyTurnpike:
     def test_window_convention_symmetric(self, scalar_run):
         sys_, z, x0, stat, are, prob, traj = scalar_run
         report = verify_turnpike(
-            sys_, stat, are, [10.0], z=z, x0=x0, dt=1e-3
+            sys_, stat, are, [10.0], z=z, x0=x0, dt=1e-3, solver="transcription"
         )[0]
         # I_t for t and T - t is the same interval, so the windowed gap is
         # symmetric about the midpoint.
@@ -228,9 +231,11 @@ class TestVerifyTurnpike:
     def test_concurrent_jobs_match_sequential(self, scalar, scalar_pipeline):
         sys_, z, x0 = scalar
         stat, are = scalar_pipeline
-        seq = verify_turnpike(sys_, stat, are, [3.0, 5.0], z=z, x0=x0, dt=1e-3)
+        seq = verify_turnpike(
+            sys_, stat, are, [3.0, 5.0], z=z, x0=x0, dt=1e-3, solver="transcription"
+        )
         par = verify_turnpike(
-            sys_, stat, are, [3.0, 5.0], z=z, x0=x0, dt=1e-3, jobs=2
+            sys_, stat, are, [3.0, 5.0], z=z, x0=x0, dt=1e-3, solver="transcription", jobs=2
         )
         for a, b in zip(seq, par):
             assert a.horizon == b.horizon
