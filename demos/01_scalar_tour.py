@@ -36,14 +36,14 @@ def run():
     print(f"  residual   = {are.residual:.3e}")
     print(f"  closed loop abscissa = {are.closed_loop_abscissa:.12f} (= -sqrt(2))")
 
-    dre = lab.solve_dre(sys_, 10.0, np.zeros((1, 1)), 10_000)
+    dre = lab.solve_dre(sys_, 10.0, np.zeros((1, 1)), 1e-3)
     print("\ndifferential Riccati equation from zero terminal cost")
     print(f"  P_T(0) after T = 10 : {dre.p_samples[0][0, 0]:.12f} (tends to P)")
 
     # Zero target and no terminal cost: the closed loop's cost up to T = 12
     # is the infinite-horizon value <P xi, xi> up to a tail below 1e-14.
     prob = lab.LqProblem(sys=sys_, horizon=12.0, target=np.zeros(1),
-                         x0=np.array([1.0]), p0=np.zeros((1, 1)), dt=1e-3)
+                         x0=np.array([1.0]), dt=1e-3)
     traj = lab.solve_infinite_horizon(prob)
     value = lab.cost(prob, traj)
     print("\nvalue function against the closed-loop cost")

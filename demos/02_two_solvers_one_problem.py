@@ -16,7 +16,7 @@ import lqturnpike as lab
 def run():
     sys_, z, x0 = lab.scalar_example()
     prob = lab.LqProblem(
-        sys=sys_, horizon=10.0, target=z, x0=x0, p0=np.zeros((1, 1)), dt=1e-3
+        sys=sys_, horizon=10.0, target=z, x0=x0, dt=1e-3
     )
 
     direct = lab.solve_transcription(prob)
@@ -44,7 +44,7 @@ def run():
     print("\nagreement improves at second order under step refinement")
     for dt in (2e-3, 1e-3, 5e-4):
         p = lab.LqProblem(
-            sys=sys_, horizon=2.0, target=z, x0=x0, p0=np.zeros((1, 1)), dt=dt
+            sys=sys_, horizon=2.0, target=z, x0=x0, dt=dt
         )
         gap = np.max(np.abs(lab.solve_transcription(p).x - lab.solve_riccati_sweep(p).x))
         print(f"  dt = {dt:g}: max state gap = {gap:.3e}")

@@ -8,22 +8,15 @@ rate of the closed-loop generator, and checks the semigroup propagation
 of h, which is the mechanism behind the whole estimate.
 """
 
-import numpy as np
-
 import lqturnpike as lab
 
 
 def run():
     sys_, z, x0 = lab.scalar_example()
-    stat = lab.solve_stationary(sys_, z)
-    are = lab.solve_are(sys_)
-    lam_ref = -are.closed_loop_abscissa
+    prob = lab.LqProblem(sys=sys_, horizon=10.0, target=z, x0=x0, dt=1e-3)
+    reports = lab.verify_turnpike(prob, [5.0, 10.0, 20.0, 40.0], solver="transcription")
+    lam_ref = reports[0].lambda_reference
     print(f"spectral decay rate of the closed loop: {lam_ref:.6f} (= sqrt(2))\n")
-
-    horizons = [5.0, 10.0, 20.0, 40.0]
-    reports = lab.verify_turnpike(
-        sys_, stat, are, horizons, z=z, x0=x0, dt=1e-3, solver="transcription"
-    )
 
     print(f"{'T':>5} {'gap_x(T/2)':>12} {'fitted c':>10} {'fitted rate':>12} "
           f"{'propagation':>12} {'bound':>6}")

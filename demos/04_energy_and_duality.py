@@ -17,7 +17,7 @@ def run():
     sys_, z, x0 = lab.scalar_example()
     stat = lab.solve_stationary(sys_, z)
     prob = lab.LqProblem(
-        sys=sys_, horizon=10.0, target=z, x0=x0, p0=np.zeros((1, 1)), dt=1e-3
+        sys=sys_, horizon=10.0, target=z, x0=x0, dt=1e-3
     )
     traj = lab.solve_transcription(prob)
 

@@ -6,8 +6,6 @@ that convergence for the stationary problem and for a finite-horizon
 tracking problem on the scalar instance.
 """
 
-import numpy as np
-
 import lqturnpike as lab
 from lqturnpike.turnpike import yosida_dynamic_study
 
@@ -23,7 +21,7 @@ def run():
     print("each column shrinks like 1/k once k clears the spectrum of A.\n")
 
     prob = lab.LqProblem(
-        sys=sys_, horizon=10.0, target=z, x0=x0, p0=np.zeros((1, 1)), dt=1e-3
+        sys=sys_, horizon=10.0, target=z, x0=x0, dt=1e-3
     )
     print("dynamic problem (T = 10): errors against the exact-B solution")
     print(f"{'k':>8} {'u (L2)':>12} {'x (max)':>12} {'y (max)':>12}")

@@ -38,7 +38,7 @@ def run():
     print(f"  closed-loop decay rate: {lam:.4f}")
 
     prob = lab.LqProblem(
-        sys=sys_, horizon=20.0, target=z, x0=x0, p0=np.zeros((n, n)), dt=1e-2
+        sys=sys_, horizon=20.0, target=z, x0=x0, dt=1e-2
     )
     print("\nsolving T = 20 at the PDE step...")
     traj = lab.solve_riccati_sweep(prob)
@@ -55,8 +55,7 @@ def run():
 
     bsys, bz = lab.heat_1d(n, "boundary_flavored", profile="bump")
     bprob = lab.LqProblem(
-        sys=bsys, horizon=5.0, target=bz, x0=np.zeros(n),
-        p0=np.zeros((n, n)), dt=1e-2,
+        sys=bsys, horizon=5.0, target=bz, x0=np.zeros(n), dt=1e-2
     )
     print("\nsmoothing study on the boundary-flavored variant (transcription)")
     for k, err_u, _, _ in yosida_dynamic_study(

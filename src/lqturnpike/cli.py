@@ -40,8 +40,8 @@ from .errors import (
     ResolventError,
     UniquenessError,
 )
-from .lq import LqProblem, cost
-from .riccati import _step_count, solve_are, solve_dre
+from .lq import cost
+from .riccati import solve_are, solve_dre
 from .scenarios import ExperimentConfig, _read_json, build_scenario, config_from_dict
 from .stationary import solve_stationary, stationary_convergence_study
 from .turnpike import SOLVERS, verify_turnpike, yosida_dynamic_study
@@ -148,11 +148,11 @@ def _prepare(args, command: str):
 def cmd_stationary(args) -> int:
     config, manifest = _prepare(args, "stationary")
     with manifest.stage("solve"):
-        system, target, _ = build_scenario(config)
-        triple = solve_stationary(system, target)
+        prob = build_scenario(config)
+        triple = solve_stationary(prob.sys, prob.target)
     manifest.write_csv("stationary.csv", *reporting.stationary_rows(triple))
     manifest.finalize()
-    scale = max(1.0, float(np.linalg.norm(target)))
+    scale = max(1.0, float(np.linalg.norm(prob.target)))
     worst = max(
         triple.residual_constraint, triple.residual_adjoint, triple.residual_control
     )
@@ -169,32 +169,25 @@ def cmd_stationary(args) -> int:
 def cmd_solve(args) -> int:
     config, manifest = _prepare(args, "solve")
     with manifest.stage("build"):
-        system, target, x0 = build_scenario(config)
-        horizon = config.horizons[0]
-        prob = LqProblem(
-            sys=system, horizon=horizon, target=target, x0=x0,
-            p0=np.zeros((system.n, system.n)), dt=config.dt,
-        )
+        prob = build_scenario(config)
     with manifest.stage("solve"):
         traj = SOLVERS[config.solver](prob)
     with manifest.stage("emit"):
         manifest.write_csv("trajectory.csv", *reporting.trajectory_rows(traj))
         value = cost(prob, traj)
     manifest.finalize()
-    print(f"solve: method={traj.method} T={horizon} cost={value:.12g}")
+    print(f"solve: method={traj.method} T={prob.horizon} cost={value:.12g}")
     return EXIT_OK
 
 
 def cmd_riccati(args) -> int:
     config, manifest = _prepare(args, "riccati")
     with manifest.stage("are"):
-        system, _, _ = build_scenario(config)
-        are = solve_are(system)
+        prob = build_scenario(config)
+        are = solve_are(prob.sys)
     manifest.write_csv("are.csv", *reporting.are_rows(are))
     with manifest.stage("dre"):
-        horizon = config.horizons[0]
-        steps = _step_count(horizon, config.dt)
-        dre = solve_dre(system, horizon, np.zeros((system.n, system.n)), steps)
+        dre = solve_dre(prob.sys, prob.horizon, prob.p0, prob.dt)
     manifest.write_csv("dre.csv", *reporting.dre_rows(dre))
     manifest.finalize()
     print(
@@ -206,19 +199,8 @@ def cmd_riccati(args) -> int:
 def cmd_turnpike(args) -> int:
     config, manifest = _prepare(args, "turnpike")
     with manifest.stage("pipeline"):
-        system, target, x0 = build_scenario(config)
-        stat = solve_stationary(system, target)
-        are = solve_are(system)
         reports = verify_turnpike(
-            system,
-            stat,
-            are,
-            config.horizons,
-            z=target,
-            x0=x0,
-            dt=config.dt,
-            solver=config.solver,
-            jobs=args.jobs,
+            build_scenario(config), config.horizons, solver=config.solver, jobs=args.jobs
         )
     with manifest.stage("emit"):
         for report in reports:
@@ -243,14 +225,10 @@ def cmd_turnpike(args) -> int:
 def cmd_yosida(args) -> int:
     config, manifest = _prepare(args, "yosida")
     with manifest.stage("stationary-study"):
-        system, target, x0 = build_scenario(config)
-        stat_rows = stationary_convergence_study(system, target, config.ks)
+        prob = build_scenario(config)
+        stat_rows = stationary_convergence_study(prob.sys, prob.target, config.ks)
     manifest.write_csv("yosida_stationary.csv", *reporting.study_rows(stat_rows))
     with manifest.stage("dynamic-study"):
-        prob = LqProblem(
-            sys=system, horizon=config.horizons[0], target=target, x0=x0,
-            p0=np.zeros((system.n, system.n)), dt=config.dt,
-        )
         dyn_rows = yosida_dynamic_study(
             prob, config.ks, solver=config.solver, jobs=args.jobs
         )

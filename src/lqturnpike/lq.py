@@ -102,18 +102,18 @@ class LqProblem:
         Tracking target z.
     x0 : (n,) ndarray
         Initial state.
-    p0 : (n, n) ndarray
-        Symmetric positive semidefinite terminal-cost operator.
     dt : float
         Uniform step; T/dt must be an integer number of steps.
+    p0 : (n, n) ndarray, optional
+        Symmetric positive semidefinite terminal-cost operator; zero if omitted.
     """
 
     sys: LtiSystem
     horizon: float
     target: np.ndarray
     x0: np.ndarray
-    p0: np.ndarray
     dt: float
+    p0: np.ndarray = None
 
     def __post_init__(self):
         n = self.sys.n
@@ -126,7 +126,7 @@ class LqProblem:
             raise DimensionError(f"target must have length {n}, got {target.shape}")
         if x0.shape != (n,):
             raise DimensionError(f"x0 must have length {n}, got {x0.shape}")
-        p0 = _check_terminal_cost(self.p0, n)
+        p0 = _check_terminal_cost(np.zeros((n, n)) if self.p0 is None else self.p0, n)
         for name, arr in (("target", target), ("x0", x0), ("p0", p0)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

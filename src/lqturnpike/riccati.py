@@ -202,27 +202,28 @@ def _check_terminal_cost(p0, n: int) -> np.ndarray:
     return 0.5 * (p0 + p0.T)
 
 
-def solve_dre(sys: LtiSystem, horizon: float, p0, steps: int) -> DreSolution:
+def solve_dre(sys: LtiSystem, horizon: float, p0, dt: float) -> DreSolution:
     """Solve the differential Riccati equation backward from P_T(T) = p0.
 
-    Samples P_T on ``steps`` uniform intervals (at least 2) with the
-    exact flow over one interval, :func:`~lqturnpike.operators.riccati_step_flow`,
-    applied by :func:`~lqturnpike.operators.riccati_backward_pass`.  The
-    samples carry no time-discretization error, so the step count sets
-    only where P_T is sampled, and a stiff generator needs no finer step.
-    Every sample is symmetrized, and the terminal sample is ``p0`` itself.
+    Samples P_T at the nodes of the uniform grid of step ``dt`` on [0, T]
+    (at least 2 steps) with the exact flow over one step,
+    :func:`~lqturnpike.operators.riccati_step_flow`, applied by
+    :func:`~lqturnpike.operators.riccati_backward_pass`.  The samples
+    carry no time-discretization error, so ``dt`` sets only where P_T is
+    sampled, and a stiff generator needs no finer step.  Every sample is
+    symmetrized, and the terminal sample is ``p0`` itself.
 
     Raises
     ------
+    ValueError
+        Unless ``dt`` splits a positive horizon into whole steps.
     GridMismatchError
-        If ``steps`` is below 2.
+        If the grid has fewer than 2 steps.
     IntegrationError
         If a sample is non-finite.
     """
     horizon = float(horizon)
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    steps = int(steps)
+    steps = _step_count(horizon, dt)
     if steps < 2:
         raise GridMismatchError(
             f"steps must be at least 2, got {steps}: refine dt or lengthen the horizon"

@@ -18,6 +18,7 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
+from .lq import LqProblem
 from .operators import LtiSystem, _check_ks, make_system, spectral_abscissa
 from .riccati import _step_count
 from .turnpike import _solver
@@ -311,8 +312,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(**cfg)
 
 
-def build_scenario(config: ExperimentConfig):
-    """Materialize (system, target, initial state); each builder checks what it reads."""
+def build_scenario(config: ExperimentConfig) -> LqProblem:
+    """The tracking problem on the first horizon; each builder checks what it reads.
+
+    :class:`~lqturnpike.lq.LqProblem` checks the lengths of the target and
+    the initial state (DimensionError).
+    """
     if config.scenario == "scalar":
         sys, z, x0 = scalar_example()
     elif config.scenario == "random_stable":
@@ -329,11 +334,7 @@ def build_scenario(config: ExperimentConfig):
         x0 = np.zeros(sys.n)
 
     if config.target is not None and not isinstance(config.target, str):
-        z = np.asarray(config.target, dtype=float)
+        z = config.target
     if config.x0 is not None:
-        x0 = np.asarray(config.x0, dtype=float)
-    if z.shape != (sys.n,):
-        raise ConfigError(f"target must have length {sys.n}, got shape {z.shape}")
-    if x0.shape != (sys.n,):
-        raise ConfigError(f"x0 must have length {sys.n}, got shape {x0.shape}")
-    return sys, z, x0
+        x0 = config.x0
+    return LqProblem(sys=sys, horizon=config.horizons[0], target=z, x0=x0, dt=config.dt)

@@ -29,8 +29,8 @@ from scipy.linalg import expm
 from .errors import ConfigError, DimensionError, GridMismatchError, UndefinedRateError
 from .lq import LqProblem, Trajectory, _trapezoid, solve_riccati_sweep, solve_transcription
 from .operators import LtiSystem, _check_ks, yosida_system
-from .riccati import AreSolution, lifted_orbit
-from .stationary import StationaryTriple
+from .riccati import AreSolution, lifted_orbit, solve_are
+from .stationary import StationaryTriple, solve_stationary
 
 __all__ = [
     "TurnpikeReport",
@@ -256,27 +256,20 @@ def _windowed_control_gap(u_dev_sq_int: np.ndarray, grid: np.ndarray) -> np.ndar
     return np.sqrt(np.maximum(u_dev_sq_int[hi] - u_dev_sq_int[lo], 0.0))
 
 
-def _report_for_horizon(sys, stat, are, horizon, z, x0, scale, dt, solver_fn):
-    prob = LqProblem(
-        sys=sys,
-        horizon=horizon,
-        target=z,
-        x0=x0,
-        p0=np.zeros((sys.n, sys.n)),
-        dt=dt,
-    )
+def _report_for_horizon(prob, stat, are, scale, solver_fn):
+    horizon = prob.horizon
     traj = solver_fn(prob)
     grid = traj.grid
     gap_x = np.linalg.norm(traj.x - stat.x_bar, axis=1)
     gap_y = np.linalg.norm(traj.y - stat.y_bar, axis=1)
     u_dev_sq = np.sum((traj.u - stat.u_bar) ** 2, axis=1)
     cum = np.concatenate(
-        [[0.0], np.cumsum(0.5 * dt * (u_dev_sq[:-1] + u_dev_sq[1:]))]
+        [[0.0], np.cumsum(0.5 * prob.dt * (u_dev_sq[:-1] + u_dev_sq[1:]))]
     )
     gap_u_window = _windowed_control_gap(cum, grid)
     h = h_trajectory(traj, stat, are)
     h_norm = np.linalg.norm(h, axis=1)
-    prop_res = propagation_residual(h, sys, are, grid)
+    prop_res = propagation_residual(h, prob.sys, are, grid)
     lam_ref = -are.closed_loop_abscissa
 
     if scale <= _TRIVIAL_SCALE:
@@ -311,25 +304,17 @@ def _envelope(grid, horizon, lam):
     return np.exp(-lam * grid) + np.exp(-lam * (horizon - grid))
 
 
-def verify_turnpike(
-    sys: LtiSystem,
-    stat: StationaryTriple,
-    are: AreSolution,
-    horizons,
-    *,
-    z,
-    x0,
-    dt: float,
-    solver: str,
-    jobs: int = 1,
-):
+def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
     """Turnpike reports for a list of horizons with one shared constant.
 
-    For each horizon the tracking problem is solved with zero terminal
-    cost, node-wise gaps against the stationary triple are collected, the
-    decay rate of the reversed deviation is fitted on the initial layer
-    (of length ``min(T/2, 5 / lambda_reference)``, trimmed to its inner
-    10%-90% to avoid endpoint noise), and the envelope bound
+    The stationary triple of ``prob.target`` and the Riccati solution are
+    solved once.  Each horizon T solves ``replace(prob, horizon=T)`` by
+    ``solver``: ``prob.horizon`` is replaced by each horizon and never
+    read, and ``prob.p0`` is solved as given (zero at every caller).  For
+    each horizon the node-wise gaps against the stationary triple are
+    collected, the decay rate of the reversed deviation is fitted on the
+    initial layer (of length ``min(T/2, 5 / lambda_reference)``, trimmed
+    to its inner 10%-90% to avoid endpoint noise), and the envelope bound
 
         gap(t) <= c (e^{-lambda t} + e^{-lambda (T - t)}) (|x0 - x_bar| + |y_bar|)
 
@@ -342,15 +327,16 @@ def verify_turnpike(
     list of TurnpikeReport, ordered like ``horizons``.
     """
     solver_fn = _solver(solver)
-    horizons = [float(t) for t in horizons]
-    z = np.asarray(z, dtype=float).reshape(sys.n)
-    x0 = np.asarray(x0, dtype=float).reshape(sys.n)
-    scale = float(np.linalg.norm(x0 - stat.x_bar) + np.linalg.norm(stat.y_bar))
+    stat = solve_stationary(prob.sys, prob.target)
+    are = solve_are(prob.sys)
+    scale = float(np.linalg.norm(prob.x0 - stat.x_bar) + np.linalg.norm(stat.y_bar))
 
     def run(horizon):
-        return _report_for_horizon(sys, stat, are, horizon, z, x0, scale, dt, solver_fn)
+        return _report_for_horizon(
+            replace(prob, horizon=horizon), stat, are, scale, solver_fn
+        )
 
-    partials = _map(run, horizons, jobs)
+    partials = _map(run, list(horizons), jobs)
 
     c_uniform = max((p.c_min for p in partials), default=0.0)
     reports = []

@@ -20,7 +20,7 @@ import operator
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -37,7 +37,7 @@ from .lq import (
     solve_transcription,
 )
 from .operators import make_system, spectral_abscissa
-from .riccati import solve_are, solve_dre
+from .riccati import _step_count, solve_are, solve_dre
 from .scenarios import heat_1d, random_stable, random_target_and_state, scalar_example
 from .stationary import solve_stationary, stationary_convergence_study
 from .turnpike import (
@@ -140,22 +140,22 @@ class SuiteContext:
 
     def __init__(self, quick: bool = False, jobs: int = 1):
         self.quick = quick
-        self.jobs = max(1, int(jobs))
+        self.jobs = jobs
 
     # scalar pipeline -----------------------------------------------------
 
     @cached_property
-    def scalar(self):
-        return scalar_example()
+    def scalar_problem(self):
+        sys_, z, x0 = scalar_example()
+        return LqProblem(sys=sys_, horizon=10.0, target=z, x0=x0, dt=1e-3)
 
     @cached_property
     def scalar_stationary(self):
-        sys_, z, _ = self.scalar
-        return solve_stationary(sys_, z)
+        return solve_stationary(self.scalar_problem.sys, self.scalar_problem.target)
 
     @cached_property
     def scalar_are(self):
-        return solve_are(self.scalar[0])
+        return solve_are(self.scalar_problem.sys)
 
     @property
     def scalar_horizons(self):
@@ -163,27 +163,14 @@ class SuiteContext:
 
     @cached_property
     def scalar_reports(self):
-        sys_, z, x0 = self.scalar
         return verify_turnpike(
-            sys_,
-            self.scalar_stationary,
-            self.scalar_are,
-            self.scalar_horizons,
-            z=z,
-            x0=x0,
-            dt=1e-3,
-            solver="transcription",
-            jobs=self.jobs,
+            self.scalar_problem, self.scalar_horizons,
+            solver="transcription", jobs=self.jobs,
         )
 
     @cached_property
     def scalar_t10_trajectory(self):
-        sys_, z, x0 = self.scalar
-        prob = LqProblem(
-            sys=sys_, horizon=10.0, target=z, x0=x0,
-            p0=np.zeros((1, 1)), dt=1e-3,
-        )
-        return prob, solve_transcription(prob)
+        return solve_transcription(self.scalar_problem)
 
     # seeded random pipeline ----------------------------------------------
 
@@ -196,27 +183,21 @@ class SuiteContext:
     # heat pipeline ---------------------------------------------------------
 
     @cached_property
-    def heat(self):
+    def heat_problem(self):
         sys_, z = heat_1d(50, "distributed", (0.25, 0.75), "bump")
-        return sys_, z, np.zeros(50)
+        return LqProblem(sys=sys_, horizon=20.0, target=z, x0=np.zeros(50), dt=1e-2)
 
     @cached_property
     def heat_stationary(self):
-        sys_, z, _ = self.heat
-        return solve_stationary(sys_, z)
+        return solve_stationary(self.heat_problem.sys, self.heat_problem.target)
 
     @cached_property
     def heat_are(self):
-        return solve_are(self.heat[0])
+        return solve_are(self.heat_problem.sys)
 
     @cached_property
     def heat_trajectory(self):
-        sys_, z, x0 = self.heat
-        prob = LqProblem(
-            sys=sys_, horizon=20.0, target=z, x0=x0,
-            p0=np.zeros((50, 50)), dt=1e-2,
-        )
-        return prob, solve_riccati_sweep(prob)
+        return solve_riccati_sweep(self.heat_problem)
 
 
 # --- criterion 1 ---------------------------------------------------------
@@ -255,19 +236,15 @@ def check_scalar_stationary(ctx: SuiteContext) -> CheckResult:
 
 
 def _state_adjoint_defect(sys_, x0, dt):
-    n = sys_.n
-    prob = LqProblem(
-        sys=sys_, horizon=1.0, target=np.zeros(n), x0=x0,
-        p0=np.zeros((n, n)), dt=dt,
-    )
+    prob = LqProblem(sys=sys_, horizon=1.0, target=np.zeros(sys_.n), x0=x0, dt=dt)
     traj = solve_transcription(prob)
-    dre = solve_dre(sys_, 1.0, np.zeros((n, n)), prob.n_steps)
+    dre = solve_dre(sys_, prob.horizon, prob.p0, dt)
     relation = np.einsum("tij,tj->ti", dre.p_samples, traj.x)
     return float(np.max(np.linalg.norm(traj.y - relation, axis=1)))
 
 
 def check_state_adjoint(ctx: SuiteContext) -> CheckResult:
-    cases = [("scalar", ctx.scalar[0], np.array([1.0]))]
+    cases = [("scalar", ctx.scalar_problem.sys, np.array([1.0]))]
     if not ctx.quick:
         sys4, _, x04 = ctx.rand4
         cases.append(("random-4x4", sys4, x04))
@@ -285,13 +262,13 @@ def check_state_adjoint(ctx: SuiteContext) -> CheckResult:
 
 
 def check_dre_constancy(ctx: SuiteContext) -> CheckResult:
-    cases = [("scalar", ctx.scalar[0], ctx.scalar_are)]
+    cases = [("scalar", ctx.scalar_problem.sys, ctx.scalar_are)]
     if not ctx.quick:
         sys4 = ctx.rand4[0]
         cases.append(("random-4x4", sys4, solve_are(sys4)))
     records = []
     for label, sys_, are in cases:
-        dre = solve_dre(sys_, 5.0, are.p, 5000)
+        dre = solve_dre(sys_, 5.0, are.p, 1e-3)
         dev = float(np.max(np.linalg.norm(dre.p_samples - are.p, axis=(1, 2))))
         records.append(Record(f"{label} max|P_T - P|", dev, "<=", 1e-8))
     return CheckResult("4 dre-constancy", 5.0, records)
@@ -304,22 +281,20 @@ def check_propagation(ctx: SuiteContext) -> CheckResult:
     scalar_res = next(
         r for r in ctx.scalar_reports if r.horizon == 10.0
     ).propagation_residual
-    sys_, z, x0 = ctx.scalar
-    prob_half = LqProblem(
-        sys=sys_, horizon=10.0, target=z, x0=x0, p0=np.zeros((1, 1)), dt=5e-4
-    )
+    prob_half = replace(ctx.scalar_problem, dt=5e-4)
     traj_half = solve_transcription(prob_half)
     h_half = h_trajectory(traj_half, ctx.scalar_stationary, ctx.scalar_are)
-    half_res = propagation_residual(h_half, sys_, ctx.scalar_are, traj_half.grid)
+    half_res = propagation_residual(h_half, prob_half.sys, ctx.scalar_are, traj_half.grid)
     records = [
         Record("scalar residual", scalar_res, "<=", 1e-6),
         Record("dt-halving ratio", scalar_res / half_res, "in", (2.5, 8.0)),
     ]
     if not ctx.quick:
-        hsys, _, _ = ctx.heat
-        _, heat_traj = ctx.heat_trajectory
+        heat_traj = ctx.heat_trajectory
         h_heat = h_trajectory(heat_traj, ctx.heat_stationary, ctx.heat_are)
-        heat_res = propagation_residual(h_heat, hsys, ctx.heat_are, heat_traj.grid)
+        heat_res = propagation_residual(
+            h_heat, ctx.heat_problem.sys, ctx.heat_are, heat_traj.grid
+        )
         records.append(Record("heat residual", heat_res, "<=", 1e-4))
     return CheckResult("5 propagation", 30.0, records)
 
@@ -334,14 +309,12 @@ def check_rate_recovery(ctx: SuiteContext) -> CheckResult:
     if not ctx.quick:
         for seed in RATE_SEEDS:
             sys_ = random_stable(4, 2, seed)
-            stat = solve_stationary(sys_, np.ones(4))
-            are = solve_are(sys_)
-            lam_ref = -are.closed_loop_abscissa
+            lam_ref = -solve_are(sys_).closed_loop_abscissa
             horizon = float(max(10.0, np.ceil(10.0 / lam_ref)))
-            report = verify_turnpike(
-                sys_, stat, are, [horizon],
-                z=np.ones(4), x0=np.zeros(4), dt=1e-3, solver="transcription",
-            )[0]
+            prob = LqProblem(
+                sys=sys_, horizon=horizon, target=np.ones(4), x0=np.zeros(4), dt=1e-3
+            )
+            report = verify_turnpike(prob, [horizon], solver="transcription")[0]
             err = abs(report.fitted_lambda - lam_ref) / lam_ref
             records.append(Record(f"seed-{seed} rate error", err, "<=", 0.05))
     return CheckResult("6 rate-recovery", 20.0, records)
@@ -377,11 +350,16 @@ def check_turnpike_bound(ctx: SuiteContext) -> CheckResult:
 
 
 def check_energy_identity(ctx: SuiteContext) -> CheckResult:
-    cases = [("scalar", ctx.scalar, ctx.scalar_t10_trajectory, ctx.scalar_stationary, 1e-6)]
+    cases = [
+        ("scalar", ctx.scalar_problem.sys, ctx.scalar_t10_trajectory,
+         ctx.scalar_stationary, 1e-6),
+    ]
     if not ctx.quick:
-        cases.append(("heat", ctx.heat, ctx.heat_trajectory, ctx.heat_stationary, 1e-4))
+        cases.append(
+            ("heat", ctx.heat_problem.sys, ctx.heat_trajectory, ctx.heat_stationary, 1e-4)
+        )
     records = []
-    for label, (sys_, _, _), (_, traj), stat, tol in cases:
+    for label, sys_, traj, stat, tol in cases:
         report = energy_diagnostics(traj, stat, sys_)
         records += [
             Record(f"{label} identity residual", report.identity_residual, "<=", tol),
@@ -416,7 +394,7 @@ def _duality_dataset(seed, dt):
     y0 = 0.5 * rng.standard_normal(n)
     z_t = 0.5 * rng.standard_normal(n)
     sys_ = make_system(a, b, np.eye(n))
-    grid = np.linspace(0.0, horizon, int(round(horizon / dt)) + 1)
+    grid = np.linspace(0.0, horizon, _step_count(horizon, dt) + 1)
     sig = np.random.Generator(np.random.Philox(key=seed).jumped())
     f = _smooth_signals(sig, n, grid)
     u = _smooth_signals(sig, m, grid)
@@ -449,12 +427,9 @@ def _non_decreasing_steps(values) -> int:
 
 
 def check_yosida(ctx: SuiteContext) -> CheckResult:
-    sys_, z, x0 = ctx.scalar
+    prob = ctx.scalar_problem
     ks = [2.0**j for j in range(1, 11)]
-    stat_rows = stationary_convergence_study(sys_, z, ks)
-    prob = LqProblem(
-        sys=sys_, horizon=10.0, target=z, x0=x0, p0=np.zeros((1, 1)), dt=1e-3
-    )
+    stat_rows = stationary_convergence_study(prob.sys, prob.target, ks)
     dyn_rows = yosida_dynamic_study(prob, ks, solver="riccati-sweep")
     records = []
     for label, rows in (("stationary", stat_rows), ("dynamic", dyn_rows)):
@@ -469,10 +444,7 @@ def check_yosida(ctx: SuiteContext) -> CheckResult:
     ]
     if not ctx.quick:
         hsys, hz = heat_1d(50, "boundary_flavored", profile="bump")
-        hprob = LqProblem(
-            sys=hsys, horizon=5.0, target=hz, x0=np.zeros(50),
-            p0=np.zeros((50, 50)), dt=1e-2,
-        )
+        hprob = LqProblem(sys=hsys, horizon=5.0, target=hz, x0=np.zeros(50), dt=1e-2)
         heat_rows = yosida_dynamic_study(
             hprob, [10.0, 100.0, 1000.0], solver="transcription"
         )
@@ -552,16 +524,17 @@ def _sampled_cost_margins(prob, traj, v, eps_values):
 
 def check_optimality(ctx: SuiteContext) -> CheckResult:
     samples = 100
-    sys_, z, _ = ctx.scalar
+    prob = ctx.scalar_problem
     stat = ctx.scalar_stationary
-    margins = [("scalar-stationary", _null_space_margin(sys_, z, stat, samples, seed=101))]
+    margin = _null_space_margin(prob.sys, prob.target, stat, samples, seed=101)
+    margins = [("scalar-stationary", margin)]
     if not ctx.quick:
         sys4, z4, _ = ctx.rand4
         stat4 = solve_stationary(sys4, z4)
         margins.append(
             ("random-stationary", _null_space_margin(sys4, z4, stat4, samples, seed=102))
         )
-    prob, traj = ctx.scalar_t10_trajectory
+    traj = ctx.scalar_t10_trajectory
     rng = np.random.Generator(np.random.Philox(key=103))
     v = rng.standard_normal((prob.n_steps + 1, 1, samples))
     sampled = _sampled_cost_margins(prob, traj, v, (0.1, -0.1, 0.01, -0.01))

@@ -87,6 +87,14 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("target", [1.0, 2.0]), ("x0", [0.0, 0.0])])
+    def test_wrong_vector_length_is_input_error(self, tmp_path, capsys, key, value):
+        path = write_config(
+            tmp_path, {"scenario": "scalar", key: value, "output_dir": str(tmp_path / "out")}
+        )
+        assert main(["solve", "--config", path]) == 2
+        assert f"{key} must have length 1" in capsys.readouterr().err
+
     def test_rank_deficient_scenario_exit_two(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

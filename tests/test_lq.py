@@ -81,7 +81,7 @@ class TestSolveTranscription:
         sys_, _, _ = scalar
         prob = scalar_problem(sys_, np.zeros(1), np.ones(1), horizon=1.0)
         traj = lab.solve_transcription(prob)
-        dre = lab.solve_dre(sys_, 1.0, np.zeros((1, 1)), prob.n_steps)
+        dre = lab.solve_dre(sys_, 1.0, prob.p0, prob.dt)
         assert abs(lab.cost(prob, traj) - dre.p_samples[0][0, 0]) <= 1e-5
 
     def test_optimality_law_exact_at_nodes(self, scalar):
@@ -107,7 +107,7 @@ class TestSolveTranscription:
         sys_, _, _ = scalar
         prob = scalar_problem(sys_, np.zeros(1), np.ones(1), horizon=1.0)
         traj = lab.solve_transcription(prob)
-        dre = lab.solve_dre(sys_, 1.0, np.zeros((1, 1)), prob.n_steps)
+        dre = lab.solve_dre(sys_, 1.0, prob.p0, prob.dt)
         relation = np.einsum("tij,tj->ti", dre.p_samples, traj.x)
         assert np.max(np.linalg.norm(traj.y - relation, axis=1)) <= 1e-5
 

@@ -219,21 +219,24 @@ class TestConfig:
 class TestBuildScenario:
     def test_scalar(self):
         config = config_from_dict({"scenario": "scalar"})
-        sys_, z, x0 = build_scenario(config)
-        assert sys_.n == 1 and z[0] == 1.0 and x0[0] == 0.0
+        prob = build_scenario(config)
+        assert prob.sys.n == 1 and prob.target[0] == 1.0 and prob.x0[0] == 0.0
+        assert prob.horizon == 5.0 and prob.dt == 1e-3
+        assert np.array_equal(prob.p0, np.zeros((1, 1)))
 
     def test_random_deterministic(self):
         config = config_from_dict({"scenario": "random_stable", "seed": 5})
-        s1 = build_scenario(config)
-        s2 = build_scenario(config)
-        assert np.array_equal(s1[0].a, s2[0].a)
-        assert np.array_equal(s1[1], s2[1])
-        assert np.array_equal(s1[2], s2[2])
+        p1 = build_scenario(config)
+        p2 = build_scenario(config)
+        assert np.array_equal(p1.sys.a, p2.sys.a)
+        assert np.array_equal(p1.target, p2.target)
+        assert np.array_equal(p1.x0, p2.x0)
 
     def test_heat_default_initial_state(self):
         config = config_from_dict({"scenario": "heat_1d", "horizons": [5.0]})
-        sys_, z, x0 = build_scenario(config)
-        assert sys_.n == 50 and np.all(x0 == 0.0) and z.shape == (50,)
+        prob = build_scenario(config)
+        assert prob.sys.n == 50 and np.all(prob.x0 == 0.0) and prob.target.shape == (50,)
+        assert prob.horizon == 5.0 and prob.dt == 1e-2
 
     def test_custom_requires_system(self):
         with pytest.raises(ConfigError):
@@ -249,15 +252,16 @@ class TestBuildScenario:
                 "horizons": [1.0],
             }
         )
-        sys_, z, x0 = build_scenario(config)
-        assert sys_.n == 1 and z[0] == 2.0 and x0[0] == 0.5
+        prob = build_scenario(config)
+        assert prob.sys.n == 1 and prob.target[0] == 2.0 and prob.x0[0] == 0.5
+        assert prob.horizon == 1.0
 
     def test_inline_overrides_for_builtin(self):
         config = config_from_dict(
             {"scenario": "scalar", "target": [3.0], "x0": [1.0]}
         )
-        _, z, x0 = build_scenario(config)
-        assert z[0] == 3.0 and x0[0] == 1.0
+        prob = build_scenario(config)
+        assert prob.target[0] == 3.0 and prob.x0[0] == 1.0
 
     @pytest.mark.parametrize(
         "raw",

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,14 +23,17 @@ from lqturnpike.turnpike import (
 
 
 @pytest.fixture(scope="module")
-def scalar_run(scalar, scalar_pipeline):
+def scalar_problem(scalar):
+    sys_, z, x0 = scalar
+    return lab.LqProblem(sys=sys_, horizon=10.0, target=z, x0=x0, dt=1e-3)
+
+
+@pytest.fixture(scope="module")
+def scalar_run(scalar, scalar_pipeline, scalar_problem):
     sys_, z, x0 = scalar
     stat, are = scalar_pipeline
-    prob = lab.LqProblem(
-        sys=sys_, horizon=10.0, target=z, x0=x0, p0=np.zeros((1, 1)), dt=1e-3
-    )
-    traj = lab.solve_transcription(prob)
-    return sys_, z, x0, stat, are, prob, traj
+    traj = lab.solve_transcription(scalar_problem)
+    return sys_, z, x0, stat, are, scalar_problem, traj
 
 
 class TestHTrajectory:
@@ -163,20 +167,16 @@ class TestVerifyTurnpike:
     def test_trivial_on_turnpike_start(self, scalar):
         sys_, _, _ = scalar
         stat0 = lab.solve_stationary(sys_, np.zeros(1))
-        are = lab.solve_are(sys_)
-        reports = verify_turnpike(
-            sys_, stat0, are, [2.0], z=np.zeros(1), x0=stat0.x_bar, dt=1e-3,
-            solver="transcription",
+        prob = lab.LqProblem(
+            sys=sys_, horizon=2.0, target=np.zeros(1), x0=stat0.x_bar, dt=1e-3
         )
+        reports = verify_turnpike(prob, [2.0], solver="transcription")
         assert reports[0].bound_satisfied
         assert np.max(reports[0].gap_x) <= 1e-9
 
-    def test_scalar_horizons(self, scalar, scalar_pipeline):
-        sys_, z, x0 = scalar
-        stat, are = scalar_pipeline
+    def test_scalar_horizons(self, scalar_problem):
         reports = verify_turnpike(
-            sys_, stat, are, [5.0, 10.0, 20.0], z=z, x0=x0, dt=1e-3,
-            solver="transcription",
+            scalar_problem, [5.0, 10.0, 20.0], solver="transcription"
         )
         assert all(r.bound_satisfied for r in reports)
         assert all(r.fitted_lambda > 0 for r in reports)
@@ -192,23 +192,17 @@ class TestVerifyTurnpike:
         assert mids[20.0] <= 0.2 * mids[10.0]
         assert mids[10.0] < 1e-2 and mids[20.0] < 1e-2
 
-    def test_uniform_constant_bounded_across_horizons(self, scalar, scalar_pipeline):
-        sys_, z, x0 = scalar
-        stat, are = scalar_pipeline
+    def test_uniform_constant_bounded_across_horizons(self, scalar_problem):
         reports = verify_turnpike(
-            sys_, stat, are, [5.0, 10.0, 20.0, 40.0], z=z, x0=x0, dt=1e-3,
-            solver="transcription",
+            scalar_problem, [5.0, 10.0, 20.0, 40.0], solver="transcription"
         )
         c_values = [r.c_min for r in reports]
         assert max(c_values) <= 2.0 * min(c_values)
         assert all(r.c_uniform == max(c_values) for r in reports)
 
-    def test_control_window_estimate(self, scalar, scalar_pipeline):
-        sys_, z, x0 = scalar
-        stat, are = scalar_pipeline
-        report = verify_turnpike(
-            sys_, stat, are, [10.0], z=z, x0=x0, dt=1e-3, solver="transcription"
-        )[0]
+    def test_control_window_estimate(self, scalar_run):
+        _, _, x0, stat, _, prob, _ = scalar_run
+        report = verify_turnpike(prob, [10.0], solver="transcription")[0]
         scale = np.linalg.norm(x0 - stat.x_bar) + np.linalg.norm(stat.y_bar)
         envelope = np.exp(-report.fitted_lambda * report.grid) + np.exp(
             -report.fitted_lambda * (report.horizon - report.grid)
@@ -218,29 +212,34 @@ class TestVerifyTurnpike:
         # Degenerate window at the midpoint is zero by convention.
         assert report.gap_u_window[len(report.grid) // 2] == 0.0
 
-    def test_window_convention_symmetric(self, scalar_run):
-        sys_, z, x0, stat, are, prob, traj = scalar_run
-        report = verify_turnpike(
-            sys_, stat, are, [10.0], z=z, x0=x0, dt=1e-3, solver="transcription"
-        )[0]
+    def test_window_convention_symmetric(self, scalar_problem):
+        report = verify_turnpike(scalar_problem, [10.0], solver="transcription")[0]
         # I_t for t and T - t is the same interval, so the windowed gap is
         # symmetric about the midpoint.
         guw = report.gap_u_window
         assert np.allclose(guw, guw[::-1], atol=1e-12)
 
-    def test_concurrent_jobs_match_sequential(self, scalar, scalar_pipeline):
-        sys_, z, x0 = scalar
-        stat, are = scalar_pipeline
-        seq = verify_turnpike(
-            sys_, stat, are, [3.0, 5.0], z=z, x0=x0, dt=1e-3, solver="transcription"
-        )
-        par = verify_turnpike(
-            sys_, stat, are, [3.0, 5.0], z=z, x0=x0, dt=1e-3, solver="transcription", jobs=2
-        )
+    def test_concurrent_jobs_match_sequential(self, scalar_problem):
+        seq = verify_turnpike(scalar_problem, [3.0, 5.0], solver="transcription")
+        par = verify_turnpike(scalar_problem, [3.0, 5.0], solver="transcription", jobs=2)
         for a, b in zip(seq, par):
             assert a.horizon == b.horizon
             assert np.array_equal(a.gap_x, b.gap_x)
             assert a.fitted_lambda == b.fitted_lambda
+
+    def test_problem_horizon_is_not_read(self, scalar_problem):
+        # Problems that differ only in their horizon give equal reports.
+        reports = [
+            verify_turnpike(
+                replace(scalar_problem, horizon=t), [3.0, 5.0], solver="transcription"
+            )
+            for t in (10.0, 2.0)
+        ]
+        for a, b in zip(*reports):
+            assert a.horizon == b.horizon
+            for name in ("grid", "gap_x", "gap_y", "gap_u_window", "h_norm"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            assert (a.fitted_lambda, a.c_uniform) == (b.fitted_lambda, b.c_uniform)
 
 
 class TestStaggeredDeviationEquation:
@@ -248,7 +247,7 @@ class TestStaggeredDeviationEquation:
         # h_T(t) = y - y_bar - P_T(t)(x - x_bar) obeys
         # h_T' = (-A* + P_T B B*) h_T; checked by central differences.
         sys_, _, _, stat, are, prob, traj = scalar_run
-        dre = lab.solve_dre(sys_, prob.horizon, np.zeros((1, 1)), prob.n_steps)
+        dre = lab.solve_dre(sys_, prob.horizon, prob.p0, prob.dt)
         x_dev = traj.x - stat.x_bar
         h_t = traj.y - stat.y_bar - np.einsum("tij,tj->ti", dre.p_samples, x_dev)
         dt = prob.dt
