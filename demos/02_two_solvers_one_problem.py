@@ -1,10 +1,11 @@
 """Two independent solvers for one tracking problem.
 
-The direct transcription solver discretizes first and optimizes the
-resulting sparse quadratic program; the Riccati sweep optimizes first and
-integrates the resulting feedback and feedforward equations.  Their error
-mechanisms are unrelated, so node-wise agreement is a strong consistency
-check.  The script also shows the optimality law u = -B* y holding at
+The transcription solver discretizes first, with the trapezoid rule, and
+solves the resulting quadratic program exactly; the Riccati sweep
+optimizes first and follows the exact flow of the resulting feedback and
+feedforward equations.  Both run the same backward and forward passes,
+but over different one-step maps, so their error mechanisms are
+unrelated and node-wise agreement is a strong consistency check.  The script also shows the optimality law u = -B* y holding at
 every node and the adjoint recomputation round trip.
 """
 

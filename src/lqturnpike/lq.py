@@ -15,17 +15,18 @@ Two solvers with independent error structure are provided:
 
 ``solve_transcription``
     Discretize-then-optimize.  The dynamics are discretized with the
-    implicit trapezoid rule, the cost with trapezoid quadrature, and the
-    resulting sparse symmetric KKT system in all node states and controls
-    is solved directly.  Nodal adjoints are recovered from the constraint
-    multipliers: the multipliers live naturally at interval midpoints, so
-    adjacent multipliers are averaged onto nodes and the two boundary
-    nodes get a half-step correction from the adjoint equation, which
-    keeps the recovery second-order accurate up to and including the
-    endpoints.  The discrete optimality law then fixes u = -B* y at every
-    node (at interior nodes this reproduces the KKT controls exactly; the
-    nodal control values at t = 0 and t = T are a convention, since the
-    continuous problem only determines u in L^2).
+    implicit trapezoid rule and the cost with trapezoid quadrature; that
+    discrete LQ problem's KKT system is solved exactly by the sweep's own
+    passes over the trapezoid's one-step map.  Nodal adjoints are
+    recovered from the constraint multipliers: the multipliers live
+    naturally at interval midpoints, so adjacent multipliers are averaged
+    onto nodes and the two boundary nodes get a half-step correction
+    from the adjoint equation, which keeps the recovery second-order
+    accurate up to and including the endpoints.  The discrete optimality
+    law then fixes u = -B* y at every node (at interior nodes this
+    reproduces the discrete controls exactly; the nodal control values at
+    t = 0 and t = T are a convention, since the continuous problem only
+    determines u in L^2).
 
 ``solve_riccati_sweep``
     Optimize-then-discretize.  The value operator P_T(.) solves the
@@ -46,7 +47,10 @@ Two solvers with independent error structure are provided:
     O(log N) batched calls instead of one call per node; larger states,
     whose per-node matrix work dominates, step node by node.
 
-Both solvers are pure functions returning an immutable :class:`Trajectory`.
+The two solvers share the passes but not the flow: the transcription
+steps by the trapezoid's Cayley map, the sweep by the exact flow of the
+Riccati pair, so their errors stay independent.  Both are pure functions
+returning an immutable :class:`Trajectory`.
 :func:`solve_infinite_horizon` realizes the infinite-horizon problem on
 the same grid, the Riccati closed loop around the stationary pair; it
 does not solve the finite-horizon problem.
@@ -58,9 +62,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-from scipy.linalg import expm
-from scipy.sparse.linalg import MatrixRankWarning, spsolve
+from scipy.linalg import LinAlgWarning, expm, lu_factor, lu_solve
 
 from .errors import (
     DimensionError,
@@ -85,6 +87,8 @@ __all__ = [
     "solve_infinite_horizon",
 ]
 
+# Largest N (n + m) the transcription takes; a solve holds the
+# (N + 1)(n + m + 1)^2 doubles of its Q samples.
 TRANSCRIPTION_UNKNOWN_CAP = 2_000_000
 _BLOWUP_LIMIT = 1e12
 
@@ -431,89 +435,63 @@ def solve_riccati_sweep(prob: LqProblem) -> Trajectory:
     return Trajectory(grid=grid, x=x_nodes, y=y_nodes, u=u_nodes, method="riccati-sweep")
 
 
-def _stamp(rows, cols, data, r0s, c0s, block):
-    """Append the non-zero entries of one block at each (row, col) offset pair."""
-    block = np.asarray(block, dtype=float)
-    br, bc = np.nonzero(block)
-    r0s = np.atleast_1d(np.asarray(r0s, dtype=np.int64))
-    c0s = np.atleast_1d(np.asarray(c0s, dtype=np.int64))
-    rows.append((r0s[:, None] + br[None, :]).ravel())
-    cols.append((c0s[:, None] + bc[None, :]).ravel())
-    data.append(np.tile(block[br, bc], len(r0s)))
+def _nodal_adjoint(prob: LqProblem, x_nodes, nu):
+    """Nodal adjoints from the transcription's midpoint multipliers.
 
-
-def _kkt_system(prob: LqProblem):
-    """Sparse KKT matrix and right-hand side of the transcribed problem.
-
-    The unknowns are all node states, then all node controls, then the
-    dynamics multipliers.  Only the structural non-zeros of each block
-    (A through the trapezoid blocks, C*C, P0, B and the identities) are
-    stored, so a banded generator gives a KKT matrix whose size is linear
-    in the state dimension.
+    ``nu[i]`` approximates y(t_{i + 1/2}), i = 0..N-1.  Averaging adjacent
+    ones is second order at interior nodes, and the two boundary nodes
+    take a half-step of the adjoint equation y' = -A* y - C*(C x - z).
     """
     sys = prob.sys
-    n, m = sys.n, sys.m
-    nsteps = prob.n_steps
-    dt = prob.dt
+    half = 0.5 * prob.dt
     q_mat = sys.c.T @ sys.c
     q_vec = sys.c.T @ prob.target
-
-    n_x = (n + m) * (nsteps + 1)
-    dim = n_x + n * (nsteps + 1)
-    x_base = np.arange(nsteps + 1, dtype=np.int64) * n
-    u_base = n * (nsteps + 1) + np.arange(nsteps + 1, dtype=np.int64) * m
-    mu_base = n_x + np.arange(nsteps + 1, dtype=np.int64) * n
-
-    rows, cols, data = [], [], []
-
-    # Cost Hessian: trapezoid weights dt/2 at the endpoints, dt inside.
-    _stamp(rows, cols, data, x_base[1:-1], x_base[1:-1], 2.0 * dt * q_mat)
-    _stamp(rows, cols, data, x_base[0], x_base[0], dt * q_mat)
-    _stamp(rows, cols, data, x_base[-1], x_base[-1], dt * q_mat + 2.0 * prob.p0)
-    _stamp(rows, cols, data, u_base[1:-1], u_base[1:-1], 2.0 * dt * np.eye(m))
-    _stamp(rows, cols, data, u_base[0], u_base[0], dt * np.eye(m))
-    _stamp(rows, cols, data, u_base[-1], u_base[-1], dt * np.eye(m))
-
-    # Trapezoid dynamics: E x_i - F x_{i-1} - G(u_i + u_{i-1}) = 0.
-    e_blk = np.eye(n) - (0.5 * dt) * sys.a
-    f_blk = np.eye(n) + (0.5 * dt) * sys.a
-    g_blk = (0.5 * dt) * sys.b
-    for r0s, c0s, blk in (
-        (mu_base[0], x_base[0], np.eye(n)),
-        (mu_base[1:], x_base[1:], e_blk),
-        (mu_base[1:], x_base[:-1], -f_blk),
-        (mu_base[1:], u_base[1:], -g_blk),
-        (mu_base[1:], u_base[:-1], -g_blk),
-    ):
-        _stamp(rows, cols, data, r0s, c0s, blk)
-        _stamp(rows, cols, data, c0s, r0s, blk.T)
-
-    weights = np.full(nsteps + 1, dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    rhs = np.zeros(dim)
-    # The node states are stored contiguously, node after node.
-    rhs[: n * (nsteps + 1)] = (2.0 * weights[:, None] * q_vec[None, :]).ravel()
-    rhs[mu_base[0] : mu_base[0] + n] = prob.x0
-
-    kkt = scipy.sparse.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(dim, dim),
-    ).tocsc()
-    return kkt, rhs
+    y_nodes = np.empty_like(x_nodes)
+    y_nodes[1:-1] = 0.5 * (nu[:-1] + nu[1:])
+    y_nodes[0] = nu[0] + half * (
+        sys.a.T @ nu[0] + q_mat @ (0.5 * (x_nodes[0] + x_nodes[1])) - q_vec
+    )
+    y_nodes[-1] = nu[-1] - half * (sys.a.T @ nu[-1] + q_mat @ x_nodes[-1] - q_vec)
+    return y_nodes
 
 
 def solve_transcription(prob: LqProblem) -> Trajectory:
-    """Solve the tracking problem by sparse direct transcription.
+    """Solve the tracking problem by trapezoid transcription.
 
-    Assembles the symmetric KKT system of the trapezoid-discretized
-    problem in all node states, node controls, and dynamics multipliers,
-    and solves it with a sparse LU factorization.  The KKT matrix stores
-    only the non-zeros of A, C*C, B and P0, so for the tridiagonal heat
-    generator it grows linearly in n and SuperLU's factorization is
-    nearly all of the cost.  On ``heat_1d(n, "boundary_flavored")`` with
-    T = 5 and dt = 1e-2 (2-CPU x86-64 host, OpenBLAS with 2 threads) one
-    solve takes 0.31 s at n = 50, 0.90 s at n = 100 and 2.6 s at
-    n = 200, with process peak RSS of 156, 261 and 498 MB.
+    The trapezoid dynamics
+
+        (I - dt/2 A) x_{i+1} = (I + dt/2 A) x_i + (dt/2) B (u_i + u_{i+1})
+
+    with the trapezoid cost (weights dt/2 at the end nodes, dt inside,
+    plus <P0 x_N, x_N>) are an LQ problem on s_i = (x_i, u_i, 1), with
+    u_{i+1} decided at step i.  One LU of I - dt/2 A gives
+    Phi = (I - dt/2 A)^{-1} (I + dt/2 A) and Gamma = (I - dt/2 A)^{-1} (dt/2) B,
+    and so the flow triple
+
+        E = [[Phi, Gamma, 0], [0, 0, 0], [0, 0, 1]],
+        W = V V* / dt with V = [Gamma; I; 0],   G = dt L,
+
+    where s* L s = |C x - z|^2 and u_{i+1} weighs dt at its decision.
+    :func:`~lqturnpike.operators.riccati_backward_pass` runs from the end
+    weights (dt/2 L + P0, with u_N down to dt/2) and :func:`_forward_pass`
+    from (x0, u_0, 1), u_0 minimizing the node-0 value at end weights
+    dt/2; this solves the discrete KKT system exactly.  The passes lift
+    when n + m + 1 <= 16.  The multipliers nu_i = (I - dt/2 A)^{-*}
+    (Q_{i+1} s_{i+1})_x approximate y(t_{i+1/2}), and
+    :func:`_nodal_adjoint` carries them to the nodes.
+
+    Memory is the (N + 1)(n + m + 1)^2 doubles of the Q samples.  On
+    ``heat_1d(n, "boundary_flavored")`` with T = 5 and dt = 1e-2 (2-CPU
+    x86-64 host, OpenBLAS with 2 threads) one solve takes 0.21 s at
+    n = 50, 0.62 s at n = 100 and 2.0 s at n = 200, with process peak RSS
+    of 72, 104 and 228 MB.
+
+    Raises
+    ------
+    ProblemSizeError
+        If N (n + m) exceeds ``TRANSCRIPTION_UNKNOWN_CAP``.
+    LqTurnpikeError
+        If I - dt/2 A is singular, or the solve gives non-finite values.
     """
     sys = prob.sys
     n, m = sys.n, sys.m
@@ -524,34 +502,45 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
             f"above the cap {TRANSCRIPTION_UNKNOWN_CAP}; use the sweep solver"
         )
     dt = prob.dt
-    q_mat = sys.c.T @ sys.c
-    q_vec = sys.c.T @ prob.target
-    n_x = (n + m) * (nsteps + 1)
-    kkt, rhs = _kkt_system(prob)
+    half = 0.5 * dt
     with warnings.catch_warnings():
-        warnings.simplefilter("error", MatrixRankWarning)
+        warnings.simplefilter("error", LinAlgWarning)
         try:
-            sol = spsolve(kkt, rhs)
-        except MatrixRankWarning as exc:
-            raise LqTurnpikeError("transcription KKT system is singular") from exc
-    if not np.all(np.isfinite(sol)):
-        raise LqTurnpikeError("transcription KKT system is singular")
+            lu = lu_factor(np.eye(n) - half * sys.a)
+        except LinAlgWarning as exc:
+            raise LqTurnpikeError(
+                f"the trapezoid step dt={dt} makes I - (dt/2) A singular "
+                "(dt/2 times an eigenvalue of A equals 1)"
+            ) from exc
+    phi_gamma = lu_solve(lu, np.hstack([np.eye(n) + half * sys.a, half * sys.b]))
 
-    x_nodes = sol[: n * (nsteps + 1)].reshape(nsteps + 1, n)
-    mu = sol[n_x:].reshape(nsteps + 1, n)
+    u_blk = slice(n, n + m)
+    e = np.zeros((n + m + 1, n + m + 1))
+    e[:n, : n + m] = phi_gamma
+    e[-1, -1] = 1.0
+    v = np.vstack([phi_gamma[:, n:], np.eye(m), np.zeros((1, m))])
+    ell = np.zeros_like(e)
+    ell[:n, :n] = sys.c.T @ sys.c
+    ell[:n, -1] = ell[-1, :n] = -(sys.c.T @ prob.target)
+    ell[-1, -1] = prob.target @ prob.target
+    flow = (e, (v @ v.T) / dt, dt * ell)
+    q_end = half * ell
+    q_end[:n, :n] += prob.p0
+    q_end[u_blk, u_blk] -= half * np.eye(m)
+    q_nodes, flows = riccati_backward_pass(flow, q_end, nsteps)
 
-    # The dynamics multipliers approximate -2 y at interval midpoints:
-    # averaging adjacent ones is second-order at interior nodes, and the
-    # boundary nodes take a half-step of the adjoint equation.
-    nu = -0.5 * mu[1:]  # nu[i] ~ y(t_{i+1/2}), i = 0..nsteps-1
-    y_nodes = np.empty_like(x_nodes)
-    y_nodes[1:-1] = 0.5 * (nu[:-1] + nu[1:])
-    y_nodes[0] = nu[0] + (0.5 * dt) * (
-        sys.a.T @ nu[0] + q_mat @ (0.5 * (x_nodes[0] + x_nodes[1])) - q_vec
-    )
-    y_nodes[-1] = nu[-1] - (0.5 * dt) * (
-        sys.a.T @ nu[-1] + q_mat @ x_nodes[-1] - q_vec
-    )
+    # Node 0 carries the end weights dt/2, and u_0 is free.
+    v0 = q_nodes[0] - half * ell
+    v0[u_blk, u_blk] += half * np.eye(m)
+    s_start = np.concatenate([prob.x0, np.zeros(m), [1.0]])
+    s_start[u_blk] = -np.linalg.solve(v0[u_blk, u_blk], v0[u_blk] @ s_start)
+    s_nodes = _forward_pass(flow, flows, q_nodes, s_start)
+
+    x_nodes = np.ascontiguousarray(s_nodes[:, :n])
+    grad = np.einsum("tij,tj->it", q_nodes[1:, :n, :], s_nodes[1:])
+    y_nodes = _nodal_adjoint(prob, x_nodes, lu_solve(lu, grad, trans=1).T)
+    if not (np.all(np.isfinite(x_nodes)) and np.all(np.isfinite(y_nodes))):
+        raise LqTurnpikeError("transcription produced non-finite values")
     # Discrete optimality gives u = -B* y exactly at interior nodes; the
     # same law defines the nodal convention at t = 0 and t = T.
     u_nodes = -(y_nodes @ sys.b)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 import lqturnpike as lab
 
@@ -58,3 +59,82 @@ def _rk4_dre(sys_, horizon, p0, steps):
 def rk4_dre():
     """The RK4 oracle for the Riccati flow, ``(sys, T, p0, steps) -> samples``."""
     return _rk4_dre
+
+
+def _stamp(rows, cols, data, r0s, c0s, block):
+    """Append the non-zero entries of one block at each (row, col) offset pair."""
+    block = np.asarray(block, dtype=float)
+    br, bc = np.nonzero(block)
+    r0s = np.atleast_1d(np.asarray(r0s, dtype=np.int64))
+    c0s = np.atleast_1d(np.asarray(c0s, dtype=np.int64))
+    rows.append((r0s[:, None] + br[None, :]).ravel())
+    cols.append((c0s[:, None] + bc[None, :]).ravel())
+    data.append(np.tile(block[br, bc], len(r0s)))
+
+
+def _kkt_system(prob):
+    """Sparse KKT matrix and right-hand side of the transcribed problem.
+
+    The unknowns are all node states, then all node controls, then the
+    dynamics multipliers.  Only the structural non-zeros of each block
+    (A through the trapezoid blocks, C*C, P0, B and the identities) are
+    stored, so a banded generator gives a KKT matrix whose size is linear
+    in the state dimension.  The multipliers mu approximate -2 y:
+    ``-0.5 * mu[1:]`` are the midpoint adjoints that
+    :func:`lqturnpike.solve_transcription` recovers by its Riccati passes.
+    """
+    sys = prob.sys
+    n, m = sys.n, sys.m
+    nsteps = prob.n_steps
+    dt = prob.dt
+    q_mat = sys.c.T @ sys.c
+    q_vec = sys.c.T @ prob.target
+
+    n_x = (n + m) * (nsteps + 1)
+    dim = n_x + n * (nsteps + 1)
+    x_base = np.arange(nsteps + 1, dtype=np.int64) * n
+    u_base = n * (nsteps + 1) + np.arange(nsteps + 1, dtype=np.int64) * m
+    mu_base = n_x + np.arange(nsteps + 1, dtype=np.int64) * n
+
+    rows, cols, data = [], [], []
+
+    # Cost Hessian: trapezoid weights dt/2 at the endpoints, dt inside.
+    _stamp(rows, cols, data, x_base[1:-1], x_base[1:-1], 2.0 * dt * q_mat)
+    _stamp(rows, cols, data, x_base[0], x_base[0], dt * q_mat)
+    _stamp(rows, cols, data, x_base[-1], x_base[-1], dt * q_mat + 2.0 * prob.p0)
+    _stamp(rows, cols, data, u_base[1:-1], u_base[1:-1], 2.0 * dt * np.eye(m))
+    _stamp(rows, cols, data, u_base[0], u_base[0], dt * np.eye(m))
+    _stamp(rows, cols, data, u_base[-1], u_base[-1], dt * np.eye(m))
+
+    # Trapezoid dynamics: E x_i - F x_{i-1} - G(u_i + u_{i-1}) = 0.
+    e_blk = np.eye(n) - (0.5 * dt) * sys.a
+    f_blk = np.eye(n) + (0.5 * dt) * sys.a
+    g_blk = (0.5 * dt) * sys.b
+    for r0s, c0s, blk in (
+        (mu_base[0], x_base[0], np.eye(n)),
+        (mu_base[1:], x_base[1:], e_blk),
+        (mu_base[1:], x_base[:-1], -f_blk),
+        (mu_base[1:], u_base[1:], -g_blk),
+        (mu_base[1:], u_base[:-1], -g_blk),
+    ):
+        _stamp(rows, cols, data, r0s, c0s, blk)
+        _stamp(rows, cols, data, c0s, r0s, blk.T)
+
+    weights = np.full(nsteps + 1, dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    rhs = np.zeros(dim)
+    # The node states are stored contiguously, node after node.
+    rhs[: n * (nsteps + 1)] = (2.0 * weights[:, None] * q_vec[None, :]).ravel()
+    rhs[mu_base[0] : mu_base[0] + n] = prob.x0
+
+    kkt = scipy.sparse.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    ).tocsc()
+    return kkt, rhs
+
+
+@pytest.fixture(scope="session")
+def kkt_system():
+    """The sparse KKT oracle of the transcription, ``prob -> (kkt, rhs)``."""
+    return _kkt_system

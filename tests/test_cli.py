@@ -124,6 +124,24 @@ class TestExitCodes:
         )
         assert main(["riccati", "--config", path]) == 3
 
+    def test_singular_trapezoid_step_is_internal_class(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "scenario": "custom",
+                "system": {"a": [[2000.0]], "b": [[1.0]], "c": [[1.0]]},
+                "target": [1.0],
+                "horizons": [1.0],
+                "dt": 1e-3,
+                "output_dir": str(tmp_path / "out"),
+            },
+        )
+        # dt/2 times the eigenvalue 2000 of A is 1: a typed error, not a crash.
+        assert main(["solve", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "dt=0.001 makes I - (dt/2) A singular" in err
+
     def test_fault_injection_fails_named_criterion(self, tmp_path, capsys, monkeypatch):
         # Corrupt the suite's scalar value operator.  A plain property, since
         # a cached_property assigned after class creation never gets its name.

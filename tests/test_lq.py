@@ -1,16 +1,20 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.signal import lsim
+from scipy.sparse.linalg import spsolve
 
 import lqturnpike as lab
 from lqturnpike.errors import GridMismatchError, IntegrationError, ProblemSizeError
 from lqturnpike.lq import (
     _half_sampled_steps,
-    _kkt_system,
     _forward_pass,
+    _nodal_adjoint,
     _sweep_data,
     _trapezoid,
 )
@@ -121,27 +125,27 @@ def heat_problem(n, control="distributed", horizon=1.0, dt=1e-2):
 
 
 class TestKktSystem:
-    def test_exactly_symmetric_without_stored_zeros(self, rand4):
+    def test_exactly_symmetric_without_stored_zeros(self, rand4, kkt_system):
         sys_, z, _ = rand4
         rand_prob = lab.LqProblem(
             sys=sys_, horizon=1.0, target=z, x0=np.ones(4),
             p0=0.5 * np.eye(4), dt=1e-2,
         )
         for prob in (rand_prob, heat_problem(50, "boundary_flavored")):
-            kkt, _ = _kkt_system(prob)
+            kkt, _ = kkt_system(prob)
             assert (kkt - kkt.T).count_nonzero() == 0
             assert np.all(kkt.data != 0)
 
-    def test_nonzeros_grow_linearly_in_state_dimension(self):
+    def test_nonzeros_grow_linearly_in_state_dimension(self, kkt_system):
         nnz = {
-            n: _kkt_system(heat_problem(n, "boundary_flavored"))[0].nnz
+            n: kkt_system(heat_problem(n, "boundary_flavored"))[0].nnz
             for n in (50, 100)
         }
         assert nnz[100] / nnz[50] < 2.2
 
-    def test_solution_matches_dense_solve(self):
+    def test_solution_matches_dense_solve(self, scalar, rand4, kkt_system):
         prob = heat_problem(10)
-        kkt, rhs = _kkt_system(prob)
+        kkt, rhs = kkt_system(prob)
         dense = np.linalg.solve(kkt.toarray(), rhs)
         traj = lab.solve_transcription(prob)
         n, m, nodes = prob.sys.n, prob.sys.m, prob.n_steps + 1
@@ -151,6 +155,38 @@ class TestKktSystem:
         for got, want in ((traj.x, x_dense), (traj.u[1:-1], u_dense[1:-1])):
             scale = max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        # Larger grids against a sparse solve, through the lifted passes
+        # (augmented size 3 and 7) and the stepwise ones (52); the KKT
+        # multipliers mu give the adjoint through the same recovery.
+        sys4, z4, _ = rand4
+        x0 = np.random.Generator(np.random.Philox(key=4)).standard_normal(4)
+        for prob in (
+            scalar_problem(*scalar),
+            lab.LqProblem(sys=sys4, horizon=2.0, target=z4, x0=x0, p0=0.5 * np.eye(4), dt=1e-3),
+            heat_problem(50, "boundary_flavored", horizon=5.0),
+        ):
+            kkt, rhs = kkt_system(prob)
+            sol = spsolve(kkt, rhs)
+            traj = lab.solve_transcription(prob)
+            n, m, nodes = prob.sys.n, prob.sys.m, prob.n_steps + 1
+            x_kkt = sol[: n * nodes].reshape(nodes, n)
+            u_kkt = sol[n * nodes : (n + m) * nodes].reshape(nodes, m)
+            mu = sol[(n + m) * nodes :].reshape(nodes, n)
+            y_kkt = _nodal_adjoint(prob, x_kkt, -0.5 * mu[1:])
+            for got, want in ((traj.x, x_kkt), (traj.y, y_kkt), (traj.u[1:-1], u_kkt[1:-1])):
+                assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+
+def test_import_leaves_scipy_sparse_out():
+    # A fresh interpreter, so no other test's imports count.
+    src = os.path.dirname(os.path.dirname(lab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, lqturnpike; print('scipy.sparse' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestSolveRiccatiSweep:
