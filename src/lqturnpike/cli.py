@@ -150,7 +150,8 @@ def cmd_stationary(args) -> int:
     with manifest.stage("solve"):
         prob = build_scenario(config)
         triple = solve_stationary(prob.sys, prob.target)
-    manifest.write_csv("stationary.csv", *reporting.stationary_rows(triple))
+    with manifest.stage("emit"):
+        manifest.write_csv("stationary.csv", *reporting.stationary_rows(triple))
     manifest.finalize()
     scale = max(1.0, float(np.linalg.norm(prob.target)))
     worst = max(
@@ -182,13 +183,14 @@ def cmd_solve(args) -> int:
 
 def cmd_riccati(args) -> int:
     config, manifest = _prepare(args, "riccati")
-    with manifest.stage("are"):
+    with manifest.stage("dre"):  # first, so the sample guard refuses before the ARE
         prob = build_scenario(config)
-        are = solve_are(prob.sys)
-    manifest.write_csv("are.csv", *reporting.are_rows(are))
-    with manifest.stage("dre"):
         dre = solve_dre(prob.sys, prob.horizon, prob.p0, prob.dt)
-    manifest.write_csv("dre.csv", *reporting.dre_rows(dre))
+    with manifest.stage("are"):
+        are = solve_are(prob.sys)
+    with manifest.stage("emit"):
+        manifest.write_csv("are.csv", *reporting.are_rows(are))
+        manifest.write_csv("dre.csv", *reporting.dre_rows(dre))
     manifest.finalize()
     print(
         f"riccati: residual={are.residual:.3e} abscissa={are.closed_loop_abscissa:.6g}"
@@ -227,12 +229,15 @@ def cmd_yosida(args) -> int:
     with manifest.stage("stationary-study"):
         prob = build_scenario(config)
         stat_rows = stationary_convergence_study(prob.sys, prob.target, config.ks)
-    manifest.write_csv("yosida_stationary.csv", *reporting.study_rows(stat_rows))
     with manifest.stage("dynamic-study"):
         dyn_rows = yosida_dynamic_study(
             prob, config.ks, solver=config.solver, jobs=args.jobs
         )
-    manifest.write_csv("yosida_dynamic.csv", *reporting.dynamic_study_rows(dyn_rows))
+    with manifest.stage("emit"):
+        manifest.write_csv("yosida_stationary.csv", *reporting.study_rows(stat_rows))
+        manifest.write_csv(
+            "yosida_dynamic.csv", *reporting.dynamic_study_rows(dyn_rows)
+        )
     manifest.finalize()
     print(
         f"yosida: stationary errors {stat_rows[0][1]:.3e} -> {stat_rows[-1][1]:.3e}, "
@@ -280,7 +285,6 @@ def _add_common(parser):
     parser.add_argument(
         "--out", help="output directory override (default: the config's output_dir)"
     )
-    _add_jobs(parser)
 
 
 def _jobs(text: str) -> int:
@@ -316,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=f"run the {name} pipeline")
         _add_common(sp)
+        if fn in (cmd_turnpike, cmd_yosida):  # the commands that sweep horizons or k
+            _add_jobs(sp)
         sp.set_defaults(func=fn)
 
     vp = sub.add_parser("verify", help="run the acceptance suite")

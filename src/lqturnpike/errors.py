@@ -50,7 +50,11 @@ class UndefinedRateError(LqTurnpikeError, ValueError):
 
 
 class ProblemSizeError(LqTurnpikeError):
-    """A direct solve would exceed the configured memory cap."""
+    """A Riccati pass would hold more samples than its memory cap allows.
+
+    The solvers check ``operators.check_sample_memory`` before they form
+    their flow, so a refused problem costs nothing; the CLI exits 2.
+    """
 
 
 class ConfigError(LqTurnpikeError, ValueError):

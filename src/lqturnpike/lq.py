@@ -42,15 +42,13 @@ Two solvers with independent error structure are provided:
     take the exact flow of the Riccati pair over one grid step, computed
     once per solve by structure-preserving doubling, so the sweep has no
     time-discretization error and no stability limit on stiff generators.
-    Doubling that flow further gives the flow over 2^k steps, so for a
-    small state (n + 1 <= 16) both passes run by binary lifting, in
-    O(log N) batched calls instead of one call per node; larger states,
-    whose per-node matrix work dominates, step node by node.
 
-The two solvers share the passes but not the flow: the transcription
-steps by the trapezoid's Cayley map, the sweep by the exact flow of the
-Riccati pair, so their errors stay independent.  Both are pure functions
-returning an immutable :class:`Trajectory`.
+The two solvers share the passes of :mod:`lqturnpike.operators`, which
+decide how the grid is walked and refuse a problem whose samples exceed
+the memory cap, but not the flow: the transcription steps by the
+trapezoid's Cayley map, the sweep by the exact flow of the Riccati pair,
+so their errors stay independent.  Both are pure functions returning an
+immutable :class:`Trajectory`.
 :func:`solve_infinite_horizon` realizes the infinite-horizon problem on
 the same grid, the Riccati closed loop around the stationary pair; it
 does not solve the finite-horizon problem.
@@ -64,14 +62,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning, expm, lu_factor, lu_solve
 
-from .errors import (
-    DimensionError,
-    GridMismatchError,
-    IntegrationError,
-    LqTurnpikeError,
-    ProblemSizeError,
+from .errors import DimensionError, GridMismatchError, IntegrationError, LqTurnpikeError
+from .operators import (
+    LtiSystem,
+    check_sample_memory,
+    riccati_backward_pass,
+    riccati_forward_pass,
+    riccati_step_flow,
 )
-from .operators import LtiSystem, riccati_backward_pass, riccati_step_flow
 from .riccati import _check_terminal_cost, _lock, _step_count, lifted_orbit, solve_are
 from .stationary import solve_stationary
 
@@ -87,9 +85,6 @@ __all__ = [
     "solve_infinite_horizon",
 ]
 
-# Largest N (n + m) the transcription takes; a solve holds the
-# (N + 1)(n + m + 1)^2 doubles of its Q samples.
-TRANSCRIPTION_UNKNOWN_CAP = 2_000_000
 _BLOWUP_LIMIT = 1e12
 
 
@@ -345,42 +340,14 @@ def cost(prob: LqProblem, traj: Trajectory) -> float:
     return float(_trapezoid(running, prob.dt) + terminal)
 
 
-def _sweep_data(prob: LqProblem):
-    """One-step flow, terminal value and initial state of the augmented sweep."""
-    sys = prob.sys
-    n = sys.n
-    a_aug = np.zeros((n + 1, n + 1))
-    a_aug[:n, :n] = sys.a
-    b_aug = np.vstack([sys.b, np.zeros((1, sys.m))])
-    c_aug = np.hstack([sys.c, -prob.target[:, None]])
-    q_end = np.zeros((n + 1, n + 1))
-    q_end[:n, :n] = prob.p0
-    x_start = np.append(prob.x0, 1.0)
-    return riccati_step_flow(a_aug, b_aug, c_aug, prob.dt), q_end, x_start
-
-
-def _forward_pass(flow, flows, q_nodes, x_start):
-    """Closed loop (I + W Q_{j+1}) x_aug(t_{j+1}) = E x_aug(t_j) from x_start.
-
-    ``flows`` is what the backward pass returned: when it lifted,
-    ``flows[k]`` spans 2^k steps and level k takes the nodes j in
-    [2^k, 2^{k+1}) from j - 2^k in one batched call; when it is ``None``
-    the loop steps node by node with ``flow``.
-    """
-    e, w, _ = flow
-    eye = np.eye(e.shape[0])
-    x_aug = np.empty((q_nodes.shape[0], e.shape[0]))
-    x_aug[0] = x_start
-    if flows is None:
-        for j in range(q_nodes.shape[0] - 1):
-            x_aug[j + 1] = np.linalg.solve(eye + w @ q_nodes[j + 1], e @ x_aug[j])
-        return x_aug
-    for level, (e, w, _) in enumerate(flows):
-        lo = 2**level
-        hi = min(2 * lo, q_nodes.shape[0])
-        rhs = (x_aug[: hi - lo] @ e.T)[:, :, None]
-        x_aug[lo:hi] = np.linalg.solve(eye + w @ q_nodes[lo:hi], rhs)[:, :, 0]
-    return x_aug
+def _trajectory(prob: LqProblem, x_nodes, y_nodes, method: str) -> Trajectory:
+    """The locked trajectory with u = -B* y; IntegrationError if x or y is non-finite."""
+    if not (np.all(np.isfinite(x_nodes)) and np.all(np.isfinite(y_nodes))):
+        raise IntegrationError(f"{method} produced non-finite values")
+    u_nodes = -(y_nodes @ prob.sys.b)
+    grid = prob.grid
+    _lock(grid, x_nodes, y_nodes, u_nodes)
+    return Trajectory(grid=grid, x=x_nodes, y=y_nodes, u=u_nodes, method=method)
 
 
 def solve_riccati_sweep(prob: LqProblem) -> Trajectory:
@@ -397,7 +364,8 @@ def solve_riccati_sweep(prob: LqProblem) -> Trajectory:
 
         Q_j = G + E* Q_{j+1} (I + W Q_{j+1})^{-1} E
 
-    node by node and the forward pass solves
+    and the forward pass
+    (:func:`~lqturnpike.operators.riccati_forward_pass`) solves
 
         (I + W Q_{j+1}) x_aug(t_{j+1}) = E x_aug(t_j),   x_aug = (x, 1).
 
@@ -405,34 +373,29 @@ def solve_riccati_sweep(prob: LqProblem) -> Trajectory:
     a stiff generator, and neither the algebraic Riccati solution nor
     stabilizability of (A, B) is needed.  Then y = P_T x + r, u = -B* y.
 
-    The same maps hold over 2^k steps with the doubled flow, so when the
-    backward pass lifts (augmented state n + 1 <= 16) the forward pass
-    lifts with its doubled flows too, in O(log N) batched numpy calls,
-    each block of nodes taken from nodes 2^k steps away.  Larger states
-    step node by node: there each node's matrix work outweighs the call
-    overhead that lifting saves (on heat_1d(50), n + 1 = 51, lifting was
-    1.25x slower).  The two paths agree to rounding, within 3e-14
-    relative on rand4.
-
     Raises
     ------
+    ProblemSizeError
+        If the (N + 1)(n + 1)^2 doubles of samples exceed the memory cap.
     IntegrationError
         If the sweep produces non-finite values.
     """
     sys = prob.sys
     n = sys.n
-    flow, q_end, x_start = _sweep_data(prob)
-    q_nodes, flows = riccati_backward_pass(flow, q_end, prob.n_steps)
-    x_aug = _forward_pass(flow, flows, q_nodes, x_start)
+    check_sample_memory(prob.n_steps, n + 1)
+    a_aug = np.zeros((n + 1, n + 1))
+    a_aug[:n, :n] = sys.a
+    b_aug = np.vstack([sys.b, np.zeros((1, sys.m))])
+    c_aug = np.hstack([sys.c, -prob.target[:, None]])
+    q_end = np.zeros((n + 1, n + 1))
+    q_end[:n, :n] = prob.p0
+    flow = riccati_step_flow(a_aug, b_aug, c_aug, prob.dt)
+    q_nodes = riccati_backward_pass(flow, q_end, prob.n_steps)
+    x_aug = riccati_forward_pass(flow, q_nodes, np.append(prob.x0, 1.0))
 
     x_nodes = np.ascontiguousarray(x_aug[:, :n])
     y_nodes = np.einsum("tij,tj->ti", q_nodes[:, :n, :], x_aug)
-    if not (np.all(np.isfinite(x_nodes)) and np.all(np.isfinite(y_nodes))):
-        raise IntegrationError("Riccati sweep produced non-finite values")
-    u_nodes = -(y_nodes @ sys.b)
-    grid = prob.grid
-    _lock(grid, x_nodes, y_nodes, u_nodes)
-    return Trajectory(grid=grid, x=x_nodes, y=y_nodes, u=u_nodes, method="riccati-sweep")
+    return _trajectory(prob, x_nodes, y_nodes, "riccati-sweep")
 
 
 def _nodal_adjoint(prob: LqProblem, x_nodes, nu):
@@ -473,10 +436,10 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
 
     where s* L s = |C x - z|^2 and u_{i+1} weighs dt at its decision.
     :func:`~lqturnpike.operators.riccati_backward_pass` runs from the end
-    weights (dt/2 L + P0, with u_N down to dt/2) and :func:`_forward_pass`
-    from (x0, u_0, 1), u_0 minimizing the node-0 value at end weights
-    dt/2; this solves the discrete KKT system exactly.  The passes lift
-    when n + m + 1 <= 16.  The multipliers nu_i = (I - dt/2 A)^{-*}
+    weights (dt/2 L + P0, with u_N down to dt/2) and
+    :func:`~lqturnpike.operators.riccati_forward_pass` from (x0, u_0, 1),
+    u_0 minimizing the node-0 value at end weights dt/2; this solves the
+    discrete KKT system exactly.  The multipliers nu_i = (I - dt/2 A)^{-*}
     (Q_{i+1} s_{i+1})_x approximate y(t_{i+1/2}), and
     :func:`_nodal_adjoint` carries them to the nodes.
 
@@ -489,18 +452,16 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
     Raises
     ------
     ProblemSizeError
-        If N (n + m) exceeds ``TRANSCRIPTION_UNKNOWN_CAP``.
+        If the (N + 1)(n + m + 1)^2 doubles of samples exceed the memory cap.
     LqTurnpikeError
-        If I - dt/2 A is singular, or the solve gives non-finite values.
+        If I - dt/2 A is singular.
+    IntegrationError
+        If the solve gives non-finite values.
     """
     sys = prob.sys
     n, m = sys.n, sys.m
     nsteps = prob.n_steps
-    if nsteps * (n + m) > TRANSCRIPTION_UNKNOWN_CAP:
-        raise ProblemSizeError(
-            f"transcription would need {nsteps * (n + m)} primal unknowns, "
-            f"above the cap {TRANSCRIPTION_UNKNOWN_CAP}; use the sweep solver"
-        )
+    check_sample_memory(nsteps, n + m + 1)
     dt = prob.dt
     half = 0.5 * dt
     with warnings.catch_warnings():
@@ -527,27 +488,21 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
     q_end = half * ell
     q_end[:n, :n] += prob.p0
     q_end[u_blk, u_blk] -= half * np.eye(m)
-    q_nodes, flows = riccati_backward_pass(flow, q_end, nsteps)
+    q_nodes = riccati_backward_pass(flow, q_end, nsteps)
 
     # Node 0 carries the end weights dt/2, and u_0 is free.
     v0 = q_nodes[0] - half * ell
     v0[u_blk, u_blk] += half * np.eye(m)
     s_start = np.concatenate([prob.x0, np.zeros(m), [1.0]])
     s_start[u_blk] = -np.linalg.solve(v0[u_blk, u_blk], v0[u_blk] @ s_start)
-    s_nodes = _forward_pass(flow, flows, q_nodes, s_start)
+    s_nodes = riccati_forward_pass(flow, q_nodes, s_start)
 
     x_nodes = np.ascontiguousarray(s_nodes[:, :n])
     grad = np.einsum("tij,tj->it", q_nodes[1:, :n, :], s_nodes[1:])
     y_nodes = _nodal_adjoint(prob, x_nodes, lu_solve(lu, grad, trans=1).T)
-    if not (np.all(np.isfinite(x_nodes)) and np.all(np.isfinite(y_nodes))):
-        raise LqTurnpikeError("transcription produced non-finite values")
     # Discrete optimality gives u = -B* y exactly at interior nodes; the
     # same law defines the nodal convention at t = 0 and t = T.
-    u_nodes = -(y_nodes @ sys.b)
-
-    grid = prob.grid
-    _lock(grid, x_nodes, y_nodes, u_nodes)
-    return Trajectory(grid=grid, x=x_nodes, y=y_nodes, u=u_nodes, method="transcription")
+    return _trajectory(prob, x_nodes, y_nodes, "transcription")
 
 
 def duality_residual(sys: LtiSystem, forward, backward, horizon: float, dt: float) -> float:
@@ -632,11 +587,4 @@ def solve_infinite_horizon(prob: LqProblem) -> Trajectory:
     stat = solve_stationary(sys, prob.target)
     are = solve_are(sys)
     dev = lifted_orbit(expm(prob.dt * are.a_cl), prob.x0 - stat.x_bar, prob.n_steps)
-    x_nodes = stat.x_bar + dev
-    if not np.all(np.isfinite(x_nodes)):
-        raise IntegrationError("closed-loop trajectory has non-finite values")
-    y_nodes = stat.y_bar + dev @ are.p
-    u_nodes = -(y_nodes @ sys.b)
-    grid = prob.grid
-    _lock(grid, x_nodes, y_nodes, u_nodes)
-    return Trajectory(grid=grid, x=x_nodes, y=y_nodes, u=u_nodes, method="closed-loop")
+    return _trajectory(prob, stat.x_bar + dev, stat.y_bar + dev @ are.p, "closed-loop")

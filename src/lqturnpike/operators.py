@@ -12,8 +12,10 @@ triple it provides the building blocks the rest of the package relies on:
 * the exact one-step flow of the Riccati equation of a triple, which is
   the one-step semigroup of its Hamiltonian, formed by
   structure-preserving doubling,
-* the backward pass of that flow over a uniform grid, which serves both
-  the differential Riccati solver and the tracking sweep,
+* the backward and forward passes of that flow over a uniform grid,
+  walked by one schedule that alone decides whether to lift, which serve
+  the differential Riccati solver, the tracking sweep and the
+  transcription, and the one guard on the memory their samples take,
 * finite-time observability Gramians, read off that flow, and
 * the structural hypothesis report (kernel intersections, observability
   margins, and the coercivity constant of ``C*C``) that the turnpike
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DimensionError, NonFiniteError, ResolventError
+from .errors import DimensionError, NonFiniteError, ProblemSizeError, ResolventError
 
 __all__ = [
     "LtiSystem",
@@ -301,15 +303,58 @@ def double_step_flow(e, w, g):
     return e, 0.5 * (w + w.T), 0.5 * (g + g.T)
 
 
-# States of size up to this take the lifted backward pass, larger ones
-# step node by node.  Lifting saves per-call overhead, which only matters
+# States of size up to this run both passes by binary lifting, larger ones
+# node by node.  Lifting saves per-call overhead, which only matters
 # while each node's matrix work is small.  On a 2-CPU x86-64 host the
 # lifted sweep was 26x faster at size 2 (N = 10,000), 2.3x at 16 and 1.1x
 # at 32 (N = 2,000), and 1.25x slower at 51 (N = 25 and 2,000).
 _LIFTED_SWEEP_MAX_STATE = 16
 
+# Most doubles of Riccati samples one solve may hold: 5e7 doubles, 381 MiB.
+# Measured peak RSS (2-CPU x86-64 host) was the samples plus 71 MiB node by
+# node (heat_1d(200), both solvers) and at most 2.8 times the samples plus
+# 60 MiB lifted (the scalar problem at N = 2.1e6), so a solve at the cap
+# stays near 1.1 GiB.
+_SAMPLE_CAP = 50_000_000
 
-def riccati_backward_pass(flow, q_end, nsteps: int):
+
+def check_sample_memory(nsteps: int, size: int) -> None:
+    """ProblemSizeError if (nsteps + 1) samples of size x size exceed ``_SAMPLE_CAP``.
+
+    Solvers call this before they form their flow, so a refused problem
+    costs nothing.
+    """
+    doubles = (nsteps + 1) * size * size
+    if doubles > _SAMPLE_CAP:
+        raise ProblemSizeError(
+            f"the Riccati samples would hold {doubles:.3g} doubles "
+            f"({nsteps + 1} nodes of size {size}), above the cap of "
+            f"{_SAMPLE_CAP:.3g} doubles; use a coarser dt, a shorter horizon "
+            "or a smaller state"
+        )
+
+
+def _pass_schedule(flow, nsteps: int):
+    """Blocks ``(flow over span, lo, hi, span)`` covering nodes 1..nsteps in order.
+
+    Each block takes the nodes ``[lo, hi)`` from ``[lo - span, hi - span)``,
+    counted from the pass's starting node.  A state of size up to
+    ``_LIFTED_SWEEP_MAX_STATE`` is lifted: block k spans 2^k steps with the
+    flow doubled k times, about log2(nsteps) blocks in all.  A larger
+    state, whose per-node matrix work outweighs the call overhead lifting
+    saves, takes one node per block with the one-step flow.
+    """
+    lifted = flow[0].shape[0] <= _LIFTED_SWEEP_MAX_STATE
+    lo = 1
+    while lo <= nsteps:
+        if lifted and lo > 1:
+            flow = double_step_flow(*flow)
+        span = lo if lifted else 1
+        yield flow, lo, min(lo + span, nsteps + 1), span
+        lo += span
+
+
+def riccati_backward_pass(flow, q_end, nsteps: int) -> np.ndarray:
     """Riccati samples at every node of a uniform grid, exact up to rounding.
 
     With the one-step flow ``(e, w, g)`` of :func:`riccati_step_flow`,
@@ -318,54 +363,39 @@ def riccati_backward_pass(flow, q_end, nsteps: int):
         Q_j = G + E* Q_{j+1} (I + W Q_{j+1})^{-1} E
 
     backward from ``Q_N = q_end``, which is stored as given.  The same
-    map holds over 2^k steps with the doubled flow, so a state of size up
-    to ``_LIFTED_SWEEP_MAX_STATE`` runs by binary lifting: level k takes
-    the nodes N - m, m in [2^k, 2^{k+1}), from N - (m - 2^k) in one
-    batched call, about log2(N) calls in all.  Larger states, whose
-    per-node matrix work outweighs the call overhead lifting saves, step
-    node by node.
+    map holds over 2^k steps with the doubled flow, and each block of
+    :func:`_pass_schedule` takes its nodes in one batched call.
 
     Returns
     -------
-    (q_nodes, flows) : ((nsteps + 1, n, n) ndarray, list or None)
-        ``flows[k]`` is the flow over 2^k steps when the pass lifted;
-        ``None`` when it stepped node by node.
+    (nsteps + 1, size, size) ndarray of samples in node order.
     """
-    if flow[0].shape[0] <= _LIFTED_SWEEP_MAX_STATE:
-        return _lifted_backward_pass(flow, q_end, nsteps)
-    return _stepwise_backward_pass(flow, q_end, nsteps), None
-
-
-def _stepwise_backward_pass(flow, q_end, nsteps):
-    e, w, g = flow
-    eye = np.eye(e.shape[0])
-    q_nodes = np.empty((nsteps + 1,) + e.shape)
-    q_nodes[nsteps] = q_end
-    for j in range(nsteps, 0, -1):
-        q = q_nodes[j]
-        prev = g + e.T @ q @ np.linalg.solve(eye + w @ q, e)
-        q_nodes[j - 1] = 0.5 * (prev + prev.T)
+    eye = np.eye(q_end.shape[0])
+    q_nodes = np.empty((nsteps + 1,) + q_end.shape)
+    q_rev = q_nodes[::-1]  # q_rev[k] is node N - k
+    q_rev[0] = q_end
+    for (e, w, g), lo, hi, span in _pass_schedule(flow, nsteps):
+        q = q_rev[lo - span : hi - span]
+        prev = g + e.T @ q @ np.linalg.solve(eye + w @ q, e[None])
+        q_rev[lo:hi] = 0.5 * (prev + prev.swapaxes(1, 2))
     return q_nodes
 
 
-def _lifted_backward_pass(flow, q_end, nsteps):
-    size = flow[0].shape[0]
-    eye = np.eye(size)
-    flows = [flow]  # flows[k] spans 2^k steps
-    while 2 ** len(flows) <= nsteps:
-        flows.append(double_step_flow(*flows[-1]))
+def riccati_forward_pass(flow, q_nodes, x_start) -> np.ndarray:
+    """Closed loop (I + W Q_{j+1}) x_{j+1} = E x_j from ``x_start``.
 
-    q_rev = np.empty((nsteps + 1, size, size))  # q_rev[m] is node N - m
-    q_rev[0] = q_end
-    for level, (e, w, g) in enumerate(flows):
-        lo = 2**level
-        hi = min(2 * lo, nsteps + 1)
-        q = q_rev[: hi - lo]
-        # Broadcast by hand: numpy < 2 reads a 2-D b as a stack of vectors.
-        e_batch = np.broadcast_to(e, q.shape)
-        prev = g + e.T @ q @ np.linalg.solve(eye + w @ q, e_batch)
-        q_rev[lo:hi] = 0.5 * (prev + prev.swapaxes(1, 2))
-    return q_rev[::-1], flows
+    ``q_nodes`` are the samples of :func:`riccati_backward_pass` on the
+    same flow; the blocks of :func:`_pass_schedule` take the state over
+    2^k steps with the doubled flow when it lifts.  Returns the
+    (nsteps + 1, size) states.
+    """
+    eye = np.eye(x_start.shape[0])
+    x_nodes = np.empty((q_nodes.shape[0], x_start.shape[0]))
+    x_nodes[0] = x_start
+    for (e, w, _), lo, hi, span in _pass_schedule(flow, q_nodes.shape[0] - 1):
+        rhs = (x_nodes[lo - span : hi - span] @ e.T)[:, :, None]
+        x_nodes[lo:hi] = np.linalg.solve(eye + w @ q_nodes[lo:hi], rhs)[:, :, 0]
+    return x_nodes
 
 
 def observability_gramian(pair, t0: float) -> np.ndarray:

@@ -40,6 +40,7 @@ from .errors import (
 )
 from .operators import (
     LtiSystem,
+    check_sample_memory,
     riccati_backward_pass,
     riccati_step_flow,
     spectral_abscissa,
@@ -219,6 +220,8 @@ def solve_dre(sys: LtiSystem, horizon: float, p0, dt: float) -> DreSolution:
         Unless ``dt`` splits a positive horizon into whole steps.
     GridMismatchError
         If the grid has fewer than 2 steps.
+    ProblemSizeError
+        If the (steps + 1) n^2 doubles of samples exceed the memory cap.
     IntegrationError
         If a sample is non-finite.
     """
@@ -229,8 +232,9 @@ def solve_dre(sys: LtiSystem, horizon: float, p0, dt: float) -> DreSolution:
             f"steps must be at least 2, got {steps}: refine dt or lengthen the horizon"
         )
     p0 = _check_terminal_cost(p0, sys.n)
+    check_sample_memory(steps, sys.n)
     flow = riccati_step_flow(sys.a, sys.b, sys.c, horizon / steps)
-    p_samples, _ = riccati_backward_pass(flow, p0, steps)
+    p_samples = riccati_backward_pass(flow, p0, steps)
     if not np.all(np.isfinite(p_samples)):
         raise IntegrationError("Riccati flow produced non-finite samples")
     return DreSolution(

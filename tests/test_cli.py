@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqturnpike import verification
+from lqturnpike import cli, verification
 from lqturnpike.cli import main
 from lqturnpike.reporting import format_value, render_csv
+
+
+CUSTOM_1X1 = {"a": [[-1.0]], "b": [[1.0]], "c": [[1.0]]}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -217,6 +220,13 @@ class TestExitCodes:
             ("stationary", {"scenario": "scalar", "ks": [True, 2]}, [], "key 'ks'"),
             ("stationary", {"scenario": "random_stable", "margin": True}, [],
              "key 'margin'"),
+            ("stationary", {"scenario": "scalar", "horizons": []}, [],
+             "horizons must be nonempty"),
+            ("stationary", {"scenario": "heat_1d", "n": 5, "interval": [0.01, 0.1]}, [],
+             "contains no grid node"),
+            ("stationary", {"scenario": "custom", "system": CUSTOM_1X1}, [],
+             "custom scenario requires an inline 'target' vector"),
+            ("stationary", {"scenario": "scalar"}, ["--jobs", "2"], "--jobs"),
         ],
     )
     def test_malformed_input_is_input_error(
@@ -266,6 +276,10 @@ class TestCommands:
             tmp_path, {"scenario": "heat_1d", "output_dir": str(tmp_path / "o")}
         )
         assert main(["riccati", "--config", path]) == 0
+        # The manifest's stages account for the run, emission of the large
+        # dre.csv included.
+        manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+        assert sum(manifest["timings_s"].values()) >= 0.95 * manifest["total_s"]
 
         def first_matrix(name, n):
             # The first n * n rows after the header: P at t = 0 in dre.csv.
@@ -275,6 +289,26 @@ class TestCommands:
 
         p_are, p_dre = first_matrix("are.csv", 50), first_matrix("dre.csv", 50)
         assert np.linalg.norm(p_dre - p_are) <= 1e-10 * np.linalg.norm(p_are)
+
+    @pytest.mark.parametrize(
+        "command, solver",
+        [("solve", "transcription"), ("solve", "riccati-sweep"), ("riccati", "transcription")],
+    )
+    def test_over_the_sample_cap_is_input_error(
+        self, tmp_path, capsys, monkeypatch, command, solver
+    ):
+        # 501 nodes of samples of size 1000 to 1002: about 5.0e8 doubles.  The
+        # guard refuses before any solve, the ARE of this 1000-node rod included.
+        monkeypatch.setattr(cli, "solve_are", lambda sys: pytest.fail("ARE solved"))
+        path = write_config(
+            tmp_path,
+            {
+                "scenario": "heat_1d", "n": 1000, "horizons": [5.0], "solver": solver,
+                "output_dir": str(tmp_path / "o"),
+            },
+        )
+        assert main([command, "--config", path]) == 2
+        assert "above the cap of 5e+07 doubles" in capsys.readouterr().err
 
     def test_turnpike_summary(self, tmp_path, capsys):
         path = write_config(

@@ -10,15 +10,9 @@ from scipy.signal import lsim
 from scipy.sparse.linalg import spsolve
 
 import lqturnpike as lab
+from lqturnpike import operators
 from lqturnpike.errors import GridMismatchError, IntegrationError, ProblemSizeError
-from lqturnpike.lq import (
-    _half_sampled_steps,
-    _forward_pass,
-    _nodal_adjoint,
-    _sweep_data,
-    _trapezoid,
-)
-from lqturnpike.operators import _lifted_backward_pass, _stepwise_backward_pass
+from lqturnpike.lq import _half_sampled_steps, _nodal_adjoint, _trapezoid
 from lqturnpike.verification import _sampled_cost_margins
 
 
@@ -52,10 +46,35 @@ class TestProblemValidation:
             scalar_problem(sys_, z, x0, p0=np.array([[-1.0]]))
 
     def test_memory_cap_guard(self, scalar):
+        # 6e6 + 1 nodes of the 3 x 3 transcription samples: 5.4e7 doubles.
         sys_, z, x0 = scalar
-        prob = scalar_problem(sys_, z, x0, horizon=2100.0, dt=1e-3)
+        prob = scalar_problem(sys_, z, x0, horizon=6000.0, dt=1e-3)
         with pytest.raises(ProblemSizeError):
             lab.solve_transcription(prob)
+
+    @pytest.mark.parametrize(
+        "solve, size",
+        [
+            (lab.solve_riccati_sweep, 2),
+            (lab.solve_transcription, 3),
+            (lambda prob: lab.solve_dre(prob.sys, prob.horizon, prob.p0, prob.dt), 1),
+        ],
+        ids=["sweep", "transcription", "dre"],
+    )
+    def test_sample_guard_admits_the_cap_and_refuses_one_step_more(
+        self, scalar, monkeypatch, solve, size
+    ):
+        sys_, z, x0 = scalar
+        monkeypatch.setattr(operators, "_SAMPLE_CAP", 11 * size**2)
+        solve(scalar_problem(sys_, z, x0, horizon=1.0, dt=0.1))  # 11 nodes
+        with pytest.raises(ProblemSizeError, match="above the cap"):
+            solve(scalar_problem(sys_, z, x0, horizon=1.1, dt=0.1))
+
+    def test_sample_guard_admits_the_long_scalar_transcription(self, scalar):
+        # 2.1e6 + 1 nodes of 3 x 3 samples, 1.89e7 doubles: below the cap.
+        sys_, z, x0 = scalar
+        prob = scalar_problem(sys_, z, x0, horizon=2100.0, dt=1e-3)
+        operators.check_sample_memory(prob.n_steps, prob.sys.n + prob.sys.m + 1)
 
 
 class TestSolveTranscription:
@@ -266,7 +285,7 @@ class TestSolveRiccatiSweep:
 
 
 class TestSweepPaths:
-    def test_lifted_and_stepwise_agree(self, rand4):
+    def test_lifted_and_stepwise_agree(self, rand4, monkeypatch):
         sys4, z4, _ = rand4
         x0 = np.random.Generator(np.random.Philox(key=4)).standard_normal(4)
         zero_generator = lab.make_system(np.zeros((2, 2)), np.ones((2, 1)), np.eye(2))
@@ -281,14 +300,12 @@ class TestSweepPaths:
             ),
         )
         for prob in probs:
-            n, (flow, q_end, x_start) = prob.sys.n, _sweep_data(prob)
-            q_lift, flows = _lifted_backward_pass(flow, q_end, prob.n_steps)
-            x_lift = _forward_pass(flow, flows, q_lift, x_start)
-            q_step = _stepwise_backward_pass(flow, q_end, prob.n_steps)
-            x_step = _forward_pass(flow, None, q_step, x_start)
-            y_lift = np.einsum("tij,tj->ti", q_lift[:, :n, :], x_lift)
-            y_step = np.einsum("tij,tj->ti", q_step[:, :n, :], x_step)
-            for got, want in ((x_lift[:, :n], x_step[:, :n]), (y_lift, y_step)):
+            # Every state lifts under the first bound, and none under the second.
+            monkeypatch.setattr(operators, "_LIFTED_SWEEP_MAX_STATE", 10**6)
+            lifted = lab.solve_riccati_sweep(prob)
+            monkeypatch.setattr(operators, "_LIFTED_SWEEP_MAX_STATE", 0)
+            stepwise = lab.solve_riccati_sweep(prob)
+            for got, want in ((lifted.x, stepwise.x), (lifted.y, stepwise.y)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

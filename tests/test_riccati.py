@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 import lqturnpike as lab
+from lqturnpike import operators
 from lqturnpike.errors import NotStabilizableError
-from lqturnpike.operators import (
-    _lifted_backward_pass,
-    _stepwise_backward_pass,
-    riccati_step_flow,
-)
+from lqturnpike.operators import riccati_backward_pass, riccati_step_flow
 from lqturnpike.riccati import lifted_orbit
 from lqturnpike.turnpike import fit_decay_rate
 
@@ -92,11 +89,13 @@ class TestSolveDre:
         exact = root2 * np.tanh(root2 * (horizon - dre.grid) + np.arctanh(1.0 / root2)) - 1.0
         assert np.max(np.abs(dre.p_samples[:, 0, 0] - exact)) <= 1e-13
 
-    def test_lifted_and_stepwise_passes_agree(self, rand4):
+    def test_lifted_and_stepwise_passes_agree(self, rand4, monkeypatch):
         sys_, _, _ = rand4
         flow = riccati_step_flow(sys_.a, sys_.b, sys_.c, 5.0 / 5000)
-        lifted, _ = _lifted_backward_pass(flow, np.zeros((4, 4)), 5000)
-        stepwise = _stepwise_backward_pass(flow, np.zeros((4, 4)), 5000)
+        monkeypatch.setattr(operators, "_LIFTED_SWEEP_MAX_STATE", 4)
+        lifted = riccati_backward_pass(flow, np.zeros((4, 4)), 5000)
+        monkeypatch.setattr(operators, "_LIFTED_SWEEP_MAX_STATE", 3)
+        stepwise = riccati_backward_pass(flow, np.zeros((4, 4)), 5000)
         assert np.max(np.abs(lifted - stepwise)) <= 1e-13
 
     def test_monotone_in_horizon_with_zero_terminal_cost(self, rand4):

@@ -105,6 +105,15 @@ class TestHeat1d:
         nodes = np.array([0.25, 0.5, 0.75])
         assert np.allclose(z, 4.0 * nodes * (1.0 - nodes), atol=0.0)
 
+    @pytest.mark.parametrize(
+        "profile, expected",
+        [("sine", lambda nodes: np.sin(np.pi * nodes)), ("zero", np.zeros_like)],
+    )
+    def test_named_target_profiles(self, profile, expected):
+        config = config_from_dict({"scenario": "heat_1d", "n": 3, "target": profile})
+        nodes = np.array([0.25, 0.5, 0.75])
+        assert np.array_equal(build_scenario(config).target, expected(nodes))
+
     def test_unknown_profile_rejected(self):
         with pytest.raises(ConfigError) as excinfo:
             lab.heat_1d(5, profile="sawtooth")
