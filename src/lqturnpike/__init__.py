@@ -42,7 +42,6 @@ from .operators import (
     check_hypotheses,
     make_system,
     observability_gramian,
-    semigroup,
     yosida,
     yosida_system,
 )

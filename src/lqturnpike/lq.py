@@ -358,20 +358,23 @@ def solve_riccati_sweep(prob: LqProblem) -> Trajectory:
     augmented value matrix Q = [[P_T, r], [r*, w]] solves the Riccati
     equation of (A_aug, B_aug, C_aug) = ([[A, 0], [0, 0]], [B; 0], [C, -z])
     from Q(T) = [[P0, 0], [0, 0]], and carries the feedforward state r as
-    its border column.  With the one-step flow (E, W, G) of
-    :func:`~lqturnpike.operators.riccati_step_flow`, the backward pass
-    (:func:`~lqturnpike.operators.riccati_backward_pass`) maps
+    its border column.  With the one-step flow (E, V, G) of
+    :func:`~lqturnpike.operators.riccati_step_flow`, W = V V*, the
+    backward pass (:func:`~lqturnpike.operators.riccati_backward_pass`)
+    maps
 
         Q_j = G + E* Q_{j+1} (I + W Q_{j+1})^{-1} E
 
     and the forward pass
     (:func:`~lqturnpike.operators.riccati_forward_pass`) solves
 
-        (I + W Q_{j+1}) x_aug(t_{j+1}) = E x_aug(t_j),   x_aug = (x, 1).
+        (I + W Q_{j+1}) x_aug(t_{j+1}) = E x_aug(t_j),   x_aug = (x, 1),
 
-    Both are exact in time up to rounding, so no step is too coarse for
-    a stiff generator, and neither the algebraic Riccati solution nor
-    stabilizability of (A, B) is needed.  Then y = P_T x + r, u = -B* y.
+    both in the Woodbury form, which solves only with S = I + V* Q V,
+    r x r for a V of r <= n + 1 columns.  Both passes are exact in time up to rounding, so no
+    step is too coarse for a stiff generator, and neither the algebraic
+    Riccati solution nor stabilizability of (A, B) is needed.  Then
+    y = P_T x + r, u = -B* y.
 
     Raises
     ------
@@ -432,22 +435,24 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
     and so the flow triple
 
         E = [[Phi, Gamma, 0], [0, 0, 0], [0, 0, 1]],
-        W = V V* / dt with V = [Gamma; I; 0],   G = dt L,
+        V = [Gamma; I; 0] / sqrt(dt),   G = dt L,
 
-    where s* L s = |C x - z|^2 and u_{i+1} weighs dt at its decision.
+    with W = V V* of rank m, where s* L s = |C x - z|^2 and u_{i+1}
+    weighs dt at its decision.
     :func:`~lqturnpike.operators.riccati_backward_pass` runs from the end
     weights (dt/2 L + P0, with u_N down to dt/2) and
     :func:`~lqturnpike.operators.riccati_forward_pass` from (x0, u_0, 1),
     u_0 minimizing the node-0 value at end weights dt/2; this solves the
-    discrete KKT system exactly.  The multipliers nu_i = (I - dt/2 A)^{-*}
+    discrete KKT system exactly.  Node by node, each pass solves one
+    m x m system per node.  The multipliers nu_i = (I - dt/2 A)^{-*}
     (Q_{i+1} s_{i+1})_x approximate y(t_{i+1/2}), and
     :func:`_nodal_adjoint` carries them to the nodes.
 
     Memory is the (N + 1)(n + m + 1)^2 doubles of the Q samples.  On
     ``heat_1d(n, "boundary_flavored")`` with T = 5 and dt = 1e-2 (2-CPU
-    x86-64 host, OpenBLAS with 2 threads) one solve takes 0.21 s at
-    n = 50, 0.62 s at n = 100 and 2.0 s at n = 200, with process peak RSS
-    of 72, 104 and 228 MB.
+    x86-64 host, OpenBLAS with 2 threads) one solve takes 0.05 s at
+    n = 50, 0.23 s at n = 100 and 0.70 s at n = 200, with process peak
+    RSS of 74, 108 and 237 MB.
 
     Raises
     ------
@@ -484,7 +489,7 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
     ell[:n, :n] = sys.c.T @ sys.c
     ell[:n, -1] = ell[-1, :n] = -(sys.c.T @ prob.target)
     ell[-1, -1] = prob.target @ prob.target
-    flow = (e, (v @ v.T) / dt, dt * ell)
+    flow = (e, v / np.sqrt(dt), dt * ell)
     q_end = half * ell
     q_end[:n, :n] += prob.p0
     q_end[u_blk, u_blk] -= half * np.eye(m)

@@ -1,17 +1,17 @@
-"""System triples, matrix semigroups, resolvent smoothing, and structural checks.
+"""System triples, Riccati flows, resolvent smoothing, and structural checks.
 
 This module owns the finite-dimensional realization of a linear control
 system: the generator A, the control operator B, and the observation
 operator C, all real matrices acting on Euclidean spaces.  On top of the
 triple it provides the building blocks the rest of the package relies on:
 
-* evaluation of the state semigroup ``e^{tA}``,
 * the resolvent smoother ``J_k = k (kI - A)^{-1}`` and the approximate
   system ``(A, J_k B, C)`` of :func:`yosida_system`, the one way the
   package replaces a rough control operator by a bounded one,
 * the exact one-step flow of the Riccati equation of a triple, which is
   the one-step semigroup of its Hamiltonian, formed by
-  structure-preserving doubling,
+  structure-preserving doubling and carried as ``(E, V, G)`` with
+  ``W = V V*`` factored,
 * the backward and forward passes of that flow over a uniform grid,
   walked by one schedule that alone decides whether to lift, which serve
   the differential Riccati solver, the tracking sweep and the
@@ -44,7 +44,6 @@ __all__ = [
     "LtiSystem",
     "HypothesisReport",
     "make_system",
-    "semigroup",
     "yosida",
     "yosida_system",
     "observability_gramian",
@@ -189,19 +188,6 @@ def make_system(a, b, c) -> LtiSystem:
     return LtiSystem(a=a, b=b, c=c)
 
 
-def semigroup(sys: LtiSystem, t: float) -> np.ndarray:
-    """Evaluate the state semigroup e^{tA} at a nonnegative time.
-
-    Uses the scaling-and-squaring Pade approximation of the matrix
-    exponential, accurate to machine-level relative tolerance for the
-    well-conditioned matrices used here.
-    """
-    t = float(t)
-    if t < 0.0:
-        raise ValueError(f"semigroup time must be nonnegative, got {t}")
-    return expm(t * sys.a)
-
-
 def spectral_abscissa(a: np.ndarray) -> float:
     """Largest real part of the eigenvalues of a matrix."""
     return float(np.max(np.linalg.eigvals(a).real))
@@ -269,10 +255,17 @@ def riccati_step_flow(a, b, c, dt: float):
     Algebra Appl. 2005).  No step is exponentiated whole, so stiff
     generators cause no overflow, and no stabilizability is assumed.
 
+    ``W`` is returned as its factor ``V`` (``W = V V*``), for the passes'
+    Woodbury form.  ``V`` holds the eigenpairs of ``W`` (scaled by its
+    diagonal, see :func:`_psd_factor`) with positive eigenvalue; ``W`` is
+    positive semidefinite, so the ones dropped are rounding.  On the
+    sweep of ``heat_1d(n)`` at dt = 1e-2, ``V`` keeps 32 to 36 of 51
+    columns at n = 50 and 60 to 64 of 101 at n = 100.
+
     Returns
     -------
-    (e, w, g) : three (n, n) ndarrays; ``w`` and ``g`` are symmetric
-    positive semidefinite.
+    (e, v, g) : (n, n), (n, r) and (n, n) ndarrays with r <= n; ``g`` is
+    symmetric positive semidefinite.
     """
     n = a.shape[0]
     ham = np.block([[a, -b @ b.T], [-c.T @ c, -a.T]])
@@ -284,7 +277,26 @@ def riccati_step_flow(a, b, c, dt: float):
     g = psi[n:, :n] @ e
     for _ in range(doublings):
         e, w, g = double_step_flow(e, w, g)
-    return e, w, g
+    return e, _psd_factor(w), g
+
+
+def _psd_factor(w) -> np.ndarray:
+    """V with V V* = W for a symmetric positive semidefinite W.
+
+    The eigenpairs are those of ``D^{-1/2} W D^{-1/2}`` with D the
+    diagonal of W, the ones with positive eigenvalue kept.  The scaling
+    keeps each entry's rounding relative to its own row and column, so a
+    graded W keeps the digits of its small entries.  The transcription's
+    doubled W is 1/dt in its control block and small in its state block:
+    on random_stable(4, 2, 42) at dt = 1e-3 the lifted forward pass moved
+    3e-13 from the unfactored one with a plain eigendecomposition and
+    2e-14 with this.
+    """
+    scale = np.sqrt(np.abs(np.diag(w)))
+    scale[scale == 0.0] = 1.0
+    lam, vec = np.linalg.eigh(w / np.outer(scale, scale))
+    keep = lam > 0.0
+    return np.ascontiguousarray(scale[:, None] * vec[:, keep] * np.sqrt(lam[keep]))
 
 
 def double_step_flow(e, w, g):
@@ -305,16 +317,26 @@ def double_step_flow(e, w, g):
 
 # States of size up to this run both passes by binary lifting, larger ones
 # node by node.  Lifting saves per-call overhead, which only matters
-# while each node's matrix work is small.  On a 2-CPU x86-64 host the
-# lifted sweep was 26x faster at size 2 (N = 10,000), 2.3x at 16 and 1.1x
-# at 32 (N = 2,000), and 1.25x slower at 51 (N = 25 and 2,000).
+# while each node's matrix work is small.  On a 2-CPU x86-64 host (CPU
+# time, one BLAS thread) the lifted sweep was 40x faster at size 2
+# (N = 10,000), 2.6x at 16, 1.3x at 32 and 1.05x at 51 (N = 2,000), but
+# ran at 0.93x, 0.69x and 0.59x the stepwise speed at 16, 32 and 51 on
+# N = 25.
 _LIFTED_SWEEP_MAX_STATE = 16
 
+# Most nodes one block of a pass takes in one batched call.  A block's
+# temporaries are several times its samples, and the last lifted blocks
+# would hold up to half the nodes.  On the scalar problem at N = 2.1e6
+# (2-CPU x86-64 host) the cap lowered peak RSS from 478 to 334 MiB for
+# the transcription and from 267 to 222 MiB for the sweep, at no
+# measured cost in time.
+_BLOCK_NODES = 65_536
+
 # Most doubles of Riccati samples one solve may hold: 5e7 doubles, 381 MiB.
-# Measured peak RSS (2-CPU x86-64 host) was the samples plus 71 MiB node by
-# node (heat_1d(200), both solvers) and at most 2.8 times the samples plus
+# Measured peak RSS (2-CPU x86-64 host) was the samples plus 70 MiB node by
+# node (heat_1d(200), both solvers) and at most 2.5 times the samples plus
 # 60 MiB lifted (the scalar problem at N = 2.1e6), so a solve at the cap
-# stays near 1.1 GiB.
+# stays near 1 GiB.
 _SAMPLE_CAP = 50_000_000
 
 
@@ -338,63 +360,82 @@ def _pass_schedule(flow, nsteps: int):
     """Blocks ``(flow over span, lo, hi, span)`` covering nodes 1..nsteps in order.
 
     Each block takes the nodes ``[lo, hi)`` from ``[lo - span, hi - span)``,
-    counted from the pass's starting node.  A state of size up to
-    ``_LIFTED_SWEEP_MAX_STATE`` is lifted: block k spans 2^k steps with the
-    flow doubled k times, about log2(nsteps) blocks in all.  A larger
+    counted from the pass's starting node, with the flow ``(e, v, g)`` of
+    :func:`riccati_step_flow` over ``span`` steps.  A state of size up to
+    ``_LIFTED_SWEEP_MAX_STATE`` is lifted: level k spans 2^k steps with
+    ``W = V V*`` formed once and the flow doubled k times, refactored
+    after each doubling, about log2(nsteps) levels in all.  A larger
     state, whose per-node matrix work outweighs the call overhead lifting
-    saves, takes one node per block with the one-step flow.
+    saves, takes one node per block with the one-step flow.  No block
+    holds more than ``_BLOCK_NODES`` nodes; all nodes a block reads lie
+    before its ``lo``, so splitting a level changes no sample.
     """
-    lifted = flow[0].shape[0] <= _LIFTED_SWEEP_MAX_STATE
+    e, v, g = flow
+    lifted = e.shape[0] <= _LIFTED_SWEEP_MAX_STATE
+    w = v @ v.T
     lo = 1
     while lo <= nsteps:
         if lifted and lo > 1:
-            flow = double_step_flow(*flow)
+            e, w, g = double_step_flow(e, w, g)
+            v = _psd_factor(w)
         span = lo if lifted else 1
-        yield flow, lo, min(lo + span, nsteps + 1), span
+        end = min(lo + span, nsteps + 1)
+        for start in range(lo, end, _BLOCK_NODES):
+            yield (e, v, g), start, min(start + _BLOCK_NODES, end), span
         lo += span
 
 
 def riccati_backward_pass(flow, q_end, nsteps: int) -> np.ndarray:
     """Riccati samples at every node of a uniform grid, exact up to rounding.
 
-    With the one-step flow ``(e, w, g)`` of :func:`riccati_step_flow`,
+    With the one-step flow ``(e, v, g)`` of :func:`riccati_step_flow`,
     the pass maps
 
-        Q_j = G + E* Q_{j+1} (I + W Q_{j+1})^{-1} E
+        Q_j = G + E* Q_{j+1} (I + V V* Q_{j+1})^{-1} E
+            = G + E* (Q_{j+1} - Q_{j+1} V S^{-1} V* Q_{j+1}) E,
+        S = I + V* Q_{j+1} V,
 
-    backward from ``Q_N = q_end``, which is stored as given.  The same
-    map holds over 2^k steps with the doubled flow, and each block of
-    :func:`_pass_schedule` takes its nodes in one batched call.
+    backward from ``Q_N = q_end``, which is stored as given; the second
+    line is the Woodbury form, which solves only the r x r system S for
+    a V of width r.  The same map holds over 2^k steps with the doubled
+    flow, and each block of :func:`_pass_schedule` takes its nodes in one
+    batched call.
 
     Returns
     -------
     (nsteps + 1, size, size) ndarray of samples in node order.
     """
-    eye = np.eye(q_end.shape[0])
     q_nodes = np.empty((nsteps + 1,) + q_end.shape)
     q_rev = q_nodes[::-1]  # q_rev[k] is node N - k
     q_rev[0] = q_end
-    for (e, w, g), lo, hi, span in _pass_schedule(flow, nsteps):
+    for (e, v, g), lo, hi, span in _pass_schedule(flow, nsteps):
         q = q_rev[lo - span : hi - span]
-        prev = g + e.T @ q @ np.linalg.solve(eye + w @ q, e[None])
+        qv = q @ v
+        s = np.eye(v.shape[1]) + v.T @ qv
+        prev = g + e.T @ (q - qv @ np.linalg.solve(s, qv.swapaxes(1, 2))) @ e
         q_rev[lo:hi] = 0.5 * (prev + prev.swapaxes(1, 2))
     return q_nodes
 
 
 def riccati_forward_pass(flow, q_nodes, x_start) -> np.ndarray:
-    """Closed loop (I + W Q_{j+1}) x_{j+1} = E x_j from ``x_start``.
+    """Closed loop ``x_{j+1} = E x_j - V S^{-1} V* Q_{j+1} E x_j`` from ``x_start``.
 
-    ``q_nodes`` are the samples of :func:`riccati_backward_pass` on the
-    same flow; the blocks of :func:`_pass_schedule` take the state over
-    2^k steps with the doubled flow when it lifts.  Returns the
-    (nsteps + 1, size) states.
+    This is ``(I + V V* Q_{j+1}) x_{j+1} = E x_j`` in the Woodbury form
+    of :func:`riccati_backward_pass`, with ``S = I + V* Q_{j+1} V``.
+    ``q_nodes`` are the samples of that pass on the same flow; the blocks
+    of :func:`_pass_schedule` take the state over 2^k steps with the
+    doubled flow when it lifts.  Returns the (nsteps + 1, size) states.
     """
-    eye = np.eye(x_start.shape[0])
     x_nodes = np.empty((q_nodes.shape[0], x_start.shape[0]))
     x_nodes[0] = x_start
-    for (e, w, _), lo, hi, span in _pass_schedule(flow, q_nodes.shape[0] - 1):
-        rhs = (x_nodes[lo - span : hi - span] @ e.T)[:, :, None]
-        x_nodes[lo:hi] = np.linalg.solve(eye + w @ q_nodes[lo:hi], rhs)[:, :, 0]
+    for (e, v, _), lo, hi, span in _pass_schedule(flow, q_nodes.shape[0] - 1):
+        # One product per node: the rows of one 2-d product per block can
+        # round differently with the block's row count (a single row takes
+        # another BLAS route), and the block cap changes those counts.
+        ex = e @ x_nodes[lo - span : hi - span, :, None]
+        vq = v.T @ q_nodes[lo:hi]
+        s = np.eye(v.shape[1]) + vq @ v
+        x_nodes[lo:hi] = (ex - v @ np.linalg.solve(s, vq @ ex))[:, :, 0]
     return x_nodes
 
 

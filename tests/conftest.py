@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse
 
 import lqturnpike as lab
+from lqturnpike import operators
 
 
 @pytest.fixture(scope="session")
@@ -59,6 +60,59 @@ def _rk4_dre(sys_, horizon, p0, steps):
 def rk4_dre():
     """The RK4 oracle for the Riccati flow, ``(sys, T, p0, steps) -> samples``."""
     return _rk4_dre
+
+
+def _direct_schedule(flow, nsteps):
+    """Blocks ``(e, w, g), lo, hi, span`` of the passes, on the unfactored flow.
+
+    The same walk as :func:`lqturnpike.operators._pass_schedule` without
+    its block-size cap: a state of size up to
+    ``operators._LIFTED_SWEEP_MAX_STATE`` takes level k over 2^k steps
+    with ``W`` itself doubled, a larger one node by node.
+    """
+    lifted = flow[0].shape[0] <= operators._LIFTED_SWEEP_MAX_STATE
+    lo = 1
+    while lo <= nsteps:
+        if lifted and lo > 1:
+            flow = operators.double_step_flow(*flow)
+        span = lo if lifted else 1
+        yield flow, lo, min(lo + span, nsteps + 1), span
+        lo += span
+
+
+def _direct_backward_pass(flow, q_end, nsteps):
+    """Riccati samples by the direct map Q_j = G + E* Q (I + W Q)^{-1} E.
+
+    ``flow`` is ``(e, w, g)`` with ``W = V V*`` formed.  Solving the full
+    size-square system at every node, it is an independent route to the
+    Woodbury body of :func:`lqturnpike.operators.riccati_backward_pass`.
+    """
+    eye = np.eye(q_end.shape[0])
+    q_nodes = np.empty((nsteps + 1,) + q_end.shape)
+    q_rev = q_nodes[::-1]  # q_rev[k] is node N - k
+    q_rev[0] = q_end
+    for (e, w, g), lo, hi, span in _direct_schedule(flow, nsteps):
+        q = q_rev[lo - span : hi - span]
+        prev = g + e.T @ q @ np.linalg.solve(eye + w @ q, e[None])
+        q_rev[lo:hi] = 0.5 * (prev + prev.swapaxes(1, 2))
+    return q_nodes
+
+
+def _direct_forward_pass(flow, q_nodes, x_start):
+    """Closed loop by the direct solve (I + W Q_{j+1}) x_{j+1} = E x_j."""
+    eye = np.eye(x_start.shape[0])
+    x_nodes = np.empty((q_nodes.shape[0], x_start.shape[0]))
+    x_nodes[0] = x_start
+    for (e, w, _), lo, hi, span in _direct_schedule(flow, q_nodes.shape[0] - 1):
+        rhs = (x_nodes[lo - span : hi - span] @ e.T)[:, :, None]
+        x_nodes[lo:hi] = np.linalg.solve(eye + w @ q_nodes[lo:hi], rhs)[:, :, 0]
+    return x_nodes
+
+
+@pytest.fixture(scope="session")
+def direct_passes():
+    """The unfactored oracle of the Riccati passes, ``(backward, forward)``."""
+    return _direct_backward_pass, _direct_forward_pass
 
 
 def _stamp(rows, cols, data, r0s, c0s, block):

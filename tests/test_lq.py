@@ -10,7 +10,7 @@ from scipy.signal import lsim
 from scipy.sparse.linalg import spsolve
 
 import lqturnpike as lab
-from lqturnpike import operators
+from lqturnpike import lq, operators
 from lqturnpike.errors import GridMismatchError, IntegrationError, ProblemSizeError
 from lqturnpike.lq import _half_sampled_steps, _nodal_adjoint, _trapezoid
 from lqturnpike.verification import _sampled_cost_margins
@@ -307,6 +307,56 @@ class TestSweepPaths:
             stepwise = lab.solve_riccati_sweep(prob)
             for got, want in ((lifted.x, stepwise.x), (lifted.y, stepwise.y)):
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _recorded_passes(monkeypatch, solve, prob):
+    """``(args, result)`` of the backward and the forward pass inside one solve."""
+    calls = {}
+    for name in ("riccati_backward_pass", "riccati_forward_pass"):
+        def spy(*args, _pass=getattr(lq, name), _name=name):
+            calls[_name] = (args, _pass(*args))
+            return calls[_name][1]
+
+        monkeypatch.setattr(lq, name, spy)
+    solve(prob)
+    return calls["riccati_backward_pass"], calls["riccati_forward_pass"]
+
+
+class TestFactoredPasses:
+    @pytest.mark.parametrize(
+        "solve", [lab.solve_riccati_sweep, lab.solve_transcription],
+        ids=["sweep", "transcription"],
+    )
+    @pytest.mark.parametrize("case", ["distributed", "boundary_flavored", "rand4"])
+    def test_passes_match_the_direct_oracle(
+        self, solve, case, rand4, monkeypatch, direct_passes
+    ):
+        # heat_1d(50) with either column walks node by node; rand4 is lifted.
+        if case == "rand4":
+            sys_, z, _ = rand4
+            x0 = np.random.Generator(np.random.Philox(key=4)).standard_normal(4)
+            prob = lab.LqProblem(
+                sys=sys_, horizon=2.0, target=z, x0=x0, p0=0.5 * np.eye(4), dt=1e-3
+            )
+        else:
+            prob = heat_problem(50, case)
+        backward, forward = _recorded_passes(monkeypatch, solve, prob)
+        (e, v, g), q_end, nsteps = backward[0]
+        direct_backward, direct_forward = direct_passes
+        unfactored = (e, v @ v.T, g)
+        want_q = direct_backward(unfactored, q_end, nsteps)
+        want_x = direct_forward(unfactored, backward[1], forward[0][2])
+        for got, want in ((backward[1], want_q), (forward[1], want_x)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n, m", [(4, 2), (10, 1)])
+    def test_transcription_factor_has_m_columns(self, monkeypatch, n, m):
+        sys_ = lab.random_stable(n, m, 3)
+        prob = lab.LqProblem(
+            sys=sys_, horizon=0.1, target=np.ones(n), x0=np.zeros(n), dt=1e-2
+        )
+        (flow, _, _), _ = _recorded_passes(monkeypatch, lab.solve_transcription, prob)[0]
+        assert flow[1].shape == (n + m + 1, m)
 
 
 class TestExactSteps:

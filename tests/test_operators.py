@@ -6,6 +6,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 import lqturnpike as lab
 from lqturnpike.errors import DimensionError, NonFiniteError, ResolventError
+from lqturnpike.operators import riccati_step_flow
 
 
 class TestMakeSystem:
@@ -37,38 +38,60 @@ class TestMakeSystem:
             sys_.a[0, 0] = 0.0
 
 
+def _flow_semigroup(a, t):
+    """The E block of the Riccati flow of (A, 0, 0) over t, which is e^{tA}."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    e, v, g = riccati_step_flow(a, np.zeros((n, 1)), np.zeros((n, n)), t)
+    assert v.shape == (n, 0) and not np.any(g)
+    return e
+
+
 class TestSemigroup:
     def test_identity_at_zero(self):
-        sys_ = lab.make_system([[-1.0]], [[1.0]], [[1.0]])
-        assert np.allclose(lab.semigroup(sys_, 0.0), np.eye(1), atol=0.0)
+        assert np.allclose(_flow_semigroup([[-1.0]], 0.0), np.eye(1), atol=0.0)
 
     def test_scalar_exponential(self):
         # Oracle: the scalar exponential evaluated independently.
-        sys_ = lab.make_system([[-1.0]], [[1.0]], [[1.0]])
-        assert abs(lab.semigroup(sys_, 1.0)[0, 0] - math.exp(-1.0)) < 1e-9
+        assert abs(_flow_semigroup([[-1.0]], 1.0)[0, 0] - math.exp(-1.0)) < 1e-9
 
     def test_nilpotent_closed_form(self):
         # Oracle: truncated power series, exact for a nilpotent generator.
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
-        sys_ = lab.make_system(a, np.eye(2), np.eye(2))
         series = np.eye(2) + a + 0.5 * (a @ a)
         expected = np.array([[1.0, 1.0], [0.0, 1.0]])
         assert np.allclose(series, expected, atol=0.0)
-        assert np.allclose(lab.semigroup(sys_, 1.0), expected, atol=1e-12)
-
-    def test_negative_time_rejected(self):
-        sys_ = lab.make_system([[-1.0]], [[1.0]], [[1.0]])
-        with pytest.raises(ValueError):
-            lab.semigroup(sys_, -0.1)
+        assert np.allclose(_flow_semigroup(a, 1.0), expected, atol=1e-12)
 
     def test_semigroup_law_on_random_systems(self):
         rng = np.random.Generator(np.random.Philox(key=5))
         for _ in range(10):
-            sys_ = lab.random_stable(4, 2, int(rng.integers(0, 2**32)))
+            a = lab.random_stable(4, 2, int(rng.integers(0, 2**32))).a
             s, t = rng.uniform(0.0, 2.0, size=2)
-            whole = lab.semigroup(sys_, s + t)
-            split = lab.semigroup(sys_, s) @ lab.semigroup(sys_, t)
+            whole = _flow_semigroup(a, s + t)
+            split = _flow_semigroup(a, s) @ _flow_semigroup(a, t)
             assert np.linalg.norm(whole - split) <= 1e-9 * np.linalg.norm(whole)
+
+
+class TestStepFlowFactor:
+    def test_factor_reproduces_the_whole_step_w(self, rand4):
+        # Oracle: one exponential of the Hamiltonian over the whole step
+        # gives W = Psi11^{-1} Psi12 without doubling.
+        sys_, _, _ = rand4
+        dt = 0.5
+        ham = np.block([[sys_.a, -sys_.b @ sys_.b.T], [-sys_.c.T @ sys_.c, -sys_.a.T]])
+        assert 2.0 * dt * np.linalg.norm(ham, 1) > 1.0  # so the flow is doubled
+        psi = expm(-dt * ham)
+        w = np.linalg.solve(psi[:4, :4], psi[:4, 4:])
+        _, v, _ = riccati_step_flow(sys_.a, sys_.b, sys_.c, dt)
+        assert v.shape[0] == 4 and v.shape[1] <= 4
+        assert np.linalg.norm(v @ v.T - w) <= 1e-12 * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("control", ["distributed", "boundary_flavored"])
+    def test_stiff_factor_is_no_wider_than_the_state(self, control):
+        sys_, _ = lab.heat_1d(50, control)
+        _, v, _ = riccati_step_flow(sys_.a, sys_.b, sys_.c, 1e-2)
+        assert v.shape[0] == 50 and 1 <= v.shape[1] <= 50
 
 
 class TestYosida:
@@ -158,6 +181,15 @@ class TestObservabilityGramian:
     def test_validation(self):
         with pytest.raises(ValueError):
             lab.observability_gramian((np.eye(2), np.eye(2)), -1.0)
+
+    def test_no_control_leaves_an_empty_factor(self, rand4):
+        # W = 0, so the Gramian is the flow's G block as it was before W
+        # was factored.
+        sys_, _, _ = rand4
+        _, v, g = riccati_step_flow(sys_.a, np.zeros((4, 1)), sys_.c, 1.0)
+        assert v.shape == (4, 0)
+        gram = lab.observability_gramian((sys_.a, sys_.c), 1.0)
+        assert np.array_equal(gram, 0.5 * (g + g.T))
 
     def test_stiff_heat_matches_lyapunov_route(self):
         # Independent route: for the stable heat generator the Gramian on

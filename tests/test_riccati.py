@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import lqturnpike as lab
 from lqturnpike import operators
 from lqturnpike.errors import NotStabilizableError
-from lqturnpike.operators import riccati_backward_pass, riccati_step_flow
+from lqturnpike.operators import (
+    riccati_backward_pass,
+    riccati_forward_pass,
+    riccati_step_flow,
+)
 from lqturnpike.riccati import lifted_orbit
 from lqturnpike.turnpike import fit_decay_rate
 
@@ -98,6 +103,19 @@ class TestSolveDre:
         stepwise = riccati_backward_pass(flow, np.zeros((4, 4)), 5000)
         assert np.max(np.abs(lifted - stepwise)) <= 1e-13
 
+    def test_capped_blocks_change_no_sample(self, rand4, monkeypatch):
+        # Every node a block reads lies before it, so splitting the lifted
+        # blocks leaves both passes bit for bit as they were.
+        sys_, _, _ = rand4
+        flow = riccati_step_flow(sys_.a, sys_.b, sys_.c, 5.0 / 5000)
+        x0 = np.ones(4)
+        q_whole = riccati_backward_pass(flow, np.zeros((4, 4)), 5000)
+        x_whole = riccati_forward_pass(flow, q_whole, x0)
+        monkeypatch.setattr(operators, "_BLOCK_NODES", 7)
+        q_capped = riccati_backward_pass(flow, np.zeros((4, 4)), 5000)
+        assert np.array_equal(q_capped, q_whole)
+        assert np.array_equal(riccati_forward_pass(flow, q_capped, x0), x_whole)
+
     def test_monotone_in_horizon_with_zero_terminal_cost(self, rand4):
         sys_, _, _ = rand4
         rng = np.random.Generator(np.random.Philox(key=3))
@@ -179,10 +197,7 @@ class TestClosedLoopGenerator:
         are = lab.solve_are(sys_)
         lam = -are.closed_loop_abscissa
         grid = np.linspace(1.0, 5.0, 81)
-        norms = np.array(
-            [np.linalg.norm(lab.semigroup(lab.make_system(are.a_cl, sys_.b, sys_.c), t), 2)
-             for t in grid]
-        )
+        norms = np.array([np.linalg.norm(expm(t * are.a_cl), 2) for t in grid])
         _, lam_fit = fit_decay_rate((grid, norms), (1.0, 5.0))
         assert abs(lam_fit - lam) <= 0.02 * lam
 
