@@ -28,7 +28,6 @@ from .errors import (
 from .lq import (
     LqProblem,
     Trajectory,
-    adjoint_from_control,
     cost,
     duality_residual,
     simulate_forward,

@@ -78,7 +78,6 @@ __all__ = [
     "Trajectory",
     "solve_transcription",
     "solve_riccati_sweep",
-    "adjoint_from_control",
     "simulate_forward",
     "cost",
     "duality_residual",
@@ -162,44 +161,32 @@ class Trajectory:
     method: str
 
 
-def _step_coefficients(a_mat, h):
-    """Exact one-step map of v' = a v + w(t) over a step h, w quadratic.
+def _nodal_steps(a_mat, h, b, w, v0, what):
+    """Exact steps of v' = a v + b w(t) for nodal data w linear between nodes.
 
-    For forcing quadratic over the step and sampled at its start, middle
-    and end,
+    ``w`` has shape (nodes, k, columns) and ``v0`` shape (n, columns) or
+    (n, 1); returns the nodal states, shape (nodes, n, columns).  With
+    R = e^{hA} and, in the functions phi_k(Z) = sum_i Z^i / (i + k)! of
+    Z = h a, one step is the exact map
 
-        v_{j+1} = R v_j + S0 w(t_j) + Sm w(t_j + h/2) + S1 w(t_j + h)
+        v_{i+1} = R v_i + h (phi_1 - phi_2) b w_i + h phi_2 b w_{i+1}
 
-    holds exactly at any h, with R = e^{hA} and, in the functions
-    phi_k(Z) = sum_i Z^i / (i + k)! of Z = h a,
-
-        S0 = h (phi_1 - 3 phi_2 + 4 phi_3),
-        Sm = 4h (phi_2 - 2 phi_3),   S1 = h (4 phi_3 - phi_2).
-
-    (R, S0, Sm, S1) is returned.  R and the phi_k are the top block row
-    of one exponential of [[Z, I, 0, 0], [0, 0, I, 0], [0, 0, 0, I],
-    [0, 0, 0, 0]] (Van Loan, IEEE TAC 1978), whose diagonal holds only Z
-    and zeros, so it grows no faster than e^{hA} itself.
+    at any h.  R, phi_1 and phi_2 are the top block row of one exponential
+    of [[Z, I, 0], [0, 0, I], [0, 0, 0]] (Van Loan, IEEE TAC 1978), whose
+    diagonal holds only Z and zeros, so it grows no faster than e^{hA}
+    itself.  The forcing of every step is written into the output buffer,
+    so memory is the output plus one array of its size.  Growth that
+    blows up is caught after the loop.
     """
     n = a_mat.shape[0]
-    block = np.zeros((4 * n, 4 * n))
+    block = np.zeros((3 * n, 3 * n))
     block[:n, :n] = h * a_mat
-    for k in range(3):
-        block[k * n : (k + 1) * n, (k + 1) * n : (k + 2) * n] = np.eye(n)
-    top = expm(block)[:n]
-    r, phi1, phi2, phi3 = (top[:, k * n : (k + 1) * n] for k in range(4))
-    s0 = h * (phi1 - 3.0 * phi2 + 4.0 * phi3)
-    sm = (4.0 * h) * (phi2 - 2.0 * phi3)
-    return r, s0, sm, h * (4.0 * phi3 - phi2)
-
-
-def _affine_steps(r, out, what):
-    """Run v_{j+1} = r v_j + out[j + 1] in place and return ``out``.
-
-    ``out`` has shape (steps + 1, n, columns): on entry ``out[0]`` holds
-    v_0 and ``out[j + 1]`` the forcing of step j; on exit it holds the
-    states.  Growth that blows up is caught after the loop.
-    """
+    block[: 2 * n, n:] += np.eye(2 * n)  # the two identity blocks
+    r, phi1, phi2 = np.split(expm(block)[:n], 3, axis=1)
+    out = np.empty((w.shape[0], n, w.shape[2]))
+    out[0] = v0
+    np.matmul((h * (phi1 - phi2)) @ b, w[:-1], out=out[1:])
+    out[1:] += ((h * phi2) @ b) @ w[1:]
     for j in range(out.shape[0] - 1):
         out[j + 1] += r @ out[j]
     if not np.all(np.isfinite(out)) or np.max(np.abs(out[-1])) > _BLOWUP_LIMIT:
@@ -208,50 +195,6 @@ def _affine_steps(r, out, what):
             f"blow-up limit {_BLOWUP_LIMIT:.0e} over the horizon"
         )
     return out
-
-
-def _nodal_steps(a_mat, h, b, w, v0, what):
-    """Exact steps of v' = a v + b w(t) for nodal data w linear between nodes.
-
-    ``w`` has shape (nodes, k, columns) and ``v0`` shape (n, columns) or
-    (n, 1); returns the nodal states, shape (nodes, n, columns).  The mid
-    sample of linear data is the average of the two end nodes, so with
-    :func:`_step_coefficients` one step is
-
-        v_{i+1} = R v_i + (S0 + Sm/2) b w_i + (Sm/2 + S1) b w_{i+1}.
-
-    The forcing of every step is written into the output buffer, so
-    memory is the output plus one array of its size.
-    """
-    r, s0, sm, s1 = _step_coefficients(a_mat, h)
-    out = np.empty((w.shape[0], a_mat.shape[0], w.shape[2]))
-    out[0] = v0
-    np.matmul((s0 + 0.5 * sm) @ b, w[:-1], out=out[1:])
-    out[1:] += ((0.5 * sm + s1) @ b) @ w[1:]
-    return _affine_steps(r, out, what)
-
-
-def _half_sampled_steps(a_mat, forcing_half, v0, h, nsteps, what="trajectory"):
-    """Exact steps of v' = a v + w(t) for forcing sampled at half-step spacing.
-
-    ``forcing_half`` must hold 2*nsteps + 1 samples at spacing h/2, read
-    as quadratic over each step: step j uses samples 2j, 2j+1, 2j+2 with
-    the coefficients of :func:`_step_coefficients`.  Supports batched
-    columns: v0 of shape (n,) or (n, nbatch) with forcing shaped
-    accordingly.
-    """
-    r, s0, sm, s1 = _step_coefficients(a_mat, h)
-    n = a_mat.shape[0]
-    v0 = np.asarray(v0, dtype=float)
-    # Carry states as (n, columns) so one matmul serves both layouts.
-    w = np.asarray(forcing_half, dtype=float).reshape((2 * nsteps + 1, n, -1))
-    out = np.empty((nsteps + 1, n, w.shape[2]))
-    out[0] = v0.reshape(n, -1)
-    steps = out[1:]
-    np.matmul(s0, w[0:-1:2], out=steps)
-    steps += sm @ w[1::2]
-    steps += s1 @ w[2::2]
-    return _affine_steps(r, out, what).reshape((nsteps + 1,) + v0.shape)
 
 
 def simulate_forward(prob: LqProblem, u) -> np.ndarray:
@@ -276,50 +219,6 @@ def simulate_forward(prob: LqProblem, u) -> np.ndarray:
     cols = u.reshape(n_nodes, prob.sys.m, -1)
     out = _nodal_steps(prob.sys.a, prob.dt, prob.sys.b, cols, prob.x0[:, None], "state")
     return out.reshape((n_nodes, n) + u.shape[2:])
-
-
-def adjoint_from_control(prob: LqProblem, u):
-    """Recompute the state and adjoint generated by a given control.
-
-    Integrates x' = A x + B u forward from x0, then the adjoint
-    y' = -A* y - C*(C x - z) backward from y(T) = P0 x(T).  The state
-    takes exact steps of dt/2 (:func:`_nodal_steps`, the midpoint
-    controls being node averages), so the adjoint pass, which takes
-    exact steps of dt, reads its forcing as quadratic through the node
-    and midpoint samples (:func:`_half_sampled_steps`).  The state is
-    exact for the piecewise-linear control; the adjoint's error is that
-    of the quadratic reading of C*(C x - z).
-
-    Returns
-    -------
-    (x, y) : ((N + 1, n) ndarray, (N + 1, n) ndarray)
-    """
-    u = np.asarray(u, dtype=float)
-    n_nodes = prob.n_steps + 1
-    if u.shape != (n_nodes, prob.sys.m):
-        raise GridMismatchError(
-            f"controls must have shape ({n_nodes}, {prob.sys.m}), got {u.shape}"
-        )
-    sys = prob.sys
-    u_half = np.empty((2 * prob.n_steps + 1, sys.m, 1))
-    u_half[::2, :, 0] = u
-    u_half[1::2, :, 0] = 0.5 * (u[:-1] + u[1:])
-    x_half = _nodal_steps(
-        sys.a, 0.5 * prob.dt, sys.b, u_half, prob.x0[:, None], "state"
-    )[:, :, 0]
-    # Backward pass in reversed time s = T - t: Y' = A* Y + g(T - s) with
-    # g = C*(C x - z); the reversed forcing samples come from the half-step
-    # state grid, so no interpolation of computed values is needed.
-    g_half = (x_half @ sys.c.T - prob.target) @ sys.c  # C*(C x - z) row-wise
-    y_rev = _half_sampled_steps(
-        sys.a.T,
-        g_half[::-1],
-        prob.p0 @ x_half[-1],
-        prob.dt,
-        prob.n_steps,
-        what="adjoint",
-    )
-    return x_half[::2], y_rev[::-1]
 
 
 def _trapezoid(values: np.ndarray, dt: float):
@@ -371,10 +270,10 @@ def solve_riccati_sweep(prob: LqProblem) -> Trajectory:
         (I + W Q_{j+1}) x_aug(t_{j+1}) = E x_aug(t_j),   x_aug = (x, 1),
 
     both in the Woodbury form, which solves only with S = I + V* Q V,
-    r x r for a V of r <= n + 1 columns.  Both passes are exact in time up to rounding, so no
-    step is too coarse for a stiff generator, and neither the algebraic
-    Riccati solution nor stabilizability of (A, B) is needed.  Then
-    y = P_T x + r, u = -B* y.
+    r x r for a V of r <= n + 1 columns.  Both passes are exact in time
+    up to rounding, so no step is too coarse for a stiff generator, and
+    neither the algebraic Riccati solution nor stabilizability of (A, B)
+    is needed.  Then y = P_T x + r, u = -B* y.
 
     Raises
     ------

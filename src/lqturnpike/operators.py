@@ -496,8 +496,8 @@ def check_hypotheses(
     (A*, B*) observability Gramians on [0, t0], kernel-intersection flags
     via a full-column-rank test on the stacked matrices [A; C] and
     [A*; B*] (singular values above ``tol`` times the largest), and the
-    smallest and largest eigenvalues ``delta`` and ``delta_max`` of C*C.  Failures are reported, never
-    raised.
+    smallest and largest eigenvalues ``delta`` and ``delta_max`` of C*C.
+    Failures are reported, never raised.
     """
     gram_ac = observability_gramian((sys.a, sys.c), t0)
     gram_ab = observability_gramian((sys.a.T, sys.b.T), t0)

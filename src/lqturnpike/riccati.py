@@ -53,6 +53,7 @@ __all__ = [
     "solve_dre",
 ]
 
+
 @dataclass(frozen=True)
 class AreSolution:
     """Stabilizing solution of the algebraic Riccati equation.

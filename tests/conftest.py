@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from scipy.linalg import expm
 
 import lqturnpike as lab
 from lqturnpike import operators
@@ -60,6 +61,55 @@ def _rk4_dre(sys_, horizon, p0, steps):
 def rk4_dre():
     """The RK4 oracle for the Riccati flow, ``(sys, T, p0, steps) -> samples``."""
     return _rk4_dre
+
+
+def _half_sampled_steps(a_mat, forcing_half, v0, h, nsteps):
+    """Exact steps of v' = a v + w(t) for forcing sampled at half-step spacing.
+
+    ``forcing_half`` holds 2*nsteps + 1 samples at spacing h/2, read as
+    quadratic over each step: step j uses samples 2j, 2j+1, 2j+2 in
+
+        v_{j+1} = R v_j + S0 w(t_j) + Sm w(t_j + h/2) + S1 w(t_j + h),
+
+    exact at any h, with R = e^{hA} and, in the functions
+    phi_k(Z) = sum_i Z^i / (i + k)! of Z = h a,
+
+        S0 = h (phi_1 - 3 phi_2 + 4 phi_3),
+        Sm = 4h (phi_2 - 2 phi_3),   S1 = h (4 phi_3 - phi_2),
+
+    read off the top block row of one exponential of [[Z, I, 0, 0],
+    [0, 0, I, 0], [0, 0, 0, I], [0, 0, 0, 0]].  An independent route to
+    :func:`lqturnpike.lq._nodal_steps`: its own exponential and a
+    quadratic reading of the forcing, where the nodal steps read it as
+    linear.  ``v0`` of shape (n,) or (n, columns), forcing shaped
+    accordingly.
+    """
+    a_mat = np.asarray(a_mat, dtype=float)
+    n = a_mat.shape[0]
+    block = np.zeros((4 * n, 4 * n))
+    block[:n, :n] = h * a_mat
+    block[: 3 * n, n:] += np.eye(3 * n)
+    r, phi1, phi2, phi3 = np.split(expm(block)[:n], 4, axis=1)
+    s0 = h * (phi1 - 3.0 * phi2 + 4.0 * phi3)
+    sm = (4.0 * h) * (phi2 - 2.0 * phi3)
+    s1 = h * (4.0 * phi3 - phi2)
+    v0 = np.asarray(v0, dtype=float)
+    w = np.asarray(forcing_half, dtype=float).reshape((2 * nsteps + 1, n, -1))
+    out = np.empty((nsteps + 1, n, w.shape[2]))
+    out[0] = v0.reshape(n, -1)
+    steps = out[1:]
+    np.matmul(s0, w[0:-1:2], out=steps)
+    steps += sm @ w[1::2]
+    steps += s1 @ w[2::2]
+    for j in range(nsteps):
+        out[j + 1] += r @ out[j]
+    return out.reshape((nsteps + 1,) + v0.shape)
+
+
+@pytest.fixture(scope="session")
+def half_sampled_steps():
+    """The quadratic-forcing oracle of the exact steps, ``(a, w, v0, h, N) -> v``."""
+    return _half_sampled_steps
 
 
 def _direct_schedule(flow, nsteps):

@@ -12,7 +12,7 @@ from scipy.sparse.linalg import spsolve
 import lqturnpike as lab
 from lqturnpike import lq, operators
 from lqturnpike.errors import GridMismatchError, IntegrationError, ProblemSizeError
-from lqturnpike.lq import _half_sampled_steps, _nodal_adjoint, _trapezoid
+from lqturnpike.lq import _nodal_adjoint, _trapezoid
 from lqturnpike.verification import _sampled_cost_margins
 
 
@@ -360,7 +360,7 @@ class TestFactoredPasses:
 
 
 class TestExactSteps:
-    def test_closed_form_quadratic_forcing(self, rand4):
+    def test_closed_form_quadratic_forcing(self, rand4, half_sampled_steps):
         # For w(t) = w0 + w1 t + w2 t^2 the solution is
         # e^{tA}(v0 - P0) + P0 + P1 t + P2 t^2 with P2 = -A^{-1} w2,
         # P1 = A^{-1}(2 P2 - w1) and P0 = A^{-1}(P1 - w0).
@@ -371,7 +371,7 @@ class TestExactSteps:
             n = a_mat.shape[0]
             v0, w0, w1, w2 = rng.standard_normal((4, n))
             half = 0.5 * h * np.arange(2 * nsteps + 1)[:, None]
-            got = _half_sampled_steps(a_mat, w0 + w1 * half + w2 * half**2, v0, h, nsteps)
+            got = half_sampled_steps(a_mat, w0 + w1 * half + w2 * half**2, v0, h, nsteps)
             p2 = -np.linalg.solve(a_mat, w2)
             p1 = np.linalg.solve(a_mat, 2.0 * p2 - w1)
             p0 = np.linalg.solve(a_mat, p1 - w0)
@@ -408,18 +408,21 @@ class TestExactSteps:
             sys=sys_, horizon=1.0, target=np.zeros(1), x0=np.ones(1),
             p0=np.zeros((1, 1)), dt=1e-2,
         )
-        u = np.zeros((prob.n_steps + 1, 1))
+        zeros = np.zeros((prob.n_steps + 1, 1))
         with pytest.raises(IntegrationError, match="blow-up limit"):
-            lab.simulate_forward(prob, u)
-        with pytest.raises(IntegrationError, match="blow-up limit"):
-            lab.adjoint_from_control(prob, u)
+            lab.simulate_forward(prob, zeros)
+        forward = (np.ones(1), zeros, zeros, np.zeros((1, 1)))
+        with pytest.raises(IntegrationError, match="forward integration diverged.*blow-up limit"):
+            lab.duality_residual(sys_, forward, (np.zeros(1), zeros), prob.horizon, prob.dt)
 
     def test_unstable_resolved_generator_integrates(self):
-        h, nsteps = 1e-2, 200
-        got = _half_sampled_steps(
-            np.array([[0.5]]), np.zeros((2 * nsteps + 1, 1)), [1.0], h, nsteps
+        sys_ = lab.make_system([[0.5]], [[1.0]], [[1.0]])
+        prob = lab.LqProblem(
+            sys=sys_, horizon=2.0, target=np.zeros(1), x0=np.ones(1),
+            p0=np.zeros((1, 1)), dt=1e-2,
         )
-        want = np.exp(0.5 * h * np.arange(nsteps + 1))
+        got = lab.simulate_forward(prob, np.zeros((prob.n_steps + 1, 1)))
+        want = np.exp(0.5 * prob.grid)
         assert np.max(np.abs(got[:, 0] - want) / want) <= 1e-10
 
 
@@ -432,7 +435,7 @@ def _refine(values, factor):
 
 class TestSimulateForward:
     # The nodal integrators take one exact step per node interval; the
-    # reference steps _half_sampled_steps through forcing sampled on the
+    # reference steps the conftest oracle through forcing sampled on the
     # quarter grid (half steps) or the half grid (whole steps).
     def _problems(self, scalar, rand4):
         sys_, z, x0 = scalar
@@ -448,39 +451,30 @@ class TestSimulateForward:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_matches_half_step_reference(self, scalar, rand4):
+    def test_matches_half_step_reference(self, scalar, rand4, half_sampled_steps):
         rng = np.random.Generator(np.random.Philox(key=11))
         for prob in self._problems(scalar, rand4):
-            self._check_state_and_adjoint(prob, rng)
-            self._check_duality_residual(prob, rng)
+            self._check_state(prob, rng, half_sampled_steps)
+            self._check_duality_residual(prob, rng, half_sampled_steps)
 
-    def _check_state_and_adjoint(self, prob, rng):
+    def _check_state(self, prob, rng, half_sampled_steps):
         sys_, nodes, dt = prob.sys, prob.n_steps + 1, prob.dt
         u = rng.standard_normal((nodes, sys_.m, 3))
         forcing = np.einsum("ij,tjb->tib", sys_.b, _refine(u, 4))
         x0 = np.repeat(prob.x0[:, None], 3, axis=1)
-        want = _half_sampled_steps(sys_.a, forcing, x0, 0.5 * dt, 2 * prob.n_steps)
+        want = half_sampled_steps(sys_.a, forcing, x0, 0.5 * dt, 2 * prob.n_steps)
         self._close(lab.simulate_forward(prob, u), want[::2])
         self._close(lab.simulate_forward(prob, u[:, :, 0]), want[::2, :, 0])
 
-        x_fine = want[:, :, 0]
-        g_fine = (x_fine @ sys_.c.T - prob.target) @ sys_.c
-        y_want = _half_sampled_steps(
-            sys_.a.T, g_fine[::-1], prob.p0 @ x_fine[-1], dt, prob.n_steps
-        )[::-1]
-        x, y = lab.adjoint_from_control(prob, u[:, :, 0])
-        self._close(x, x_fine[::2])
-        self._close(y, y_want)
-
-    def _check_duality_residual(self, prob, rng):
+    def _check_duality_residual(self, prob, rng, half_sampled_steps):
         sys_, nodes, dt, n = prob.sys, prob.n_steps + 1, prob.dt, prob.sys.n
         y0, z_t = rng.standard_normal(n), rng.standard_normal(n)
         f, g = rng.standard_normal((nodes, n)), rng.standard_normal((nodes, n))
         u = rng.standard_normal((nodes, sys_.m))
         m_op = 0.3 * rng.standard_normal((n, n))
         got = lab.duality_residual(sys_, (y0, f, u, m_op), (z_t, g), prob.horizon, dt)
-        y = _half_sampled_steps(sys_.a + m_op, _refine(f + u @ sys_.b.T, 2), y0, dt, prob.n_steps)
-        z = _half_sampled_steps(sys_.a.T, _refine(g, 2)[::-1], z_t, dt, prob.n_steps)[::-1]
+        y = half_sampled_steps(sys_.a + m_op, _refine(f + u @ sys_.b.T, 2), y0, dt, prob.n_steps)
+        z = half_sampled_steps(sys_.a.T, _refine(g, 2)[::-1], z_t, dt, prob.n_steps)[::-1]
         terms = np.array([
             y[-1] @ z_t,
             -(y0 @ z[0]),
@@ -492,35 +486,16 @@ class TestSimulateForward:
         # The residual cancels its terms, so compare on their scale.
         assert abs(got - abs(np.sum(terms))) <= 1e-13 * np.sum(np.abs(terms))
 
-
-class TestAdjointFromControl:
-    def test_zero_everything(self, scalar):
-        sys_, _, _ = scalar
-        prob = scalar_problem(sys_, np.zeros(1), np.zeros(1), horizon=1.0)
-        x, y = lab.adjoint_from_control(prob, np.zeros((prob.n_steps + 1, 1)))
-        assert np.allclose(x, 0.0, atol=0.0) and np.allclose(y, 0.0, atol=0.0)
-
-    def test_scalar_closed_form(self, scalar):
-        # Oracle: with u = 0, x = e^{-t}, and the backward equation gives
-        # y(0) = (1 - e^{-2}) / 2 > 0.
-        sys_, _, _ = scalar
-        prob = scalar_problem(sys_, np.zeros(1), np.ones(1), horizon=1.0)
-        _, y = lab.adjoint_from_control(prob, np.zeros((prob.n_steps + 1, 1)))
-        expected = (1.0 - np.exp(-2.0)) / 2.0
-        assert abs(abs(y[0, 0]) - expected) <= 1e-8
-        assert y[0, 0] > 0
-
     def test_consistency_with_transcription(self, scalar):
         sys_, z, x0 = scalar
         prob = scalar_problem(sys_, z, x0, horizon=2.0)
         traj = lab.solve_transcription(prob)
-        x, y = lab.adjoint_from_control(prob, np.asarray(traj.u))
+        x = lab.simulate_forward(prob, traj.u)
         assert np.max(np.abs(x - traj.x)) <= 1e-6
-        assert np.max(np.abs(y - traj.y)) <= 1e-6
 
     def test_second_order_against_sweep(self, scalar, rand4):
-        # The sweep is exact in time, so the gaps are adjoint_from_control's
-        # own error for the piecewise-linear reading of the sweep's controls.
+        # The sweep is exact in time, so the gaps are the error of reading
+        # the sweep's controls as piecewise linear.
         sys4, z4, _ = rand4
         for sys_, z, x0 in (scalar, (sys4, z4, np.ones(4))):
             gaps = []
@@ -529,13 +504,10 @@ class TestAdjointFromControl:
                     sys=sys_, horizon=5.0, target=z, x0=x0, p0=np.eye(sys_.n), dt=dt
                 )
                 sweep = lab.solve_riccati_sweep(prob)
-                x, y = lab.adjoint_from_control(prob, sweep.u)
-                gaps.append(
-                    [np.max(np.abs(x - sweep.x)), np.max(np.abs(y - sweep.y))]
-                )
-            coarse, fine = np.array(gaps)
-            assert np.all(coarse <= 1e-4)
-            assert np.all(coarse >= 3.0 * fine)
+                gaps.append(np.max(np.abs(lab.simulate_forward(prob, sweep.u) - sweep.x)))
+            coarse, fine = gaps
+            assert coarse <= 1e-4
+            assert coarse >= 3.0 * fine
 
 
 class TestCost:
