@@ -17,7 +17,7 @@ from lqturnpike.turnpike import h_trajectory, propagation_residual, yosida_dynam
 
 def run():
     n = 50
-    sys_, z = lab.heat_1d(n, "distributed", (0.25, 0.75), "bump")
+    sys_, z = lab.heat_1d(n, "distributed")
     x0 = np.zeros(n)
     print(f"heat rod, {n} interior nodes, bump target, control on [0.25, 0.75]")
 
@@ -53,7 +53,7 @@ def run():
         b_col = lab.heat_1d(nn, "boundary_flavored")[0].b
         print(f"  n = {nn:3d}: |B| = {np.linalg.norm(b_col):.1f}")
 
-    bsys, bz = lab.heat_1d(n, "boundary_flavored", profile="bump")
+    bsys, bz = lab.heat_1d(n, "boundary_flavored")
     bprob = lab.LqProblem(
         sys=bsys, horizon=5.0, target=bz, x0=np.zeros(n), dt=1e-2
     )

@@ -62,7 +62,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning, expm, lu_factor, lu_solve
 
-from .errors import DimensionError, GridMismatchError, IntegrationError, LqTurnpikeError
+from .errors import (
+    DimensionError,
+    GridMismatchError,
+    IntegrationError,
+    LqTurnpikeError,
+    NonFiniteError,
+)
 from .operators import (
     LtiSystem,
     check_sample_memory,
@@ -118,16 +124,17 @@ class LqProblem:
         horizon = float(self.horizon)
         dt = float(self.dt)
         _step_count(horizon, dt)
-        target = np.asarray(self.target, dtype=float).reshape(-1)
-        x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        if target.shape != (n,):
-            raise DimensionError(f"target must have length {n}, got {target.shape}")
-        if x0.shape != (n,):
-            raise DimensionError(f"x0 must have length {n}, got {x0.shape}")
-        p0 = _check_terminal_cost(np.zeros((n, n)) if self.p0 is None else self.p0, n)
-        for name, arr in (("target", target), ("x0", x0), ("p0", p0)):
+        for name in ("target", "x0"):
+            arr = np.asarray(getattr(self, name), dtype=float).reshape(-1)
+            if arr.shape != (n,):
+                raise DimensionError(f"{name} must have length {n}, got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise NonFiniteError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        p0 = _check_terminal_cost(np.zeros((n, n)) if self.p0 is None else self.p0, n)
+        p0.setflags(write=False)
+        object.__setattr__(self, "p0", p0)
         object.__setattr__(self, "horizon", horizon)
         object.__setattr__(self, "dt", dt)
 

@@ -178,12 +178,14 @@ def _lock(*arrays):
 def _step_count(horizon: float, dt: float) -> int:
     """Number of whole steps of ``dt`` in ``horizon``; at least one.
 
-    The one check that a time grid's horizon and step are positive.
+    The one check that a time grid's horizon and step are positive and finite.
     """
     if horizon <= 0.0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
+    if not (np.isfinite(horizon) and np.isfinite(dt)):
+        raise ValueError(f"horizon and dt must be finite, got {horizon} and {dt}")
     ratio = horizon / dt
     nsteps = int(round(ratio))
     if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * max(1.0, ratio):

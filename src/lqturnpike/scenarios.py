@@ -3,7 +3,7 @@
 Three scenario families cover the laboratory's range: the canonical
 scalar system on which every identity has a closed form, seeded random
 stable systems for property checks, and a one-dimensional heat equation
-whose control column either acts on a sub-interval (bounded control) or
+whose control column either acts on [0.25, 0.75] (bounded control) or
 concentrates on the first grid node with norm growing like 1/dx under
 refinement, emulating boundary control.  Configurations load from JSON
 with strict key checking so that identical files reproduce identical
@@ -32,7 +32,6 @@ __all__ = [
     "build_scenario",
 ]
 
-HEAT_PROFILES = ("bump", "sine", "zero")
 HEAT_CONTROLS = ("distributed", "boundary_flavored")
 
 
@@ -42,22 +41,20 @@ def scalar_example():
     return sys, np.array([1.0]), np.array([0.0])
 
 
-def random_stable(n: int, m: int, seed: int, margin: float = 1.0) -> LtiSystem:
-    """Seeded random system with spectral abscissa exactly -margin.
+def random_stable(n: int, m: int, seed: int) -> LtiSystem:
+    """Seeded random system with spectral abscissa exactly -1.
 
     Entries are standard normal draws from the Philox counter-based
     64-bit generator, so a seed reproduces the instance bit for bit.
-    A is shifted so its spectral abscissa equals ``-margin``; C is
+    A is shifted so its spectral abscissa equals -1; C is
     regularized through its SVD so its smallest singular value is at
     least 0.1, which guarantees the coercivity hypothesis.
     """
     if n < 1 or m < 1:
         raise ConfigError(f"n and m must be at least 1, got n = {n}, m = {m}")
-    if margin <= 0.0:
-        raise ConfigError(f"margin must be positive, got {margin}")
     gen = np.random.Generator(np.random.Philox(key=int(seed)))
     a = gen.standard_normal((n, n))
-    a = a - (spectral_abscissa(a) + margin) * np.eye(n)
+    a = a - (spectral_abscissa(a) + 1.0) * np.eye(n)
     b = gen.standard_normal((n, m))
     c = gen.standard_normal((n, n))
     u_svd, sv, vt_svd = np.linalg.svd(c)
@@ -75,20 +72,16 @@ def random_target_and_state(n: int, seed: int):
     return gen.standard_normal(n), gen.standard_normal(n)
 
 
-def heat_1d(
-    n: int,
-    control: str = "distributed",
-    interval=(0.25, 0.75),
-    profile: str = "bump",
-):
-    """Finite-difference heat equation on the unit interval, Dirichlet ends.
+def heat_1d(n: int, control: str = "distributed"):
+    """Finite-difference heat equation on [0, 1], Dirichlet ends.
 
     A is the standard second-difference Laplacian ``(n+1)^2 tridiag(1,-2,1)``
     on ``n`` interior nodes.  The control column is either the indicator
-    of a sub-interval (``distributed``) or ``(1/dx) e_1``
-    (``boundary_flavored``), whose norm grows under grid refinement.
-    C is the identity, so the coercivity constant is 1.  Returns the
-    system and the target profile sampled at the interior nodes.
+    of [0.25, 0.75] (``distributed``), which holds a node for every n >= 3,
+    or ``(1/dx) e_1`` (``boundary_flavored``), whose norm grows under grid
+    refinement.  C is the identity, so the coercivity constant is 1.
+    Returns the system and the target, the bump ``4x(1 - x)`` sampled at
+    the interior nodes.
     """
     if n < 3:
         raise ConfigError(f"heat_1d needs n >= 3 interior nodes, got n = {n}")
@@ -96,38 +89,17 @@ def heat_1d(
         raise ConfigError(
             f"unknown control kind '{control}', expected one of {HEAT_CONTROLS}"
         )
-    if profile not in HEAT_PROFILES:
-        raise ConfigError(
-            f"unknown target profile '{profile}', expected one of {HEAT_PROFILES}"
-        )
-    if len(interval) != 2:
-        raise ConfigError(f"control interval must have two endpoints, got {interval}")
     dx = 1.0 / (n + 1)
     a = (np.diag(np.full(n - 1, 1.0), -1)
          + np.diag(np.full(n, -2.0))
          + np.diag(np.full(n - 1, 1.0), 1)) / dx**2
     nodes = dx * np.arange(1, n + 1)
     if control == "distributed":
-        lo, hi = float(interval[0]), float(interval[1])
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ConfigError(
-                f"control interval must satisfy 0 <= lo < hi <= 1, got ({lo}, {hi})"
-            )
-        b = ((nodes >= lo) & (nodes <= hi)).astype(float).reshape(n, 1)
-        if not b.any():
-            raise ConfigError(
-                f"control interval ({lo}, {hi}) contains no grid node"
-            )
+        b = ((nodes >= 0.25) & (nodes <= 0.75)).astype(float).reshape(n, 1)
     else:
         b = np.zeros((n, 1))
         b[0, 0] = 1.0 / dx
-    if profile == "bump":
-        z = 4.0 * nodes * (1.0 - nodes)
-    elif profile == "sine":
-        z = np.sin(np.pi * nodes)
-    else:
-        z = np.zeros(n)
-    return make_system(a, b, np.eye(n)), z
+    return make_system(a, b, np.eye(n)), 4.0 * nodes * (1.0 - nodes)
 
 
 @dataclass(frozen=True)
@@ -145,12 +117,10 @@ class ExperimentConfig:
     seed: int = 42
     horizons: tuple = (5.0, 10.0, 20.0)
     dt: float = 1e-3
-    target: object = None  # profile name, inline vector, or None for default
+    target: object = None  # inline vector, or None for the scenario's own
     ks: tuple = (10.0, 100.0, 1000.0)
     output_dir: str = "out"
-    margin: float = 1.0
     control: str = "distributed"
-    interval: tuple = (0.25, 0.75)
     x0: object = None
     system: object = None  # inline matrices for the custom scenario
     solver: str = "transcription"  # a name in turnpike.SOLVERS
@@ -173,8 +143,8 @@ _COMMON_KEYS = ("scenario", "horizons", "dt", "target", "x0", "ks", "solver", "o
 # off its matrices.
 _SCENARIOS = {
     "scalar": ({"n": 1, "m": 1}, ()),
-    "random_stable": ({"n": 4, "m": 2}, ("n", "m", "seed", "margin")),
-    "heat_1d": ({"n": 50, "m": 1, "dt": 1e-2}, ("n", "control", "interval")),
+    "random_stable": ({"n": 4, "m": 2}, ("n", "m", "seed")),
+    "heat_1d": ({"n": 50, "m": 1, "dt": 1e-2}, ("n", "control")),
     "custom": ({}, ("system",)),
 }
 
@@ -192,8 +162,8 @@ def _seed(value) -> int:
 
 
 def _number(value) -> float:
-    if isinstance(value, bool):
-        raise TypeError(f"expected a number, got {value!r}")
+    if isinstance(value, bool) or not np.isfinite(float(value)):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -214,9 +184,8 @@ def _solver_name(name: str) -> str:
     return name
 
 
-# The one parse of each typed key.  The builders that read n, m, margin,
-# control and interval check their ranges; _check_time_grid checks dt
-# against the horizons.
+# The one parse of each typed key.  The builders that read n, m and control
+# check their ranges; _check_time_grid checks dt against the horizons.
 _PARSERS = {
     "n": _integer,
     "m": _integer,
@@ -224,9 +193,7 @@ _PARSERS = {
     "dt": _number,
     "horizons": _numbers,
     "ks": lambda ks: tuple(_check_ks(_numbers(ks))),
-    "margin": _number,
-    "interval": _numbers,
-    "target": lambda z: z if z is None or isinstance(z, str) else _numbers(z),
+    "target": lambda z: None if z is None else _numbers(z),
     "x0": lambda x0: None if x0 is None else _numbers(x0),
     "solver": _solver_name,
     "output_dir": _string,
@@ -253,16 +220,24 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _check_time_grid(dt: float, horizons) -> None:
-    """Raise ConfigError unless dt > 0 splits every horizon into whole steps."""
+    """Raise ConfigError unless dt > 0 splits every horizon into whole steps and
+    no two horizons share the label T{T:g} that names their output files.
+    """
     if not horizons:
         raise ConfigError("horizons must be nonempty")
-    for t_final in horizons:
+    for i, t_final in enumerate(horizons):
         if t_final <= 0.0:
             raise ConfigError(f"horizons must be positive, got {t_final}")
         try:
             _step_count(t_final, dt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        twins = [t for t in horizons[:i] if f"{t:g}" == f"{t_final:g}"]
+        if twins:
+            raise ConfigError(
+                f"config key 'horizons': {twins[0]!r} and {t_final!r} "
+                f"share the label T{t_final:g}"
+            )
 
 
 def _custom_system(system) -> LtiSystem:
@@ -277,11 +252,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Validate a configuration mapping and fill in its defaults.
 
     The keys are the fields of :class:`ExperimentConfig` that the scenario
-    reads (``_SCENARIOS``); any other key is rejected, as is a profile-name
-    target off ``heat_1d``.  An omitted key takes the scenario's default, else the
-    field's.  Each typed value is parsed once (``_PARSERS``); a malformed one
-    is a ConfigError naming its key.  The builders check the ranges of the
-    values they read.
+    reads (``_SCENARIOS``); any other key is rejected.  An omitted key takes
+    the scenario's default, else the field's.  Each typed value is parsed
+    once (``_PARSERS``); a malformed or non-finite one is a ConfigError
+    naming its key.  The builders check the ranges of the values they read.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
@@ -304,10 +278,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key, parse in _PARSERS.items():
         try:
             cfg[key] = parse(cfg[key])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"config key '{key}': {exc}") from exc
-    if isinstance(cfg["target"], str) and scenario != "heat_1d":
-        raise ConfigError("config key 'target': profile names are for heat_1d only")
     _check_time_grid(cfg["dt"], cfg["horizons"])
     return ExperimentConfig(**cfg)
 
@@ -321,11 +293,10 @@ def build_scenario(config: ExperimentConfig) -> LqProblem:
     if config.scenario == "scalar":
         sys, z, x0 = scalar_example()
     elif config.scenario == "random_stable":
-        sys = random_stable(config.n, config.m, config.seed, config.margin)
+        sys = random_stable(config.n, config.m, config.seed)
         z, x0 = random_target_and_state(config.n, config.seed)
     elif config.scenario == "heat_1d":
-        profile = config.target if isinstance(config.target, str) else "bump"
-        sys, z = heat_1d(config.n, config.control, config.interval, profile)
+        sys, z = heat_1d(config.n, config.control)
         x0 = np.zeros(config.n)
     else:  # custom; config_from_dict admits no other scenario
         sys = _custom_system(config.system)
@@ -333,7 +304,7 @@ def build_scenario(config: ExperimentConfig) -> LqProblem:
             raise ConfigError("custom scenario requires an inline 'target' vector")
         x0 = np.zeros(sys.n)
 
-    if config.target is not None and not isinstance(config.target, str):
+    if config.target is not None:
         z = config.target
     if config.x0 is not None:
         x0 = config.x0

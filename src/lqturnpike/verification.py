@@ -184,7 +184,7 @@ class SuiteContext:
 
     @cached_property
     def heat_problem(self):
-        sys_, z = heat_1d(50, "distributed", (0.25, 0.75), "bump")
+        sys_, z = heat_1d(50, "distributed")
         return LqProblem(sys=sys_, horizon=20.0, target=z, x0=np.zeros(50), dt=1e-2)
 
     @cached_property
@@ -443,7 +443,7 @@ def check_yosida(ctx: SuiteContext) -> CheckResult:
         ("yosida_dynamic.csv", *reporting.dynamic_study_rows(dyn_rows)),
     ]
     if not ctx.quick:
-        hsys, hz = heat_1d(50, "boundary_flavored", profile="bump")
+        hsys, hz = heat_1d(50, "boundary_flavored")
         hprob = LqProblem(sys=hsys, horizon=5.0, target=hz, x0=np.zeros(50), dt=1e-2)
         heat_rows = yosida_dynamic_study(
             hprob, [10.0, 100.0, 1000.0], solver="transcription"

@@ -191,10 +191,12 @@ class TestExitCodes:
             ("yosida", {"scenario": "scalar", "ks": [-1, 2]}, [], "key 'ks'"),
             ("stationary", {"scenario": "scalar", "horizons": 5}, [], "key 'horizons'"),
             ("stationary", {"scenario": "scalar", "dt": "x"}, [], "key 'dt'"),
-            ("stationary", {"scenario": "random_stable", "margin": "x"}, [], "key 'margin'"),
-            ("stationary", {"scenario": "random_stable", "margin": 0}, [], "margin must be"),
-            ("stationary", {"scenario": "heat_1d", "interval": "ab"}, [], "key 'interval'"),
-            ("stationary", {"scenario": "heat_1d", "interval": [0.2]}, [], "interval must"),
+            ("stationary", {"scenario": "random_stable", "margin": 1.0}, [],
+             "does not read config key(s) margin"),
+            ("stationary", {"scenario": "heat_1d", "target": "bump"}, [], "key 'target'"),
+            ("stationary", {"scenario": "heat_1d", "interval": [0.25, 0.75]}, [],
+             "does not read config key(s) interval"),
+            ("solve", {"scenario": "scalar", "dt": np.nan}, [], "key 'dt'"),
             ("stationary", {"scenario": "scalar", "x0": "abc"}, [], "key 'x0'"),
             ("stationary", {"scenario": "scalar", "x0": ["a"]}, [], "key 'x0'"),
             ("stationary", {"scenario": "scalar", "tolerances": {"solver": "x"}}, [],
@@ -218,15 +220,27 @@ class TestExitCodes:
              "key 'dt'"),
             ("stationary", {"scenario": "scalar", "horizons": [True]}, [], "key 'horizons'"),
             ("stationary", {"scenario": "scalar", "ks": [True, 2]}, [], "key 'ks'"),
-            ("stationary", {"scenario": "random_stable", "margin": True}, [],
-             "key 'margin'"),
+            ("yosida", {"scenario": "scalar", "ks": [np.nan]}, [], "key 'ks'"),
             ("stationary", {"scenario": "scalar", "horizons": []}, [],
              "horizons must be nonempty"),
-            ("stationary", {"scenario": "heat_1d", "n": 5, "interval": [0.01, 0.1]}, [],
-             "contains no grid node"),
+            ("solve", {"scenario": "scalar", "horizons": [np.inf]}, [], "key 'horizons'"),
             ("stationary", {"scenario": "custom", "system": CUSTOM_1X1}, [],
              "custom scenario requires an inline 'target' vector"),
             ("stationary", {"scenario": "scalar"}, ["--jobs", "2"], "--jobs"),
+            # JSON's NaN and Infinity and argparse's float admit non-finite
+            # numbers, and a JSON integer may exceed a float; the parse
+            # refuses each and names the key.
+            ("solve", {"scenario": "scalar", "x0": [np.nan]}, [], "key 'x0'"),
+            ("solve", {"scenario": "scalar", "target": [np.inf]}, [], "key 'target'"),
+            ("solve", {"scenario": "scalar"}, ["--T", "inf"], "key 'horizons'"),
+            ("solve", {"scenario": "scalar", "ks": [np.nan]}, [], "key 'ks'"),
+            ("solve", {"scenario": "scalar", "dt": 10**400}, [], "key 'dt'"),
+            # Two horizons that share a file label would write one file.
+            ("turnpike", {"scenario": "scalar"}, ["--T", "5", "--T", "5"],
+             "key 'horizons': 5.0 and 5.0 share the label T5"),
+            ("turnpike", {"scenario": "scalar"},
+             ["--T", "5", "--T", "5.000001", "--dt", "1e-6"],
+             "key 'horizons': 5.0 and 5.000001 share the label T5"),
         ],
     )
     def test_malformed_input_is_input_error(
@@ -244,6 +258,7 @@ class TestExitCodes:
             code = exc.code
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.csv"))
 
 
 class TestCommands:
@@ -426,7 +441,7 @@ class TestCommands:
         out = tmp_path / "o"
         assert main(["stationary", "--out", str(out)]) == 0
         config = json.loads((out / "manifest.json").read_text())["config"]
-        for unread in ("seed", "margin", "control", "interval", "system"):
+        for unread in ("seed", "control", "system"):
             assert unread not in config
         assert (config["scenario"], config["n"], config["m"]) == ("scalar", 1, 1)
         assert config["output_dir"] == str(out)

@@ -11,7 +11,12 @@ from scipy.sparse.linalg import spsolve
 
 import lqturnpike as lab
 from lqturnpike import lq, operators
-from lqturnpike.errors import GridMismatchError, IntegrationError, ProblemSizeError
+from lqturnpike.errors import (
+    GridMismatchError,
+    IntegrationError,
+    NonFiniteError,
+    ProblemSizeError,
+)
 from lqturnpike.lq import _nodal_adjoint, _trapezoid
 from lqturnpike.verification import _sampled_cost_margins
 
@@ -39,6 +44,21 @@ class TestProblemValidation:
             scalar_problem(sys_, z, x0, horizon=-1.0, dt=-0.1)
         with pytest.raises(ValueError, match="dt must be positive, got 0.0"):
             scalar_problem(sys_, z, x0, horizon=1.0, dt=0.0)
+
+    @pytest.mark.parametrize(
+        "changes, error, message",
+        [
+            ({"horizon": np.inf}, ValueError, "horizon and dt must be finite"),
+            ({"dt": np.nan}, ValueError, "horizon and dt must be finite"),
+            ({"target": [np.nan]}, NonFiniteError, "target contains non-finite"),
+            ({"x0": [-np.inf]}, NonFiniteError, "x0 contains non-finite"),
+        ],
+    )
+    def test_non_finite_data_refused(self, scalar, changes, error, message):
+        sys_, z, x0 = scalar
+        data = {"sys": sys_, "horizon": 1.0, "target": z, "x0": x0, "dt": 0.1}
+        with pytest.raises(error, match=message):
+            lab.LqProblem(**{**data, **changes})
 
     def test_terminal_cost_must_be_psd(self, scalar):
         sys_, z, x0 = scalar
@@ -263,7 +283,7 @@ class TestSolveRiccatiSweep:
     def test_agreement_on_heat_scenario(self):
         # The PDE-scale scenario needs a step that resolves the fast modes
         # for the stated 1e-4 agreement; the sweep itself is exact per step.
-        sys_, z = lab.heat_1d(50, "distributed", (0.25, 0.75), "bump")
+        sys_, z = lab.heat_1d(50, "distributed")
         prob = lab.LqProblem(
             sys=sys_, horizon=1.0, target=z, x0=np.zeros(50),
             p0=np.zeros((50, 50)), dt=1e-3,
