@@ -36,7 +36,7 @@ def run():
     print(f"  residual   = {are.residual:.3e}")
     print(f"  closed loop abscissa = {are.closed_loop_abscissa:.12f} (= -sqrt(2))")
 
-    dre = lab.solve_dre(sys_, 10.0, np.zeros((1, 1)), 1e-3)
+    dre = lab.solve_dre(lab.LqProblem(sys=sys_, horizon=10.0, target=z, x0=x0, dt=1e-3))
     print("\ndifferential Riccati equation from zero terminal cost")
     print(f"  P_T(0) after T = 10 : {dre.p_samples[0][0, 0]:.12f} (tends to P)")
 

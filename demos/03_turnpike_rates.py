@@ -21,7 +21,7 @@ def run():
     print(f"{'T':>5} {'gap_x(T/2)':>12} {'fitted c':>10} {'fitted rate':>12} "
           f"{'propagation':>12} {'bound':>6}")
     for rep in reports:
-        mid = rep.gap_x[len(rep.grid) // 2]
+        mid = rep.gap_x[len(rep.trajectory.grid) // 2]
         print(
             f"{rep.horizon:5.0f} {mid:12.3e} {rep.fitted_c:10.4f} "
             f"{rep.fitted_lambda:12.6f} {rep.propagation_residual:12.3e} "

@@ -185,7 +185,7 @@ def cmd_riccati(args) -> int:
     config, manifest = _prepare(args, "riccati")
     with manifest.stage("dre"):  # first, so the sample guard refuses before the ARE
         prob = build_scenario(config)
-        dre = solve_dre(prob.sys, prob.horizon, prob.p0, prob.dt)
+        dre = solve_dre(prob)
     with manifest.stage("are"):
         are = solve_are(prob.sys)
     with manifest.stage("emit"):

@@ -128,7 +128,7 @@ def turnpike_report_rows(report):
     rows = [
         (report.horizon, t, gx, gy, gu, hn)
         for t, gx, gy, gu, hn in zip(
-            report.grid,
+            report.trajectory.grid,
             report.gap_x,
             report.gap_y,
             report.gap_u_window,

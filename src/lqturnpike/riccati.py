@@ -16,10 +16,10 @@ Riccati equation
     P_T'(t) + A* P_T(t) + P_T(t) A + C*C - P_T(t) B B* P_T(t) = 0,
     P_T(T) = P0.
 
-:func:`solve_dre` samples it with the exact one-step flow of
-:func:`lqturnpike.operators.riccati_step_flow`, formed by
-structure-preserving doubling, through the same backward pass as the
-tracking sweep in :mod:`lqturnpike.lq`, so stiff generators need no
+:func:`solve_dre` samples it on the grid of an :class:`~lqturnpike.lq.LqProblem`
+with the exact one-step flow of :func:`lqturnpike.operators.riccati_step_flow`,
+formed by structure-preserving doubling, through the same backward pass as
+the tracking sweep in :mod:`lqturnpike.lq`, so stiff generators need no
 finer step.  :func:`lifted_orbit` walks a linear map's orbit by binary
 lifting, for the closed-loop and propagation checks.
 """
@@ -34,8 +34,8 @@ from scipy.linalg import schur, solve_continuous_lyapunov
 from .errors import (
     ConvergenceError,
     DimensionError,
-    GridMismatchError,
     IntegrationError,
+    NonFiniteError,
     NotStabilizableError,
 )
 from .operators import (
@@ -197,6 +197,8 @@ def _check_terminal_cost(p0, n: int) -> np.ndarray:
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (n, n):
         raise DimensionError(f"p0 must be {n} x {n}, got shape {p0.shape}")
+    if not np.all(np.isfinite(p0)):
+        raise NonFiniteError("p0 contains non-finite entries")
     if np.linalg.norm(p0 - p0.T) > 1e-10 * max(1.0, np.linalg.norm(p0)):
         raise ValueError("p0 must be symmetric")
     if np.linalg.eigvalsh(0.5 * (p0 + p0.T))[0] < -1e-10 * max(
@@ -206,44 +208,32 @@ def _check_terminal_cost(p0, n: int) -> np.ndarray:
     return 0.5 * (p0 + p0.T)
 
 
-def solve_dre(sys: LtiSystem, horizon: float, p0, dt: float) -> DreSolution:
-    """Solve the differential Riccati equation backward from P_T(T) = p0.
+def solve_dre(prob) -> DreSolution:
+    """Solve the differential Riccati equation of ``prob`` backward from its p0.
 
-    Samples P_T at the nodes of the uniform grid of step ``dt`` on [0, T]
-    (at least 2 steps) with the exact flow over one step,
-    :func:`~lqturnpike.operators.riccati_step_flow`, applied by
+    Samples P_T at the nodes of ``prob.grid`` with the exact flow over one
+    step, :func:`~lqturnpike.operators.riccati_step_flow`, applied by
     :func:`~lqturnpike.operators.riccati_backward_pass`.  The samples
-    carry no time-discretization error, so ``dt`` sets only where P_T is
-    sampled, and a stiff generator needs no finer step.  Every sample is
-    symmetrized, and the terminal sample is ``p0`` itself.
+    carry no time-discretization error, so ``prob.dt`` sets only where
+    P_T is sampled, and a stiff generator needs no finer step.  Every
+    sample is symmetrized, and the terminal sample is ``prob.p0`` itself.
+    The Riccati equation does not depend on the tracking data, so
+    ``prob.target`` and ``prob.x0`` are not read.
 
     Raises
     ------
-    ValueError
-        Unless ``dt`` splits a positive horizon into whole steps.
-    GridMismatchError
-        If the grid has fewer than 2 steps.
     ProblemSizeError
         If the (steps + 1) n^2 doubles of samples exceed the memory cap.
     IntegrationError
         If a sample is non-finite.
     """
-    horizon = float(horizon)
-    steps = _step_count(horizon, dt)
-    if steps < 2:
-        raise GridMismatchError(
-            f"steps must be at least 2, got {steps}: refine dt or lengthen the horizon"
-        )
-    p0 = _check_terminal_cost(p0, sys.n)
+    sys, steps = prob.sys, prob.n_steps
     check_sample_memory(steps, sys.n)
-    flow = riccati_step_flow(sys.a, sys.b, sys.c, horizon / steps)
-    p_samples = riccati_backward_pass(flow, p0, steps)
+    flow = riccati_step_flow(sys.a, sys.b, sys.c, prob.horizon / steps)
+    p_samples = riccati_backward_pass(flow, prob.p0, steps)
     if not np.all(np.isfinite(p_samples)):
         raise IntegrationError("Riccati flow produced non-finite samples")
-    return DreSolution(
-        grid=_lock(np.linspace(0.0, horizon, steps + 1)),
-        p_samples=_lock(p_samples),
-    )
+    return DreSolution(grid=_lock(prob.grid), p_samples=_lock(p_samples))
 
 
 def lifted_orbit(m, v0, nsteps: int) -> np.ndarray:

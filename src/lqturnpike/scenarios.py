@@ -162,7 +162,7 @@ def _seed(value) -> int:
 
 
 def _number(value) -> float:
-    if isinstance(value, bool) or not np.isfinite(float(value)):
+    if isinstance(value, (bool, str)) or not np.isfinite(float(value)):
         raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 

@@ -75,12 +75,12 @@ _FIT_WINDOW = (0.1, 0.9)
 
 @dataclass(frozen=True)
 class TurnpikeReport:
-    """Turnpike diagnostics for one horizon.
+    """Turnpike diagnostics for one horizon, with the trajectory they measure.
 
     Attributes
     ----------
     horizon : float
-    grid : (N + 1,) ndarray
+    trajectory : Trajectory
     gap_x, gap_y : (N + 1,) ndarray
         Node-wise deviations |x(t) - x_bar| and |y(t) - y_bar|.
     gap_u_window : (N + 1,) ndarray
@@ -108,7 +108,7 @@ class TurnpikeReport:
     """
 
     horizon: float
-    grid: np.ndarray
+    trajectory: Trajectory
     gap_x: np.ndarray
     gap_y: np.ndarray
     gap_u_window: np.ndarray
@@ -257,7 +257,6 @@ def _windowed_control_gap(u_dev_sq_int: np.ndarray, grid: np.ndarray) -> np.ndar
 
 
 def _report_for_horizon(prob, stat, are, scale, solver_fn):
-    horizon = prob.horizon
     traj = solver_fn(prob)
     grid = traj.grid
     gap_x = np.linalg.norm(traj.x - stat.x_bar, axis=1)
@@ -275,16 +274,16 @@ def _report_for_horizon(prob, stat, are, scale, solver_fn):
     if scale <= _TRIVIAL_SCALE:
         fitted_c, fitted_lambda, c_min = 0.0, lam_ref, 0.0
     else:
-        layer = min(horizon / 2.0, 5.0 / lam_ref)
+        layer = min(prob.horizon / 2.0, 5.0 / lam_ref)
         window = (_FIT_WINDOW[0] * layer, _FIT_WINDOW[1] * layer)
         fitted_c, fitted_lambda = fit_decay_rate((grid, h_norm[::-1]), window)
         total = gap_x + gap_y + gap_u_window
-        c_min = float(np.max(total / (_envelope(grid, horizon, fitted_lambda) * scale)))
+        c_min = float(np.max(total / (_envelope(grid, fitted_lambda) * scale)))
     # The shared constant and the bound need every horizon's c_min;
     # verify_turnpike fills them in.
     return TurnpikeReport(
-        horizon=horizon,
-        grid=grid,
+        horizon=prob.horizon,
+        trajectory=traj,
         gap_x=gap_x,
         gap_y=gap_y,
         gap_u_window=gap_u_window,
@@ -300,8 +299,9 @@ def _report_for_horizon(prob, stat, are, scale, solver_fn):
     )
 
 
-def _envelope(grid, horizon, lam):
-    return np.exp(-lam * grid) + np.exp(-lam * (horizon - grid))
+def _envelope(grid, lam):
+    """e^{-lam t} + e^{-lam (T - t)} on a grid that ends at T."""
+    return np.exp(-lam * grid) + np.exp(-lam * (grid[-1] - grid))
 
 
 def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
@@ -309,12 +309,12 @@ def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
 
     The stationary triple of ``prob.target`` and the Riccati solution are
     solved once.  Each horizon T solves ``replace(prob, horizon=T)`` by
-    ``solver``: ``prob.horizon`` is replaced by each horizon and never
-    read, and ``prob.p0`` is solved as given (zero at every caller).  For
-    each horizon the node-wise gaps against the stationary triple are
-    collected, the decay rate of the reversed deviation is fitted on the
-    initial layer (of length ``min(T/2, 5 / lambda_reference)``, trimmed
-    to its inner 10%-90% to avoid endpoint noise), and the envelope bound
+    ``solver`` once, and its report keeps that trajectory: ``prob.horizon``
+    is never read, and ``prob.p0`` is solved as given (zero at every
+    caller).  The node-wise gaps against the stationary triple are taken,
+    the decay rate of the reversed deviation is fitted on the initial
+    layer (of length ``min(T/2, 5 / lambda_reference)``, trimmed to its
+    inner 10%-90% to avoid endpoint noise), and the envelope bound
 
         gap(t) <= c (e^{-lambda t} + e^{-lambda (T - t)}) (|x0 - x_bar| + |y_bar|)
 
@@ -346,7 +346,7 @@ def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
             margin = float(1e-8 - np.max(total))
             satisfied = bool(margin >= 0.0)
         else:
-            envelope = _envelope(partial.grid, partial.horizon, partial.fitted_lambda)
+            envelope = _envelope(partial.trajectory.grid, partial.fitted_lambda)
             margin = float(np.min(c_uniform * scale * envelope - total))
             satisfied = bool(margin >= -1e-12 * max(1.0, c_uniform * scale))
         reports.append(

@@ -168,9 +168,9 @@ class SuiteContext:
             solver="transcription", jobs=self.jobs,
         )
 
-    @cached_property
-    def scalar_t10_trajectory(self):
-        return solve_transcription(self.scalar_problem)
+    @property
+    def scalar_t10_report(self):
+        return next(r for r in self.scalar_reports if r.horizon == 10.0)
 
     # seeded random pipeline ----------------------------------------------
 
@@ -238,7 +238,7 @@ def check_scalar_stationary(ctx: SuiteContext) -> CheckResult:
 def _state_adjoint_defect(sys_, x0, dt):
     prob = LqProblem(sys=sys_, horizon=1.0, target=np.zeros(sys_.n), x0=x0, dt=dt)
     traj = solve_transcription(prob)
-    dre = solve_dre(sys_, prob.horizon, prob.p0, dt)
+    dre = solve_dre(prob)
     relation = np.einsum("tij,tj->ti", dre.p_samples, traj.x)
     return float(np.max(np.linalg.norm(traj.y - relation, axis=1)))
 
@@ -268,7 +268,8 @@ def check_dre_constancy(ctx: SuiteContext) -> CheckResult:
         cases.append(("random-4x4", sys4, solve_are(sys4)))
     records = []
     for label, sys_, are in cases:
-        dre = solve_dre(sys_, 5.0, are.p, 1e-3)
+        zeros = np.zeros(sys_.n)
+        dre = solve_dre(LqProblem(sys_, 5.0, zeros, zeros, 1e-3, p0=are.p))
         dev = float(np.max(np.linalg.norm(dre.p_samples - are.p, axis=(1, 2))))
         records.append(Record(f"{label} max|P_T - P|", dev, "<=", 1e-8))
     return CheckResult("4 dre-constancy", 5.0, records)
@@ -278,9 +279,7 @@ def check_dre_constancy(ctx: SuiteContext) -> CheckResult:
 
 
 def check_propagation(ctx: SuiteContext) -> CheckResult:
-    scalar_res = next(
-        r for r in ctx.scalar_reports if r.horizon == 10.0
-    ).propagation_residual
+    scalar_res = ctx.scalar_t10_report.propagation_residual
     prob_half = replace(ctx.scalar_problem, dt=5e-4)
     traj_half = solve_transcription(prob_half)
     h_half = h_trajectory(traj_half, ctx.scalar_stationary, ctx.scalar_are)
@@ -303,7 +302,7 @@ def check_propagation(ctx: SuiteContext) -> CheckResult:
 
 
 def check_rate_recovery(ctx: SuiteContext) -> CheckResult:
-    scalar_rep = next(r for r in ctx.scalar_reports if r.horizon == 10.0)
+    scalar_rep = ctx.scalar_t10_report
     scalar_err = abs(scalar_rep.fitted_lambda - np.sqrt(2.0)) / np.sqrt(2.0)
     records = [Record("scalar rate error", scalar_err, "<=", 0.02)]
     if not ctx.quick:
@@ -327,9 +326,7 @@ def check_turnpike_bound(ctx: SuiteContext) -> CheckResult:
     reports = ctx.scalar_reports
     c_values = [r.c_min for r in reports]
     by_horizon = {r.horizon: r for r in reports}
-    mid = {
-        t: by_horizon[t].gap_x[len(by_horizon[t].grid) // 2] for t in (10.0, 20.0)
-    }
+    mid = {t: by_horizon[t].gap_x[len(by_horizon[t].gap_x) // 2] for t in (10.0, 20.0)}
     off_envelope = sum(not r.bound_satisfied for r in reports)
     records = [
         Record("horizons off the envelope", off_envelope, "==", 0),
@@ -351,7 +348,7 @@ def check_turnpike_bound(ctx: SuiteContext) -> CheckResult:
 
 def check_energy_identity(ctx: SuiteContext) -> CheckResult:
     cases = [
-        ("scalar", ctx.scalar_problem.sys, ctx.scalar_t10_trajectory,
+        ("scalar", ctx.scalar_problem.sys, ctx.scalar_t10_report.trajectory,
          ctx.scalar_stationary, 1e-6),
     ]
     if not ctx.quick:
@@ -534,7 +531,7 @@ def check_optimality(ctx: SuiteContext) -> CheckResult:
         margins.append(
             ("random-stationary", _null_space_margin(sys4, z4, stat4, samples, seed=102))
         )
-    traj = ctx.scalar_t10_trajectory
+    traj = ctx.scalar_t10_report.trajectory
     rng = np.random.Generator(np.random.Philox(key=103))
     v = rng.standard_normal((prob.n_steps + 1, 1, samples))
     sampled = _sampled_cost_margins(prob, traj, v, (0.1, -0.1, 0.01, -0.01))

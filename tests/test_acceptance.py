@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from lqturnpike import turnpike, verification
 from lqturnpike.verification import CheckResult, Record, run_suite
 
 _CHECKS = {}
@@ -72,6 +73,37 @@ def test_check_result_fails_on_a_record_or_the_cap():
 def test_record_comparators(record, holds, shown):
     assert record.holds() is holds
     assert record.text() == shown
+
+
+def test_quick_suite_solves_each_tracking_problem_once(monkeypatch):
+    """No tracking solve of the quick suite repeats an earlier one.
+
+    Each solver is spied on where the suite reaches it: through
+    ``turnpike.SOLVERS`` and through ``verification``'s own imports.  A
+    solve is keyed by its solver and its problem: the system, target,
+    initial state and terminal cost, the horizon and the step.  The
+    scalar system's ``solve_are`` (twice) and ``solve_stationary`` (three
+    times) also repeat, but together they cost about a millisecond and
+    are not counted here.
+    """
+    keys = []
+
+    def spy(solve):
+        def spied(prob):
+            arrays = (prob.sys.a, prob.sys.b, prob.sys.c, prob.target, prob.x0, prob.p0)
+            keys.append((solve.__name__, prob.horizon, prob.dt)
+                        + tuple((a.shape, a.tobytes()) for a in arrays))
+            return solve(prob)
+        return spied
+
+    for name, solve in list(turnpike.SOLVERS.items()):
+        monkeypatch.setitem(turnpike.SOLVERS, name, spy(solve))
+    for name in ("solve_transcription", "solve_riccati_sweep"):
+        monkeypatch.setattr(verification, name, spy(getattr(verification, name)))
+    run_suite("quick")
+    assert keys
+    repeated = sorted({key[:3] for key in keys if keys.count(key) > 1})
+    assert not repeated, f"solved more than once: {repeated}"
 
 
 def test_criterion_01_scalar_are(full_results):

@@ -208,8 +208,7 @@ class TestExitCodes:
              "does not read config key(s) seed"),
             ("solve", {"scenario": "scalar"}, ["--T", "1e-12", "--dt", "1"],
              "dt 1.0 does not divide horizon 1e-12"),
-            ("riccati", {"scenario": "scalar"}, ["--T", "0.001", "--dt", "0.001"],
-             "refine dt or lengthen the horizon"),
+            ("solve", {"scenario": "scalar", "dt": "0.01", "horizons": [1]}, [], "key 'dt'"),
             ("turnpike", {"scenario": "scalar"}, ["--T", "0.002", "--dt", "0.001"],
              "refine dt or lengthen the horizon"),
             ("turnpike", {"scenario": "scalar"}, ["--jobs", "0"], "--jobs"),
@@ -241,6 +240,10 @@ class TestExitCodes:
             ("turnpike", {"scenario": "scalar"},
              ["--T", "5", "--T", "5.000001", "--dt", "1e-6"],
              "key 'horizons': 5.0 and 5.000001 share the label T5"),
+            # A JSON string is not a number, even when it spells one.
+            ("solve", {"scenario": "scalar", "horizons": ["1"]}, [], "key 'horizons'"),
+            ("solve", {"scenario": "scalar", "ks": ["2"]}, [], "key 'ks'"),
+            ("solve", {"scenario": "scalar", "x0": ["1"]}, [], "key 'x0'"),
         ],
     )
     def test_malformed_input_is_input_error(
@@ -262,6 +265,23 @@ class TestExitCodes:
 
 
 class TestCommands:
+    def test_one_step_riccati_matches_closed_form(self, tmp_path):
+        # The exact flow needs no minimum step count.  Oracle: with A = -1,
+        # B = C = 1 and P0 = 0, P_T(0) = sqrt2 tanh(sqrt2 T + artanh(1/sqrt2)) - 1.
+        path = write_config(
+            tmp_path,
+            {"scenario": "scalar", "horizons": [0.5], "dt": 0.5,
+             "output_dir": str(tmp_path / "o")},
+        )
+        assert main(["riccati", "--config", path]) == 0
+        rows = (tmp_path / "o" / "dre.csv").read_text().splitlines()
+        assert len(rows) == 1 + 2  # header and two nodes
+        t, _, _, value = (float(v) for v in rows[1].split(","))
+        root2 = np.sqrt(2.0)
+        exact = root2 * np.tanh(root2 * 0.5 + np.arctanh(1.0 / root2)) - 1.0
+        assert t == 0.0
+        assert abs(value - exact) <= 1e-14
+
     def test_solve_writes_trajectory(self, tmp_path):
         path = write_config(
             tmp_path,

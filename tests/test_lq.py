@@ -52,6 +52,8 @@ class TestProblemValidation:
             ({"dt": np.nan}, ValueError, "horizon and dt must be finite"),
             ({"target": [np.nan]}, NonFiniteError, "target contains non-finite"),
             ({"x0": [-np.inf]}, NonFiniteError, "x0 contains non-finite"),
+            ({"p0": [[np.nan]]}, NonFiniteError, "p0 contains non-finite"),
+            ({"p0": [[np.inf]]}, NonFiniteError, "p0 contains non-finite"),
         ],
     )
     def test_non_finite_data_refused(self, scalar, changes, error, message):
@@ -77,7 +79,7 @@ class TestProblemValidation:
         [
             (lab.solve_riccati_sweep, 2),
             (lab.solve_transcription, 3),
-            (lambda prob: lab.solve_dre(prob.sys, prob.horizon, prob.p0, prob.dt), 1),
+            (lab.solve_dre, 1),
         ],
         ids=["sweep", "transcription", "dre"],
     )
@@ -124,7 +126,7 @@ class TestSolveTranscription:
         sys_, _, _ = scalar
         prob = scalar_problem(sys_, np.zeros(1), np.ones(1), horizon=1.0)
         traj = lab.solve_transcription(prob)
-        dre = lab.solve_dre(sys_, 1.0, prob.p0, prob.dt)
+        dre = lab.solve_dre(prob)
         assert abs(lab.cost(prob, traj) - dre.p_samples[0][0, 0]) <= 1e-5
 
     def test_optimality_law_exact_at_nodes(self, scalar):
@@ -150,7 +152,7 @@ class TestSolveTranscription:
         sys_, _, _ = scalar
         prob = scalar_problem(sys_, np.zeros(1), np.ones(1), horizon=1.0)
         traj = lab.solve_transcription(prob)
-        dre = lab.solve_dre(sys_, 1.0, prob.p0, prob.dt)
+        dre = lab.solve_dre(prob)
         relation = np.einsum("tij,tj->ti", dre.p_samples, traj.x)
         assert np.max(np.linalg.norm(traj.y - relation, axis=1)) <= 1e-5
 

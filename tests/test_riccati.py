@@ -49,33 +49,39 @@ class TestSolveAre:
             assert are.closed_loop_abscissa < 0.0
 
 
+def _dre(sys_, horizon, p0, dt):
+    """``solve_dre`` of the zero-data problem on this grid, from this p0."""
+    zeros = np.zeros(sys_.n)
+    return lab.solve_dre(lab.LqProblem(sys_, horizon, zeros, zeros, dt, p0=p0))
+
+
 class TestSolveDre:
     def test_constant_at_the_algebraic_solution(self, scalar, scalar_pipeline):
         sys_, _, _ = scalar
         _, are = scalar_pipeline
-        dre = lab.solve_dre(sys_, 5.0, are.p, 2.5e-3)
+        dre = _dre(sys_, 5.0, are.p, 2.5e-3)
         assert np.max(np.abs(dre.p_samples - are.p)) <= 1e-8
 
     def test_long_horizon_limit_matches_are(self, scalar, scalar_pipeline):
         sys_, _, _ = scalar
         _, are = scalar_pipeline
-        dre = lab.solve_dre(sys_, 10.0, np.zeros((1, 1)), 1e-3)
+        dre = _dre(sys_, 10.0, np.zeros((1, 1)), 1e-3)
         assert abs(dre.p_samples[0][0, 0] - are.p[0, 0]) <= 1e-6
 
     def test_zero_observation_stays_zero(self):
         sys_ = lab.make_system(-np.eye(2), np.ones((2, 1)), np.zeros((2, 2)))
-        dre = lab.solve_dre(sys_, 1.0, np.zeros((2, 2)), 1e-2)
+        dre = _dre(sys_, 1.0, np.zeros((2, 2)), 1e-2)
         assert np.allclose(dre.p_samples, 0.0, atol=0.0)
 
     def test_terminal_sample_is_exact(self, rand4):
         sys_, _, _ = rand4
         p0 = 0.3 * np.eye(4)
-        dre = lab.solve_dre(sys_, 1.0, p0, 2e-3)
+        dre = _dre(sys_, 1.0, p0, 2e-3)
         assert np.array_equal(dre.p_samples[-1], p0)
 
     def test_samples_symmetric_psd(self, rand4):
         sys_, _, _ = rand4
-        dre = lab.solve_dre(sys_, 2.0, np.zeros((4, 4)), 2e-3)
+        dre = _dre(sys_, 2.0, np.zeros((4, 4)), 2e-3)
         for sample in dre.p_samples[::100]:
             assert np.linalg.norm(sample - sample.T) <= 1e-10 * max(
                 1.0, np.linalg.norm(sample)
@@ -89,7 +95,7 @@ class TestSolveDre:
         # -P' = 1 - 2P - P^2, solved by sqrt2 tanh(sqrt2 (T - t) + artanh(1/sqrt2)) - 1.
         sys_ = lab.make_system([[-1.0]], [[1.0]], [[1.0]])
         horizon = 5.0
-        dre = lab.solve_dre(sys_, horizon, np.zeros((1, 1)), 1e-3)
+        dre = _dre(sys_, horizon, np.zeros((1, 1)), 1e-3)
         root2 = np.sqrt(2.0)
         exact = root2 * np.tanh(root2 * (horizon - dre.grid) + np.arctanh(1.0 / root2)) - 1.0
         assert np.max(np.abs(dre.p_samples[:, 0, 0] - exact)) <= 1e-13
@@ -122,7 +128,7 @@ class TestSolveDre:
         xi = rng.standard_normal(4)
         values = []
         for horizon in (0.5, 1.0, 2.0, 4.0):
-            dre = lab.solve_dre(sys_, horizon, np.zeros((4, 4)), 2e-3)
+            dre = _dre(sys_, horizon, np.zeros((4, 4)), 2e-3)
             values.append(float(xi @ dre.p_samples[0] @ xi))
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -137,7 +143,7 @@ class TestSolveDre:
         sys_, _, _ = rand4
         horizon, tau, dt = 2.0, 0.5, 1e-3
         p0 = 0.3 * np.eye(4)
-        dre = lab.solve_dre(sys_, horizon, p0, dt)
+        dre = _dre(sys_, horizon, p0, dt)
         rng = np.random.Generator(np.random.Philox(key=17))
         xi = rng.standard_normal(4)
         quad_form = float(xi @ dre.p_samples[int(round(tau / dt))] @ xi)
@@ -155,7 +161,7 @@ class TestSolveDre:
 
     def test_step_must_divide_horizon(self, scalar):
         with pytest.raises(ValueError, match="does not divide horizon"):
-            lab.solve_dre(scalar[0], 1.0, np.zeros((1, 1)), 0.3)
+            _dre(scalar[0], 1.0, np.zeros((1, 1)), 0.3)
 
 
 class TestLiftedOrbit:

@@ -187,7 +187,7 @@ class TestVerifyTurnpike:
             assert abs(lam - np.sqrt(2.0)) <= 0.05 * np.sqrt(2.0)
         # Midpoint gap decays with the horizon.
         mids = {
-            r.horizon: r.gap_x[len(r.grid) // 2] for r in reports
+            r.horizon: r.gap_x[len(r.trajectory.grid) // 2] for r in reports
         }
         assert mids[20.0] <= 0.2 * mids[10.0]
         assert mids[10.0] < 1e-2 and mids[20.0] < 1e-2
@@ -204,13 +204,14 @@ class TestVerifyTurnpike:
         _, _, x0, stat, _, prob, _ = scalar_run
         report = verify_turnpike(prob, [10.0], solver="transcription")[0]
         scale = np.linalg.norm(x0 - stat.x_bar) + np.linalg.norm(stat.y_bar)
-        envelope = np.exp(-report.fitted_lambda * report.grid) + np.exp(
-            -report.fitted_lambda * (report.horizon - report.grid)
+        grid = report.trajectory.grid
+        envelope = np.exp(-report.fitted_lambda * grid) + np.exp(
+            -report.fitted_lambda * (report.horizon - grid)
         )
         bound = report.c_uniform * scale * envelope
         assert np.all(report.gap_u_window <= bound + 1e-12)
         # Degenerate window at the midpoint is zero by convention.
-        assert report.gap_u_window[len(report.grid) // 2] == 0.0
+        assert report.gap_u_window[len(grid) // 2] == 0.0
 
     def test_window_convention_symmetric(self, scalar_problem):
         report = verify_turnpike(scalar_problem, [10.0], solver="transcription")[0]
@@ -237,7 +238,8 @@ class TestVerifyTurnpike:
         ]
         for a, b in zip(*reports):
             assert a.horizon == b.horizon
-            for name in ("grid", "gap_x", "gap_y", "gap_u_window", "h_norm"):
+            assert np.array_equal(a.trajectory.grid, b.trajectory.grid)
+            for name in ("gap_x", "gap_y", "gap_u_window", "h_norm"):
                 assert np.array_equal(getattr(a, name), getattr(b, name))
             assert (a.fitted_lambda, a.c_uniform) == (b.fitted_lambda, b.c_uniform)
 
@@ -247,7 +249,7 @@ class TestStaggeredDeviationEquation:
         # h_T(t) = y - y_bar - P_T(t)(x - x_bar) obeys
         # h_T' = (-A* + P_T B B*) h_T; checked by central differences.
         sys_, _, _, stat, are, prob, traj = scalar_run
-        dre = lab.solve_dre(sys_, prob.horizon, prob.p0, prob.dt)
+        dre = lab.solve_dre(prob)
         x_dev = traj.x - stat.x_bar
         h_t = traj.y - stat.y_bar - np.einsum("tij,tj->ti", dre.p_samples, x_dev)
         dt = prob.dt
