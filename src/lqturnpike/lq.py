@@ -71,12 +71,14 @@ from .errors import (
 )
 from .operators import (
     LtiSystem,
+    _pass_schedule,
     check_sample_memory,
+    linear_orbit,
     riccati_backward_pass,
     riccati_forward_pass,
     riccati_step_flow,
 )
-from .riccati import _check_terminal_cost, _lock, _step_count, lifted_orbit, solve_are
+from .riccati import _check_terminal_cost, _lock, _step_count, solve_are
 from .stationary import solve_stationary
 
 __all__ = [
@@ -299,8 +301,9 @@ def solve_riccati_sweep(prob: LqProblem) -> Trajectory:
     q_end = np.zeros((n + 1, n + 1))
     q_end[:n, :n] = prob.p0
     flow = riccati_step_flow(a_aug, b_aug, c_aug, prob.dt)
-    q_nodes = riccati_backward_pass(flow, q_end, prob.n_steps)
-    x_aug = riccati_forward_pass(flow, q_nodes, np.append(prob.x0, 1.0))
+    levels = _pass_schedule(flow, prob.n_steps)
+    q_nodes = riccati_backward_pass(levels, q_end)
+    x_aug = riccati_forward_pass(levels, q_nodes, np.append(prob.x0, 1.0))
 
     x_nodes = np.ascontiguousarray(x_aug[:, :n])
     y_nodes = np.einsum("tij,tj->ti", q_nodes[:, :n, :], x_aug)
@@ -395,18 +398,18 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
     ell[:n, :n] = sys.c.T @ sys.c
     ell[:n, -1] = ell[-1, :n] = -(sys.c.T @ prob.target)
     ell[-1, -1] = prob.target @ prob.target
-    flow = (e, v / np.sqrt(dt), dt * ell)
+    levels = _pass_schedule((e, v / np.sqrt(dt), dt * ell), nsteps)
     q_end = half * ell
     q_end[:n, :n] += prob.p0
     q_end[u_blk, u_blk] -= half * np.eye(m)
-    q_nodes = riccati_backward_pass(flow, q_end, nsteps)
+    q_nodes = riccati_backward_pass(levels, q_end)
 
     # Node 0 carries the end weights dt/2, and u_0 is free.
     v0 = q_nodes[0] - half * ell
     v0[u_blk, u_blk] += half * np.eye(m)
     s_start = np.concatenate([prob.x0, np.zeros(m), [1.0]])
     s_start[u_blk] = -np.linalg.solve(v0[u_blk, u_blk], v0[u_blk] @ s_start)
-    s_nodes = riccati_forward_pass(flow, q_nodes, s_start)
+    s_nodes = riccati_forward_pass(levels, q_nodes, s_start)
 
     x_nodes = np.ascontiguousarray(s_nodes[:, :n])
     grad = np.einsum("tij,tj->it", q_nodes[1:, :n, :], s_nodes[1:])
@@ -482,7 +485,7 @@ def solve_infinite_horizon(prob: LqProblem) -> Trajectory:
 
     with the closed-loop generator ``A_cl = A - BB*P`` of :func:`solve_are`,
     exactly on the grid as the orbit of the one-step propagator e^{dt A_cl}
-    (:func:`~lqturnpike.riccati.lifted_orbit`), and sets
+    (:func:`~lqturnpike.operators.linear_orbit`), and sets
     y = y_bar + P (x - x_bar), u = -B* y.  The infinite-horizon problem has
     no terminal cost, so ``prob.p0`` is not read; with a zero target,
     ``cost(prob, traj)`` approximates the optimal cost <P x0, x0>.
@@ -497,5 +500,5 @@ def solve_infinite_horizon(prob: LqProblem) -> Trajectory:
     sys = prob.sys
     stat = solve_stationary(sys, prob.target)
     are = solve_are(sys)
-    dev = lifted_orbit(expm(prob.dt * are.a_cl), prob.x0 - stat.x_bar, prob.n_steps)
+    dev = linear_orbit(expm(prob.dt * are.a_cl), prob.x0 - stat.x_bar, prob.n_steps)
     return _trajectory(prob, stat.x_bar + dev, stat.y_bar + dev @ are.p, "closed-loop")

@@ -12,10 +12,10 @@ triple it provides the building blocks the rest of the package relies on:
   the one-step semigroup of its Hamiltonian, formed by
   structure-preserving doubling and carried as ``(E, V, G)`` with
   ``W = V V*`` factored,
-* the backward and forward passes of that flow over a uniform grid,
-  walked by one schedule that alone decides whether to lift, which serve
-  the differential Riccati solver, the tracking sweep and the
-  transcription, and the one guard on the memory their samples take,
+* the backward and forward passes of that flow over a uniform grid and
+  the orbit of a linear map, all walked on the levels of one schedule,
+  which alone decides whether to lift and is formed once per solve, and
+  the one guard on the memory the Riccati samples of a solve take,
 * finite-time observability Gramians, read off that flow, and
 * the structural hypothesis report (kernel intersections, observability
   margins, and the coercivity constant of ``C*C``) that the turnpike
@@ -356,36 +356,40 @@ def check_sample_memory(nsteps: int, size: int) -> None:
         )
 
 
-def _pass_schedule(flow, nsteps: int):
-    """Blocks ``(flow over span, lo, hi, span)`` covering nodes 1..nsteps in order.
+def _pass_schedule(flow, nsteps: int) -> list:
+    """Levels ``(flow over span, lo, hi, span)`` covering nodes 1..nsteps in order.
 
-    Each block takes the nodes ``[lo, hi)`` from ``[lo - span, hi - span)``,
+    Each level takes the nodes ``[lo, hi)`` from ``[lo - span, hi - span)``,
     counted from the pass's starting node, with the flow ``(e, v, g)`` of
-    :func:`riccati_step_flow` over ``span`` steps.  A state of size up to
-    ``_LIFTED_SWEEP_MAX_STATE`` is lifted: level k spans 2^k steps with
-    ``W = V V*`` formed once and the flow doubled k times, refactored
-    after each doubling, about log2(nsteps) levels in all.  A larger
-    state, whose per-node matrix work outweighs the call overhead lifting
-    saves, takes one node per block with the one-step flow.  No block
-    holds more than ``_BLOCK_NODES`` nodes; all nodes a block reads lie
-    before its ``lo``, so splitting a level changes no sample.
+    :func:`riccati_step_flow` over ``span`` steps; the last ``hi`` is
+    ``nsteps + 1``.  All nodes a level reads lie before its ``lo``, so
+    :func:`_batches` may cut it anywhere.  A state of size up to
+    ``_LIFTED_SWEEP_MAX_STATE`` is lifted: level k spans 2^k steps, the
+    flow doubled and refactored once per level, about log2(nsteps) levels
+    in all.  A larger state, whose per-node matrix work outweighs the call
+    overhead lifting saves, gets the one level ``(flow, 1, nsteps + 1, 1)``.
+    A solve forms its levels once and walks both passes on them.
     """
     e, v, g = flow
-    lifted = e.shape[0] <= _LIFTED_SWEEP_MAX_STATE
+    if e.shape[0] > _LIFTED_SWEEP_MAX_STATE:
+        return [(flow, 1, nsteps + 1, 1)]
     w = v @ v.T
-    lo = 1
-    while lo <= nsteps:
-        if lifted and lo > 1:
-            e, w, g = double_step_flow(e, w, g)
-            v = _psd_factor(w)
-        span = lo if lifted else 1
-        end = min(lo + span, nsteps + 1)
-        for start in range(lo, end, _BLOCK_NODES):
-            yield (e, v, g), start, min(start + _BLOCK_NODES, end), span
-        lo += span
+    levels = [(flow, 1, min(2, nsteps + 1), 1)]
+    while levels[-1][2] <= nsteps:
+        lo = levels[-1][2]
+        e, w, g = double_step_flow(e, w, g)
+        levels.append(((e, _psd_factor(w), g), lo, min(2 * lo, nsteps + 1), lo))
+    return levels
 
 
-def riccati_backward_pass(flow, q_end, nsteps: int) -> np.ndarray:
+def _batches(levels):
+    """The levels in batches ``(flow, lo, hi, span)`` of ``min(span, _BLOCK_NODES)`` nodes."""
+    for flow, lo, hi, span in levels:
+        for start in range(lo, hi, min(span, _BLOCK_NODES)):
+            yield flow, start, min(start + span, start + _BLOCK_NODES, hi), span
+
+
+def riccati_backward_pass(levels, q_end) -> np.ndarray:
     """Riccati samples at every node of a uniform grid, exact up to rounding.
 
     With the one-step flow ``(e, v, g)`` of :func:`riccati_step_flow`,
@@ -398,17 +402,17 @@ def riccati_backward_pass(flow, q_end, nsteps: int) -> np.ndarray:
     backward from ``Q_N = q_end``, which is stored as given; the second
     line is the Woodbury form, which solves only the r x r system S for
     a V of width r.  The same map holds over 2^k steps with the doubled
-    flow, and each block of :func:`_pass_schedule` takes its nodes in one
-    batched call.
+    flow.  ``levels`` are :func:`_pass_schedule` of that flow, and each
+    batch of :func:`_batches` takes its nodes in one batched call.
 
     Returns
     -------
-    (nsteps + 1, size, size) ndarray of samples in node order.
+    (N + 1, size, size) ndarray of samples in node order.
     """
-    q_nodes = np.empty((nsteps + 1,) + q_end.shape)
+    q_nodes = np.empty((levels[-1][2],) + q_end.shape)
     q_rev = q_nodes[::-1]  # q_rev[k] is node N - k
     q_rev[0] = q_end
-    for (e, v, g), lo, hi, span in _pass_schedule(flow, nsteps):
+    for (e, v, g), lo, hi, span in _batches(levels):
         q = q_rev[lo - span : hi - span]
         qv = q @ v
         s = np.eye(v.shape[1]) + v.T @ qv
@@ -417,26 +421,41 @@ def riccati_backward_pass(flow, q_end, nsteps: int) -> np.ndarray:
     return q_nodes
 
 
-def riccati_forward_pass(flow, q_nodes, x_start) -> np.ndarray:
+def riccati_forward_pass(levels, q_nodes, x_start) -> np.ndarray:
     """Closed loop ``x_{j+1} = E x_j - V S^{-1} V* Q_{j+1} E x_j`` from ``x_start``.
 
     This is ``(I + V V* Q_{j+1}) x_{j+1} = E x_j`` in the Woodbury form
     of :func:`riccati_backward_pass`, with ``S = I + V* Q_{j+1} V``.
-    ``q_nodes`` are the samples of that pass on the same flow; the blocks
-    of :func:`_pass_schedule` take the state over 2^k steps with the
-    doubled flow when it lifts.  Returns the (nsteps + 1, size) states.
+    ``q_nodes`` are that pass's samples on the same ``levels``, which take
+    the state over 2^k steps when they lift; returns the (N + 1, size) states.
     """
     x_nodes = np.empty((q_nodes.shape[0], x_start.shape[0]))
     x_nodes[0] = x_start
-    for (e, v, _), lo, hi, span in _pass_schedule(flow, q_nodes.shape[0] - 1):
-        # One product per node: the rows of one 2-d product per block can
-        # round differently with the block's row count (a single row takes
+    for (e, v, _), lo, hi, span in _batches(levels):
+        # One product per node: the rows of one 2-d product per batch can
+        # round differently with the batch's row count (a single row takes
         # another BLAS route), and the block cap changes those counts.
         ex = e @ x_nodes[lo - span : hi - span, :, None]
         vq = v.T @ q_nodes[lo:hi]
         s = np.eye(v.shape[1]) + vq @ v
         x_nodes[lo:hi] = (ex - v @ np.linalg.solve(s, vq @ ex))[:, :, 0]
     return x_nodes
+
+
+def linear_orbit(m, v0, nsteps: int) -> np.ndarray:
+    """Orbit ``v_j = M^j v0`` for j = 0..nsteps, on the levels of the flow ``(M, 0, 0)``.
+
+    :func:`double_step_flow` squares M bit for bit when W = G = 0, so the
+    orbit lifts exactly when a pass of its size does.  The rounding of the
+    squared powers grows with the transient of a strongly non-normal M.
+    """
+    v0 = np.asarray(v0, dtype=float)
+    orbit = np.empty((nsteps + 1,) + v0.shape)
+    orbit[0] = v0
+    flow = (m, np.zeros((m.shape[0], 0)), np.zeros_like(m))
+    for (power, _, _), lo, hi, span in _batches(_pass_schedule(flow, nsteps)):
+        np.matmul(orbit[lo - span : hi - span], power.T, out=orbit[lo:hi])
+    return orbit
 
 
 def observability_gramian(pair, t0: float) -> np.ndarray:

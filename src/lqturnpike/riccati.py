@@ -20,8 +20,7 @@ Riccati equation
 with the exact one-step flow of :func:`lqturnpike.operators.riccati_step_flow`,
 formed by structure-preserving doubling, through the same backward pass as
 the tracking sweep in :mod:`lqturnpike.lq`, so stiff generators need no
-finer step.  :func:`lifted_orbit` walks a linear map's orbit by binary
-lifting, for the closed-loop and propagation checks.
+finer step.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from .errors import (
 )
 from .operators import (
     LtiSystem,
+    _pass_schedule,
     check_sample_memory,
     riccati_backward_pass,
     riccati_step_flow,
@@ -212,10 +212,10 @@ def solve_dre(prob) -> DreSolution:
     """Solve the differential Riccati equation of ``prob`` backward from its p0.
 
     Samples P_T at the nodes of ``prob.grid`` with the exact flow over one
-    step, :func:`~lqturnpike.operators.riccati_step_flow`, applied by
-    :func:`~lqturnpike.operators.riccati_backward_pass`.  The samples
-    carry no time-discretization error, so ``prob.dt`` sets only where
-    P_T is sampled, and a stiff generator needs no finer step.  Every
+    step of ``prob.dt``, :func:`~lqturnpike.operators.riccati_step_flow`,
+    applied by :func:`~lqturnpike.operators.riccati_backward_pass`.  The
+    samples carry no time-discretization error, so ``prob.dt`` sets only
+    where P_T is sampled, and a stiff generator needs no finer step.  Every
     sample is symmetrized, and the terminal sample is ``prob.p0`` itself.
     The Riccati equation does not depend on the tracking data, so
     ``prob.target`` and ``prob.x0`` are not read.
@@ -229,32 +229,9 @@ def solve_dre(prob) -> DreSolution:
     """
     sys, steps = prob.sys, prob.n_steps
     check_sample_memory(steps, sys.n)
-    flow = riccati_step_flow(sys.a, sys.b, sys.c, prob.horizon / steps)
-    p_samples = riccati_backward_pass(flow, prob.p0, steps)
+    flow = riccati_step_flow(sys.a, sys.b, sys.c, prob.dt)
+    p_samples = riccati_backward_pass(_pass_schedule(flow, steps), prob.p0)
     if not np.all(np.isfinite(p_samples)):
         raise IntegrationError("Riccati flow produced non-finite samples")
     return DreSolution(grid=_lock(prob.grid), p_samples=_lock(p_samples))
 
-
-def lifted_orbit(m, v0, nsteps: int) -> np.ndarray:
-    """Orbit ``v_j = M^j v0`` for j = 0..nsteps, by binary lifting.
-
-    Level k fills nodes [2^k, 2^{k+1}) from nodes [0, 2^k) with one
-    batched product by ``M^{2^k}``, then squares the power for the next
-    level: about 2 log2(nsteps) numpy calls for the flops of stepping
-    node by node.  Returns an (nsteps + 1, n) array.  For a strongly
-    non-normal M, whose powers grow far before they decay, the rounding
-    of the squared powers grows with that transient.
-    """
-    v0 = np.asarray(v0, dtype=float)
-    orbit = np.empty((nsteps + 1,) + v0.shape)
-    orbit[0] = v0
-    power = np.asarray(m, dtype=float)
-    lo = 1
-    while lo <= nsteps:
-        hi = min(2 * lo, nsteps + 1)
-        np.matmul(orbit[: hi - lo], power.T, out=orbit[lo:hi])
-        lo *= 2
-        if lo <= nsteps:
-            power = power @ power
-    return orbit

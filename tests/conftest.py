@@ -113,12 +113,12 @@ def half_sampled_steps():
 
 
 def _direct_schedule(flow, nsteps):
-    """Blocks ``(e, w, g), lo, hi, span`` of the passes, on the unfactored flow.
+    """Batches ``(e, w, g), lo, hi, span`` of the passes, on the unfactored flow.
 
-    The same walk as :func:`lqturnpike.operators._pass_schedule` without
-    its block-size cap: a state of size up to
+    The same walk as the levels of :func:`lqturnpike.operators._pass_schedule`
+    without the block-size cap of their batches: a state of size up to
     ``operators._LIFTED_SWEEP_MAX_STATE`` takes level k over 2^k steps
-    with ``W`` itself doubled, a larger one node by node.
+    with ``W`` itself doubled, a larger one its single level node by node.
     """
     lifted = flow[0].shape[0] <= operators._LIFTED_SWEEP_MAX_STATE
     lo = 1
@@ -163,6 +163,34 @@ def _direct_forward_pass(flow, q_nodes, x_start):
 def direct_passes():
     """The unfactored oracle of the Riccati passes, ``(backward, forward)``."""
     return _direct_backward_pass, _direct_forward_pass
+
+
+def _lifted_orbit(m, v0, nsteps):
+    """Orbit ``v_j = M^j v0`` for j = 0..nsteps, by power squaring.
+
+    Level k fills nodes [2^k, 2^{k+1}) from nodes [0, 2^k) with one
+    batched product by ``M^{2^k}``, then squares the power, at every state
+    size.  An independent route to :func:`lqturnpike.operators.linear_orbit`,
+    which lifts only where the Riccati passes do and squares through
+    :func:`lqturnpike.operators.double_step_flow`.
+    """
+    orbit = np.empty((nsteps + 1,) + v0.shape)
+    orbit[0] = v0
+    power = m
+    lo = 1
+    while lo <= nsteps:
+        hi = min(2 * lo, nsteps + 1)
+        np.matmul(orbit[: hi - lo], power.T, out=orbit[lo:hi])
+        lo *= 2
+        if lo <= nsteps:
+            power = power @ power
+    return orbit
+
+
+@pytest.fixture(scope="session")
+def lifted_orbit():
+    """The power-squaring oracle of the closed-loop orbit, ``(M, v0, N) -> orbit``."""
+    return _lifted_orbit
 
 
 def _stamp(rows, cols, data, r0s, c0s, block):

@@ -363,10 +363,11 @@ class TestFactoredPasses:
         else:
             prob = heat_problem(50, case)
         backward, forward = _recorded_passes(monkeypatch, solve, prob)
-        (e, v, g), q_end, nsteps = backward[0]
+        levels, q_end = backward[0]
+        (e, v, g), _, _, _ = levels[0]
         direct_backward, direct_forward = direct_passes
         unfactored = (e, v @ v.T, g)
-        want_q = direct_backward(unfactored, q_end, nsteps)
+        want_q = direct_backward(unfactored, q_end, prob.n_steps)
         want_x = direct_forward(unfactored, backward[1], forward[0][2])
         for got, want in ((backward[1], want_q), (forward[1], want_x)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -377,8 +378,51 @@ class TestFactoredPasses:
         prob = lab.LqProblem(
             sys=sys_, horizon=0.1, target=np.ones(n), x0=np.zeros(n), dt=1e-2
         )
-        (flow, _, _), _ = _recorded_passes(monkeypatch, lab.solve_transcription, prob)[0]
-        assert flow[1].shape == (n + m + 1, m)
+        (levels, _), _ = _recorded_passes(monkeypatch, lab.solve_transcription, prob)[0]
+        assert levels[0][0][1].shape == (n + m + 1, m)
+
+
+class TestPassSchedule:
+    def test_each_level_is_doubled_once_per_solve(self, scalar, monkeypatch):
+        # Both passes walk the levels the solve formed once, so the flow is
+        # doubled once per lifted level beyond the first, plus the doublings
+        # that form the one-step flow itself.
+        sys_, z, x0 = scalar
+        doublings = []
+        double = operators.double_step_flow
+        monkeypatch.setattr(
+            operators, "double_step_flow", lambda *a: doublings.append(1) or double(*a)
+        )
+        in_step_flow = []
+        step_flow = lq.riccati_step_flow
+
+        def step_flow_spy(*args):
+            before = len(doublings)
+            flow = step_flow(*args)
+            in_step_flow.append(len(doublings) - before)
+            return flow
+
+        monkeypatch.setattr(lq, "riccati_step_flow", step_flow_spy)
+        prob = scalar_problem(sys_, z, x0)
+        backward, forward = _recorded_passes(monkeypatch, lab.solve_riccati_sweep, prob)
+        levels = backward[0][0]
+        assert forward[0][0] is levels
+        assert len(levels) == 14  # spans 1, 2, 4, ..., 8192 over N = 10,000
+        assert len(doublings) == in_step_flow[0] + len(levels) - 1
+
+    @pytest.mark.parametrize("case", ["heat_1d(50)", "rand4"])
+    def test_kept_schedule_has_log2_levels(self, case, rand4, monkeypatch):
+        # N = 2,000 either way: node by node at size 51, lifted at size 5.
+        if case == "rand4":
+            sys_, z, x0 = rand4
+            prob = lab.LqProblem(sys=sys_, horizon=2.0, target=z, x0=x0, dt=1e-3)
+        else:
+            prob = heat_problem(50, horizon=20.0)
+        backward, forward = _recorded_passes(monkeypatch, lab.solve_riccati_sweep, prob)
+        levels = backward[0][0]
+        assert forward[0][0] is levels
+        assert levels[-1][2] == prob.n_steps + 1 == 2001
+        assert len(levels) <= int(np.ceil(np.log2(prob.n_steps))) + 1
 
 
 class TestExactSteps:

@@ -6,11 +6,12 @@ import lqturnpike as lab
 from lqturnpike import operators
 from lqturnpike.errors import NotStabilizableError
 from lqturnpike.operators import (
+    _pass_schedule,
+    linear_orbit,
     riccati_backward_pass,
     riccati_forward_pass,
     riccati_step_flow,
 )
-from lqturnpike.riccati import lifted_orbit
 from lqturnpike.turnpike import fit_decay_rate
 
 
@@ -104,23 +105,33 @@ class TestSolveDre:
         sys_, _, _ = rand4
         flow = riccati_step_flow(sys_.a, sys_.b, sys_.c, 5.0 / 5000)
         monkeypatch.setattr(operators, "_LIFTED_SWEEP_MAX_STATE", 4)
-        lifted = riccati_backward_pass(flow, np.zeros((4, 4)), 5000)
+        lifted = riccati_backward_pass(_pass_schedule(flow, 5000), np.zeros((4, 4)))
         monkeypatch.setattr(operators, "_LIFTED_SWEEP_MAX_STATE", 3)
-        stepwise = riccati_backward_pass(flow, np.zeros((4, 4)), 5000)
+        stepwise = riccati_backward_pass(_pass_schedule(flow, 5000), np.zeros((4, 4)))
         assert np.max(np.abs(lifted - stepwise)) <= 1e-13
 
     def test_capped_blocks_change_no_sample(self, rand4, monkeypatch):
-        # Every node a block reads lies before it, so splitting the lifted
-        # blocks leaves both passes bit for bit as they were.
+        # Every node a batch reads lies before it, so cutting the lifted
+        # levels into batches of 7 leaves both passes bit for bit as they were.
         sys_, _, _ = rand4
-        flow = riccati_step_flow(sys_.a, sys_.b, sys_.c, 5.0 / 5000)
+        levels = _pass_schedule(riccati_step_flow(sys_.a, sys_.b, sys_.c, 5.0 / 5000), 5000)
         x0 = np.ones(4)
-        q_whole = riccati_backward_pass(flow, np.zeros((4, 4)), 5000)
-        x_whole = riccati_forward_pass(flow, q_whole, x0)
+        q_whole = riccati_backward_pass(levels, np.zeros((4, 4)))
+        x_whole = riccati_forward_pass(levels, q_whole, x0)
         monkeypatch.setattr(operators, "_BLOCK_NODES", 7)
-        q_capped = riccati_backward_pass(flow, np.zeros((4, 4)), 5000)
+        q_capped = riccati_backward_pass(levels, np.zeros((4, 4)))
         assert np.array_equal(q_capped, q_whole)
-        assert np.array_equal(riccati_forward_pass(flow, q_capped, x0), x_whole)
+        assert np.array_equal(riccati_forward_pass(levels, q_capped, x0), x_whole)
+
+    def test_steps_by_the_problem_dt(self, scalar):
+        # T / N is 0.09999999999999999 here, one rounding below dt = 0.1; the
+        # samples are those of the flow over dt, as every other solver steps.
+        sys_ = scalar[0]
+        dre = _dre(sys_, 0.3, np.zeros((1, 1)), 0.1)
+        assert 0.3 / 3 != 0.1
+        flow = riccati_step_flow(sys_.a, sys_.b, sys_.c, 0.1)
+        want = riccati_backward_pass(_pass_schedule(flow, 3), np.zeros((1, 1)))
+        assert np.array_equal(dre.p_samples, want)
 
     def test_monotone_in_horizon_with_zero_terminal_cost(self, rand4):
         sys_, _, _ = rand4
@@ -177,9 +188,30 @@ class TestLiftedOrbit:
             v = m @ v
             want.append(v)
         want = np.array(want)
-        got = lifted_orbit(m, want[0], nsteps)
+        got = linear_orbit(m, want[0], nsteps)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "case, dt, nsteps, bound",
+        [("scalar", 1e-3, 40_000, 0.0), ("rand4", 1e-3, 10_000, 0.0),
+         ("heat_1d(50)", 1e-2, 2_000, 1e-15)],
+    )
+    def test_matches_the_power_squaring_oracle(
+        self, case, dt, nsteps, bound, scalar, rand4, lifted_orbit
+    ):
+        # Up to size 16 the orbit lifts, squaring by double_step_flow with
+        # W = G = 0, bit for bit the oracle's squaring; at size 50 it steps
+        # node by node, one rounding route against another.
+        if case == "heat_1d(50)":
+            sys_ = lab.heat_1d(50)[0]
+        else:
+            sys_ = {"scalar": scalar, "rand4": rand4}[case][0]
+        m = expm(dt * lab.solve_are(sys_).a_cl)
+        v0 = np.random.Generator(np.random.Philox(key=22)).standard_normal(sys_.n)
+        got = linear_orbit(m, v0, nsteps)
+        want = lifted_orbit(m, v0, nsteps)
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
 
 class TestClosedLoopGenerator:
