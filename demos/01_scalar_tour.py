@@ -16,7 +16,7 @@ def run():
     sys_, z, x0 = lab.scalar_example()
     print("system: A = -1, B = 1, C = 1, target z = 1, x0 = 0")
 
-    report = lab.check_hypotheses(sys_, t0=1.0)
+    report = lab.check_hypotheses(sys_)
     print("\nstructural hypotheses")
     print(f"  (A, C) Gramian smallest eigenvalue : {report.obs_ac:.10f}")
     print(f"  (A*, B*) Gramian smallest eigenvalue: {report.obs_astar_bstar:.10f}")

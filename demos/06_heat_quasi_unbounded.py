@@ -12,7 +12,7 @@ on the boundary-flavored variant.
 import numpy as np
 
 import lqturnpike as lab
-from lqturnpike.turnpike import h_trajectory, propagation_residual, yosida_dynamic_study
+from lqturnpike.turnpike import yosida_dynamic_study
 
 
 def run():
@@ -21,7 +21,7 @@ def run():
     x0 = np.zeros(n)
     print(f"heat rod, {n} interior nodes, bump target, control on [0.25, 0.75]")
 
-    report = lab.check_hypotheses(sys_, t0=1.0)
+    report = lab.check_hypotheses(sys_)
     print(f"  kernel intersections trivial: {report.ker_ac_trivial}, "
           f"{report.ker_astar_bstar_trivial}; delta = {report.delta}")
     print(f"  (A, C) observability margin : {report.obs_ac:.3e}")
@@ -30,23 +30,19 @@ def run():
     print("  constants decay exponentially in the mode index, which is exactly")
     print("  the near-unbounded regime this scenario emulates.")
 
-    stat = lab.solve_stationary(sys_, z)
-    are = lab.solve_are(sys_)
-    lam = -are.closed_loop_abscissa
-    print(f"  |x_bar| = {np.linalg.norm(stat.x_bar):.4f}, "
-          f"|y_bar| = {np.linalg.norm(stat.y_bar):.4f}")
-    print(f"  closed-loop decay rate: {lam:.4f}")
-
     prob = lab.LqProblem(
         sys=sys_, horizon=20.0, target=z, x0=x0, dt=1e-2
     )
     print("\nsolving T = 20 at the PDE step...")
-    traj = lab.solve_riccati_sweep(prob)
-    gap_mid = np.linalg.norm(traj.x[len(traj.grid) // 2] - stat.x_bar)
+    turnpike = lab.verify_turnpike(prob, [20.0], solver="riccati-sweep")[0]
+    stat = turnpike.stationary
+    print(f"  |x_bar| = {np.linalg.norm(stat.x_bar):.4f}, "
+          f"|y_bar| = {np.linalg.norm(stat.y_bar):.4f}")
+    print(f"  closed-loop decay rate: {turnpike.lambda_reference:.4f}")
+    gap_mid = turnpike.gap_x[len(turnpike.gap_x) // 2]
     print(f"  midpoint distance to the turnpike: {gap_mid:.3e}")
-    h = h_trajectory(traj, stat, are)
-    res = propagation_residual(h, sys_, are, traj.grid)
-    print(f"  semigroup propagation residual of the deviation: {res:.3e}")
+    print(f"  semigroup propagation residual of the deviation: "
+          f"{turnpike.propagation_residual:.3e}")
 
     print("\nboundary-flavored control column: |B| grows like 1/dx")
     for nn in (25, 50, 100):

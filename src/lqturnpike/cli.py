@@ -139,16 +139,22 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _prepare(args, command: str):
+    """The config, its problem and the run's manifest, with the output directory made.
+
+    The problem is built, in the manifest's ``build`` stage, before the
+    directory is made, so an input error in the scenario leaves none behind.
+    """
     config = _resolve_config(args)
-    out_dir = config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    return config, _Manifest(command, config, out_dir)
+    manifest = _Manifest(command, config, config.output_dir)
+    with manifest.stage("build"):
+        prob = build_scenario(config)
+    os.makedirs(config.output_dir, exist_ok=True)
+    return config, prob, manifest
 
 
 def cmd_stationary(args) -> int:
-    config, manifest = _prepare(args, "stationary")
+    _, prob, manifest = _prepare(args, "stationary")
     with manifest.stage("solve"):
-        prob = build_scenario(config)
         triple = solve_stationary(prob.sys, prob.target)
     with manifest.stage("emit"):
         manifest.write_csv("stationary.csv", *reporting.stationary_rows(triple))
@@ -168,9 +174,7 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    config, manifest = _prepare(args, "solve")
-    with manifest.stage("build"):
-        prob = build_scenario(config)
+    config, prob, manifest = _prepare(args, "solve")
     with manifest.stage("solve"):
         traj = SOLVERS[config.solver](prob)
     with manifest.stage("emit"):
@@ -182,9 +186,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_riccati(args) -> int:
-    config, manifest = _prepare(args, "riccati")
+    _, prob, manifest = _prepare(args, "riccati")
     with manifest.stage("dre"):  # first, so the sample guard refuses before the ARE
-        prob = build_scenario(config)
         dre = solve_dre(prob)
     with manifest.stage("are"):
         are = solve_are(prob.sys)
@@ -199,10 +202,10 @@ def cmd_riccati(args) -> int:
 
 
 def cmd_turnpike(args) -> int:
-    config, manifest = _prepare(args, "turnpike")
+    config, prob, manifest = _prepare(args, "turnpike")
     with manifest.stage("pipeline"):
         reports = verify_turnpike(
-            build_scenario(config), config.horizons, solver=config.solver, jobs=args.jobs
+            prob, config.horizons, solver=config.solver, jobs=args.jobs
         )
     with manifest.stage("emit"):
         for report in reports:
@@ -225,9 +228,8 @@ def cmd_turnpike(args) -> int:
 
 
 def cmd_yosida(args) -> int:
-    config, manifest = _prepare(args, "yosida")
+    config, prob, manifest = _prepare(args, "yosida")
     with manifest.stage("stationary-study"):
-        prob = build_scenario(config)
         stat_rows = stationary_convergence_study(prob.sys, prob.target, config.ks)
     with manifest.stage("dynamic-study"):
         dyn_rows = yosida_dynamic_study(

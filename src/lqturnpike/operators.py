@@ -90,6 +90,13 @@ class LtiSystem:
         return self.b.shape[1]
 
 
+# The hypothesis report's Gramian horizon, and its relative tolerance for
+# rank and definiteness: a singular value or eigenvalue at or below
+# _RANK_TOL times the largest counts as zero.
+_GRAMIAN_T0 = 1.0
+_RANK_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class HypothesisReport:
     """Structural hypothesis margins for a system triple.
@@ -97,9 +104,11 @@ class HypothesisReport:
     Attributes
     ----------
     obs_ac : float
-        Smallest eigenvalue of the (A, C) observability Gramian on [0, t0].
+        Smallest eigenvalue of the (A, C) observability Gramian on
+        [0, ``_GRAMIAN_T0``].
     obs_astar_bstar : float
-        Smallest eigenvalue of the (A*, B*) observability Gramian on [0, t0].
+        Smallest eigenvalue of the (A*, B*) observability Gramian on the
+        same interval.
     obs_ac_max, obs_astar_bstar_max : float
         Largest eigenvalues of the same two Gramians.
     ker_ac_trivial : bool
@@ -112,10 +121,6 @@ class HypothesisReport:
         of C.
     delta_max : float
         Squared largest singular value of C, the scale of ``delta``.
-    t0 : float
-        Horizon used for both Gramians.
-    tol : float
-        Relative rank tolerance used by the kernel tests.
     """
 
     obs_ac: float
@@ -126,24 +131,22 @@ class HypothesisReport:
     ker_astar_bstar_trivial: bool
     delta: float
     delta_max: float
-    t0: float
-    tol: float
 
     @property
     def satisfied(self) -> bool:
         """Whether every hypothesis holds with a margin above rounding.
 
         Each Gramian, and C*C, must be positive definite relative to its
-        own scale: its smallest eigenvalue above ``tol`` times its
+        own scale: its smallest eigenvalue above ``_RANK_TOL`` times its
         largest, the test the kernel flags apply to singular values.  A
         smallest eigenvalue at the rounding floor fails whatever its sign.
         """
         return (
             self.ker_ac_trivial
             and self.ker_astar_bstar_trivial
-            and self.obs_ac > self.tol * self.obs_ac_max
-            and self.obs_astar_bstar > self.tol * self.obs_astar_bstar_max
-            and self.delta > self.tol * self.delta_max
+            and self.obs_ac > _RANK_TOL * self.obs_ac_max
+            and self.obs_astar_bstar > _RANK_TOL * self.obs_astar_bstar_max
+            and self.delta > _RANK_TOL * self.delta_max
         )
 
 
@@ -378,7 +381,9 @@ def _pass_schedule(flow, nsteps: int) -> list:
     while levels[-1][2] <= nsteps:
         lo = levels[-1][2]
         e, w, g = double_step_flow(e, w, g)
-        levels.append(((e, _psd_factor(w), g), lo, min(2 * lo, nsteps + 1), lo))
+        if v.shape[1]:  # doubling keeps a W of width 0, as in an orbit, exactly zero
+            v = _psd_factor(w)
+        levels.append(((e, v, g), lo, min(2 * lo, nsteps + 1), lo))
     return levels
 
 
@@ -496,34 +501,30 @@ def observability_gramian(pair, t0: float) -> np.ndarray:
     return 0.5 * (gram + gram.T)
 
 
-def _full_column_rank(stacked: np.ndarray, tol: float) -> bool:
+def _full_column_rank(stacked: np.ndarray) -> bool:
     sv = np.linalg.svd(stacked, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return False
     ncols = stacked.shape[1]
-    return bool(np.sum(sv > tol * sv[0]) == ncols)
+    return bool(np.sum(sv > _RANK_TOL * sv[0]) == ncols)
 
 
-def check_hypotheses(
-    sys: LtiSystem,
-    t0: float = 1.0,
-    tol: float = 1e-10,
-) -> HypothesisReport:
+def check_hypotheses(sys: LtiSystem) -> HypothesisReport:
     """Evaluate the structural hypotheses of the turnpike estimate.
 
     Reports the smallest and largest eigenvalues of the (A, C) and
-    (A*, B*) observability Gramians on [0, t0], kernel-intersection flags
-    via a full-column-rank test on the stacked matrices [A; C] and
-    [A*; B*] (singular values above ``tol`` times the largest), and the
-    smallest and largest eigenvalues ``delta`` and ``delta_max`` of C*C.
-    Failures are reported, never raised.
+    (A*, B*) observability Gramians on [0, ``_GRAMIAN_T0``],
+    kernel-intersection flags via a full-column-rank test on the stacked
+    matrices [A; C] and [A*; B*] (singular values above ``_RANK_TOL``
+    times the largest), and the smallest and largest eigenvalues
+    ``delta`` and ``delta_max`` of C*C.  Failures are reported, never raised.
     """
-    gram_ac = observability_gramian((sys.a, sys.c), t0)
-    gram_ab = observability_gramian((sys.a.T, sys.b.T), t0)
+    gram_ac = observability_gramian((sys.a, sys.c), _GRAMIAN_T0)
+    gram_ab = observability_gramian((sys.a.T, sys.b.T), _GRAMIAN_T0)
     eig_ac = np.linalg.eigvalsh(gram_ac)
     eig_ab = np.linalg.eigvalsh(gram_ab)
-    ker_ac = _full_column_rank(np.vstack([sys.a, sys.c]), tol)
-    ker_ab = _full_column_rank(np.vstack([sys.a.T, sys.b.T]), tol)
+    ker_ac = _full_column_rank(np.vstack([sys.a, sys.c]))
+    ker_ab = _full_column_rank(np.vstack([sys.a.T, sys.b.T]))
     sv_c = np.linalg.svd(sys.c, compute_uv=False)
     return HypothesisReport(
         obs_ac=float(eig_ac[0]),
@@ -534,6 +535,4 @@ def check_hypotheses(
         ker_astar_bstar_trivial=ker_ab,
         delta=float(sv_c[-1] ** 2),
         delta_max=float(sv_c[0] ** 2),
-        t0=float(t0),
-        tol=float(tol),
     )

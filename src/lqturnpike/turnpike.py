@@ -75,12 +75,16 @@ _FIT_WINDOW = (0.1, 0.9)
 
 @dataclass(frozen=True)
 class TurnpikeReport:
-    """Turnpike diagnostics for one horizon, with the trajectory they measure.
+    """Turnpike diagnostics for one horizon, with the solves they measure.
 
     Attributes
     ----------
     horizon : float
     trajectory : Trajectory
+    stationary : StationaryTriple
+    are : AreSolution
+        The infinite-horizon pair every horizon of the run is measured
+        against: the turnpike (x_bar, u_bar, y_bar) and the value operator P.
     gap_x, gap_y : (N + 1,) ndarray
         Node-wise deviations |x(t) - x_bar| and |y(t) - y_bar|.
     gap_u_window : (N + 1,) ndarray
@@ -91,8 +95,6 @@ class TurnpikeReport:
         |h(t)| node-wise.
     fitted_c, fitted_lambda : float
         Log-linear fit of the reversed deviation magnitude |g|.
-    lambda_reference : float
-        Negated spectral abscissa of the closed-loop generator.
     propagation_residual : float
         Max node-wise defect of the semigroup propagation of g.
     c_min : float
@@ -109,18 +111,24 @@ class TurnpikeReport:
 
     horizon: float
     trajectory: Trajectory
+    stationary: StationaryTriple
+    are: AreSolution
     gap_x: np.ndarray
     gap_y: np.ndarray
     gap_u_window: np.ndarray
     h_norm: np.ndarray
     fitted_c: float
     fitted_lambda: float
-    lambda_reference: float
     propagation_residual: float
     c_min: float
     c_uniform: float
     bound_satisfied: bool
     bound_margin: float
+
+    @property
+    def lambda_reference(self) -> float:
+        """Negated spectral abscissa of the closed-loop generator ``are.a_cl``."""
+        return -self.are.closed_loop_abscissa
 
 
 @dataclass(frozen=True)
@@ -284,13 +292,14 @@ def _report_for_horizon(prob, stat, are, scale, solver_fn):
     return TurnpikeReport(
         horizon=prob.horizon,
         trajectory=traj,
+        stationary=stat,
+        are=are,
         gap_x=gap_x,
         gap_y=gap_y,
         gap_u_window=gap_u_window,
         h_norm=h_norm,
         fitted_c=fitted_c,
         fitted_lambda=fitted_lambda,
-        lambda_reference=lam_ref,
         propagation_residual=prop_res,
         c_min=c_min,
         c_uniform=np.nan,
@@ -308,10 +317,10 @@ def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
     """Turnpike reports for a list of horizons with one shared constant.
 
     The stationary triple of ``prob.target`` and the Riccati solution are
-    solved once.  Each horizon T solves ``replace(prob, horizon=T)`` by
-    ``solver`` once, and its report keeps that trajectory: ``prob.horizon``
-    is never read, and ``prob.p0`` is solved as given (zero at every
-    caller).  The node-wise gaps against the stationary triple are taken,
+    solved once, and every report carries them.  Each horizon T solves
+    ``replace(prob, horizon=T)`` by ``solver`` once, and its report keeps
+    that trajectory: ``prob.horizon`` is never read, and ``prob.p0`` is
+    solved as given (zero at every caller).  The node-wise gaps against the stationary triple are taken,
     the decay rate of the reversed deviation is fitted on the initial
     layer (of length ``min(T/2, 5 / lambda_reference)``, trimmed to its
     inner 10%-90% to avoid endpoint noise), and the envelope bound

@@ -33,20 +33,13 @@ from .lq import (
     cost,
     duality_residual,
     simulate_forward,
-    solve_riccati_sweep,
     solve_transcription,
 )
 from .operators import make_system, spectral_abscissa
 from .riccati import _step_count, solve_are, solve_dre
 from .scenarios import heat_1d, random_stable, random_target_and_state, scalar_example
 from .stationary import solve_stationary, stationary_convergence_study
-from .turnpike import (
-    energy_diagnostics,
-    h_trajectory,
-    propagation_residual,
-    verify_turnpike,
-    yosida_dynamic_study,
-)
+from .turnpike import energy_diagnostics, verify_turnpike, yosida_dynamic_study
 
 __all__ = [
     "CheckResult",
@@ -188,16 +181,8 @@ class SuiteContext:
         return LqProblem(sys=sys_, horizon=20.0, target=z, x0=np.zeros(50), dt=1e-2)
 
     @cached_property
-    def heat_stationary(self):
-        return solve_stationary(self.heat_problem.sys, self.heat_problem.target)
-
-    @cached_property
-    def heat_are(self):
-        return solve_are(self.heat_problem.sys)
-
-    @cached_property
-    def heat_trajectory(self):
-        return solve_riccati_sweep(self.heat_problem)
+    def heat_report(self):
+        return verify_turnpike(self.heat_problem, [20.0], solver="riccati-sweep")[0]
 
 
 # --- criterion 1 ---------------------------------------------------------
@@ -281,19 +266,13 @@ def check_dre_constancy(ctx: SuiteContext) -> CheckResult:
 def check_propagation(ctx: SuiteContext) -> CheckResult:
     scalar_res = ctx.scalar_t10_report.propagation_residual
     prob_half = replace(ctx.scalar_problem, dt=5e-4)
-    traj_half = solve_transcription(prob_half)
-    h_half = h_trajectory(traj_half, ctx.scalar_stationary, ctx.scalar_are)
-    half_res = propagation_residual(h_half, prob_half.sys, ctx.scalar_are, traj_half.grid)
+    half = verify_turnpike(prob_half, [10.0], solver="transcription")[0]
     records = [
         Record("scalar residual", scalar_res, "<=", 1e-6),
-        Record("dt-halving ratio", scalar_res / half_res, "in", (2.5, 8.0)),
+        Record("dt-halving ratio", scalar_res / half.propagation_residual, "in", (2.5, 8.0)),
     ]
     if not ctx.quick:
-        heat_traj = ctx.heat_trajectory
-        h_heat = h_trajectory(heat_traj, ctx.heat_stationary, ctx.heat_are)
-        heat_res = propagation_residual(
-            h_heat, ctx.heat_problem.sys, ctx.heat_are, heat_traj.grid
-        )
+        heat_res = ctx.heat_report.propagation_residual
         records.append(Record("heat residual", heat_res, "<=", 1e-4))
     return CheckResult("5 propagation", 30.0, records)
 
@@ -347,17 +326,12 @@ def check_turnpike_bound(ctx: SuiteContext) -> CheckResult:
 
 
 def check_energy_identity(ctx: SuiteContext) -> CheckResult:
-    cases = [
-        ("scalar", ctx.scalar_problem.sys, ctx.scalar_t10_report.trajectory,
-         ctx.scalar_stationary, 1e-6),
-    ]
+    cases = [("scalar", ctx.scalar_problem.sys, ctx.scalar_t10_report, 1e-6)]
     if not ctx.quick:
-        cases.append(
-            ("heat", ctx.heat_problem.sys, ctx.heat_trajectory, ctx.heat_stationary, 1e-4)
-        )
+        cases.append(("heat", ctx.heat_problem.sys, ctx.heat_report, 1e-4))
     records = []
-    for label, sys_, traj, stat, tol in cases:
-        report = energy_diagnostics(traj, stat, sys_)
+    for label, sys_, turnpike, tol in cases:
+        report = energy_diagnostics(turnpike.trajectory, turnpike.stationary, sys_)
         records += [
             Record(f"{label} identity residual", report.identity_residual, "<=", tol),
             Record(f"{label} Cauchy-Schwarz margin", report.cs_margin, ">=", -tol),

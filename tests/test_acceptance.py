@@ -79,12 +79,12 @@ def test_quick_suite_solves_each_tracking_problem_once(monkeypatch):
     """No tracking solve of the quick suite repeats an earlier one.
 
     Each solver is spied on where the suite reaches it: through
-    ``turnpike.SOLVERS`` and through ``verification``'s own imports.  A
-    solve is keyed by its solver and its problem: the system, target,
-    initial state and terminal cost, the horizon and the step.  The
-    scalar system's ``solve_are`` (twice) and ``solve_stationary`` (three
-    times) also repeat, but together they cost about a millisecond and
-    are not counted here.
+    ``turnpike.SOLVERS`` and through ``verification``'s own import of
+    ``solve_transcription``.  A solve is keyed by its solver and its
+    problem: the system, target, initial state and terminal cost, the
+    horizon and the step.  The scalar system's ``solve_are`` (three
+    times) and ``solve_stationary`` (four times) also repeat, but together
+    they cost about a millisecond and are not counted here.
     """
     keys = []
 
@@ -98,8 +98,9 @@ def test_quick_suite_solves_each_tracking_problem_once(monkeypatch):
 
     for name, solve in list(turnpike.SOLVERS.items()):
         monkeypatch.setitem(turnpike.SOLVERS, name, spy(solve))
-    for name in ("solve_transcription", "solve_riccati_sweep"):
-        monkeypatch.setattr(verification, name, spy(getattr(verification, name)))
+    monkeypatch.setattr(
+        verification, "solve_transcription", spy(verification.solve_transcription)
+    )
     run_suite("quick")
     assert keys
     repeated = sorted({key[:3] for key in keys if keys.count(key) > 1})

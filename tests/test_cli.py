@@ -98,6 +98,27 @@ class TestExitCodes:
         assert main(["solve", "--config", path]) == 2
         assert f"{key} must have length 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, config, message",
+        [
+            ("stationary", {"scenario": "custom", "system": CUSTOM_1X1},
+             "requires an inline 'target' vector"),
+            ("solve", {"scenario": "heat_1d", "n": 2}, "needs n >= 3"),
+            ("riccati", {"scenario": "scalar", "target": [1.0, 2.0]},
+             "target must have length 1"),
+            ("turnpike", {"scenario": "scalar", "x0": [0.0, 0.0]}, "x0 must have length 1"),
+            ("yosida", {"scenario": "heat_1d", "n": 2}, "needs n >= 3"),
+        ],
+    )
+    def test_scenario_input_error_makes_no_directory(
+        self, tmp_path, capsys, command, config, message
+    ):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {**config, "output_dir": str(out)})
+        assert main([command, "--config", path]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rank_deficient_scenario_exit_two(self, tmp_path, capsys):
         path = write_config(
             tmp_path,
@@ -161,11 +182,12 @@ class TestExitCodes:
         assert code == 1
         assert "scalar-are" in captured.err
         # The corrupted P fails exactly the checks that read it as the
-        # fixed point: the ARE value, DRE constancy and propagation.
+        # fixed point: the ARE value and DRE constancy.  Propagation reads
+        # the P its turnpike reports solved.
         failed = {
             line.split()[1] for line in captured.out.splitlines() if line.startswith("FAIL")
         }
-        assert failed == {"1", "4", "5"}
+        assert failed == {"1", "4"}
         assert "PASS  12 determinism: files differing between reruns = 0 == 0" in captured.out
         manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["config"] is None

@@ -6,7 +6,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 import lqturnpike as lab
 from lqturnpike.errors import DimensionError, NonFiniteError, ResolventError
-from lqturnpike.operators import riccati_step_flow
+from lqturnpike.operators import _RANK_TOL, riccati_step_flow
 
 
 class TestMakeSystem:
@@ -208,7 +208,7 @@ class TestObservabilityGramian:
 class TestCheckHypotheses:
     def test_scalar_all_pass(self, scalar):
         sys_, _, _ = scalar
-        report = lab.check_hypotheses(sys_, t0=1.0)
+        report = lab.check_hypotheses(sys_)
         assert report.satisfied
         assert report.ker_ac_trivial and report.ker_astar_bstar_trivial
         assert report.obs_ac > 0 and report.obs_astar_bstar > 0
@@ -232,8 +232,8 @@ class TestCheckHypotheses:
         a = np.array([[0.0, 1.0], [-1.0, -1.0]])
         report = lab.check_hypotheses(lab.make_system(a, np.eye(2), c))
         assert report.ker_ac_trivial and report.ker_astar_bstar_trivial
-        assert report.obs_ac > report.tol * report.obs_ac_max
-        assert report.delta <= report.tol * report.delta_max
+        assert report.obs_ac > _RANK_TOL * report.obs_ac_max
+        assert report.delta <= _RANK_TOL * report.delta_max
         assert not report.satisfied
 
     def test_kernel_flag_matches_svd_rank(self):

@@ -213,6 +213,14 @@ class TestLiftedOrbit:
         want = lifted_orbit(m, v0, nsteps)
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
+    def test_orbit_factors_nothing(self, monkeypatch):
+        # The orbit's W has width 0, and doubling keeps it exactly zero, so
+        # no lifted level refactors it.
+        monkeypatch.setattr(operators, "_psd_factor", lambda w: pytest.fail("W factored"))
+        m = np.array([[0.5, 0.2], [0.0, 0.9]])
+        orbit = linear_orbit(m, np.ones(2), 1000)
+        assert np.allclose(orbit[3], np.linalg.matrix_power(m, 3) @ np.ones(2))
+
 
 class TestClosedLoopGenerator:
     """``AreSolution.a_cl`` is A - BB*P; its abscissa gives the decay rate."""

@@ -228,6 +228,30 @@ class TestVerifyTurnpike:
             assert np.array_equal(a.gap_x, b.gap_x)
             assert a.fitted_lambda == b.fitted_lambda
 
+    @pytest.mark.parametrize("solver", ["transcription", "riccati-sweep"])
+    def test_report_residual_is_the_public_route(self, rand4, solver):
+        # The report's residual and the public h -> residual pair, which
+        # callers outside verify_turnpike use, agree bit for bit.
+        sys_, z, x0 = rand4
+        prob = lab.LqProblem(sys=sys_, horizon=5.0, target=z, x0=x0, dt=1e-2)
+        r = verify_turnpike(prob, [5.0], solver=solver)[0]
+        h = h_trajectory(r.trajectory, r.stationary, r.are)
+        want = propagation_residual(h, sys_, r.are, r.trajectory.grid)
+        assert r.propagation_residual == want
+        assert np.array_equal(r.h_norm, np.linalg.norm(h, axis=1))
+
+    def test_report_carries_the_pair_it_measured_against(self, scalar_problem):
+        sys_, z = scalar_problem.sys, scalar_problem.target
+        reports = verify_turnpike(scalar_problem, [3.0, 5.0], solver="transcription")
+        stat, are = lab.solve_stationary(sys_, z), lab.solve_are(sys_)
+        for r in reports:
+            assert r.stationary is reports[0].stationary and r.are is reports[0].are
+            assert np.array_equal(r.stationary.x_bar, stat.x_bar)
+            assert np.array_equal(r.are.p, are.p)
+            assert r.lambda_reference == -are.closed_loop_abscissa
+            gap_x = np.linalg.norm(r.trajectory.x - stat.x_bar, axis=1)
+            assert np.array_equal(r.gap_x, gap_x)
+
     def test_problem_horizon_is_not_read(self, scalar_problem):
         # Problems that differ only in their horizon give equal reports.
         reports = [
