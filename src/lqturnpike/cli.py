@@ -30,6 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__, reporting
+from ._blas import serial_blas, thread_counts
 from .errors import (
     ConfigError,
     DimensionError,
@@ -77,11 +78,13 @@ def _peak_rss_mb() -> float:
 class _Manifest:
     """Collects timings and output paths; written as manifest.json.
 
-    The manifest also records the Python, numpy and scipy versions and the
-    process's peak resident set size when it is written.  Its ``config``
-    holds the values the scenario read, with the built n and m
-    (:meth:`ExperimentConfig.read_values`), and is None for a command that
-    reads no configuration.
+    The manifest also records the Python, numpy and scipy versions, the
+    thread count of each OpenBLAS pool (by library basename; empty when none
+    is found) and the process's peak resident set size when it is written.
+    Its ``config`` holds the values the scenario read, with the built n and
+    m (:meth:`ExperimentConfig.read_values`), and is None for a command that
+    reads no configuration.  The output directory is made at the first
+    write, so a command that fails before it writes leaves none behind.
     """
 
     def __init__(self, command: str, config: ExperimentConfig | None, out_dir: str):
@@ -100,8 +103,12 @@ class _Manifest:
         finally:
             self.timings[name] = time.perf_counter() - start
 
+    def _path(self, name: str) -> str:
+        os.makedirs(self.out_dir, exist_ok=True)
+        return os.path.join(self.out_dir, name)
+
     def write_csv(self, name: str, header, rows) -> str:
-        path = os.path.join(self.out_dir, name)
+        path = self._path(name)
         reporting.write_csv(path, header, rows)
         self.outputs.append(name)
         return path
@@ -118,11 +125,11 @@ class _Manifest:
                 "python": platform.python_version(),
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
+                "blas": thread_counts(),
             },
             "peak_rss_mb": round(_peak_rss_mb(), 3),
         }
-        path = os.path.join(self.out_dir, "manifest.json")
-        with open(path, "w", encoding="utf-8") as handle:
+        with open(self._path("manifest.json"), "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True, default=str)
             handle.write("\n")
 
@@ -139,16 +146,11 @@ def _resolve_config(args) -> ExperimentConfig:
 
 
 def _prepare(args, command: str):
-    """The config, its problem and the run's manifest, with the output directory made.
-
-    The problem is built, in the manifest's ``build`` stage, before the
-    directory is made, so an input error in the scenario leaves none behind.
-    """
+    """The config, its problem (built in the manifest's ``build`` stage) and the run's manifest."""
     config = _resolve_config(args)
     manifest = _Manifest(command, config, config.output_dir)
     with manifest.stage("build"):
         prob = build_scenario(config)
-    os.makedirs(config.output_dir, exist_ok=True)
     return config, prob, manifest
 
 
@@ -335,18 +337,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_INPUT_ERROR
-    except LqTurnpikeError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_INTERNAL_ERROR
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc!r}", file=_sys.stderr)
-        return EXIT_INTERNAL_ERROR
+    """Run one command on one BLAS thread (see :mod:`lqturnpike._blas`)."""
+    with serial_blas():
+        args = build_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except _INPUT_ERRORS as exc:
+            print(f"error: {exc}", file=_sys.stderr)
+            return EXIT_INPUT_ERROR
+        except LqTurnpikeError as exc:
+            print(f"error: {exc}", file=_sys.stderr)
+            return EXIT_INTERNAL_ERROR
+        except Exception as exc:  # pragma: no cover - defensive
+            print(f"internal error: {exc!r}", file=_sys.stderr)
+            return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

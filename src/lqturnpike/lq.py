@@ -359,9 +359,12 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
 
     Memory is the (N + 1)(n + m + 1)^2 doubles of the Q samples.  On
     ``heat_1d(n, "boundary_flavored")`` with T = 5 and dt = 1e-2 (2-CPU
-    x86-64 host, OpenBLAS with 2 threads) one solve takes 0.05 s at
-    n = 50, 0.23 s at n = 100 and 0.70 s at n = 200, with process peak
-    RSS of 74, 108 and 237 MB.
+    x86-64 host) one solve takes 0.04-0.05 s at n = 50, 0.11-0.17 s at
+    n = 100 and 0.58-0.66 s at n = 200 on one OpenBLAS thread (0.04-0.05,
+    0.24 and 0.70-0.88 s on two), with process peak RSS of 71, 104 and
+    227 MB; at n = 400 and T = 1 the two are level (0.67-0.73 s against
+    0.72-0.75 s).  This call keeps the caller's BLAS thread count; the
+    command line runs it on one thread.
 
     Raises
     ------

@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import reporting
+from ._blas import serial_blas
 from .lq import (
     LqProblem,
     _trapezoid,
@@ -535,17 +536,20 @@ def run_suite(suite: str = "quick", out_dir=None, jobs: int = 1):
     Returns the list of :class:`CheckResult`, one per criterion, in
     criterion order.  Criterion 12 (byte-identical reruns and the wall
     clock caps) is a property of this function itself, checked by
-    :func:`check_determinism`.
+    :func:`check_determinism`.  The suite runs on one BLAS thread
+    (:func:`~lqturnpike._blas.serial_blas`), so its files do not depend on
+    the caller's thread count.
     """
     if suite not in SUITE_CAPS:
         raise ValueError(f"unknown suite '{suite}', expected 'quick' or 'full'")
     ctx = SuiteContext(quick=(suite == "quick"), jobs=jobs)
     results = []
-    for check in CRITERIA:
-        start = time.perf_counter()
-        result = check(ctx)
-        result.runtime = time.perf_counter() - start
-        results.append(result)
+    with serial_blas():
+        for check in CRITERIA:
+            start = time.perf_counter()
+            result = check(ctx)
+            result.runtime = time.perf_counter() - start
+            results.append(result)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for result in results:

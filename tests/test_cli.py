@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lqturnpike import cli, verification
+from lqturnpike import _blas, cli, verification
 from lqturnpike.cli import main
 from lqturnpike.reporting import format_value, render_csv
 
@@ -366,6 +366,7 @@ class TestCommands:
         )
         assert main([command, "--config", path]) == 2
         assert "above the cap of 5e+07 doubles" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_turnpike_summary(self, tmp_path, capsys):
         path = write_config(
@@ -474,6 +475,7 @@ class TestCommands:
             "python": platform.python_version(),
             "numpy": np.__version__,
             "scipy": scipy.__version__,
+            "blas": {name: 1 for name in _blas.openblas_pools()},
         }
         # The interpreter with numpy and scipy loaded is already past 1 MiB.
         assert isinstance(manifest["peak_rss_mb"], float)
