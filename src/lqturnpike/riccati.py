@@ -30,13 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import schur, solve_continuous_lyapunov
 
-from .errors import (
-    ConvergenceError,
-    DimensionError,
-    IntegrationError,
-    NonFiniteError,
-    NotStabilizableError,
-)
+from .errors import ConvergenceError, IntegrationError, NotStabilizableError
 from .operators import (
     LtiSystem,
     _pass_schedule,
@@ -173,39 +167,6 @@ def _lock(*arrays):
     for arr in arrays:
         arr.setflags(write=False)
     return arrays[0]
-
-
-def _step_count(horizon: float, dt: float) -> int:
-    """Number of whole steps of ``dt`` in ``horizon``; at least one.
-
-    The one check that a time grid's horizon and step are positive and finite.
-    """
-    if horizon <= 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if not (np.isfinite(horizon) and np.isfinite(dt)):
-        raise ValueError(f"horizon and dt must be finite, got {horizon} and {dt}")
-    ratio = horizon / dt
-    nsteps = int(round(ratio))
-    if nsteps < 1 or abs(ratio - nsteps) > 1e-9 * max(1.0, ratio):
-        raise ValueError(f"dt {dt} does not divide horizon {horizon} into whole steps")
-    return nsteps
-
-
-def _check_terminal_cost(p0, n: int) -> np.ndarray:
-    p0 = np.asarray(p0, dtype=float)
-    if p0.shape != (n, n):
-        raise DimensionError(f"p0 must be {n} x {n}, got shape {p0.shape}")
-    if not np.all(np.isfinite(p0)):
-        raise NonFiniteError("p0 contains non-finite entries")
-    if np.linalg.norm(p0 - p0.T) > 1e-10 * max(1.0, np.linalg.norm(p0)):
-        raise ValueError("p0 must be symmetric")
-    if np.linalg.eigvalsh(0.5 * (p0 + p0.T))[0] < -1e-10 * max(
-        1.0, np.linalg.norm(p0)
-    ):
-        raise ValueError("p0 must be positive semidefinite")
-    return 0.5 * (p0 + p0.T)
 
 
 def solve_dre(prob) -> DreSolution:

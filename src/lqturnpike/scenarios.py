@@ -18,9 +18,8 @@ from dataclasses import MISSING, dataclass, fields
 import numpy as np
 
 from .errors import ConfigError
-from .lq import LqProblem
+from .lq import LqProblem, _step_count
 from .operators import LtiSystem, _check_ks, make_system, spectral_abscissa
-from .riccati import _step_count
 from .turnpike import _solver
 
 __all__ = [

@@ -103,10 +103,8 @@ class TurnpikeReport:
     c_uniform : float
         Constant shared across all horizons of the run (max of c_min).
     bound_satisfied : bool
-        Node-wise envelope bound with the shared constant.
-    bound_margin : float
-        Smallest slack of the bound over the grid (nonnegative when
-        satisfied).
+        Node-wise envelope bound with the shared constant; it holds by
+        construction above the trivial scale (see :func:`verify_turnpike`).
     """
 
     horizon: float
@@ -123,7 +121,6 @@ class TurnpikeReport:
     c_min: float
     c_uniform: float
     bound_satisfied: bool
-    bound_margin: float
 
     @property
     def lambda_reference(self) -> float:
@@ -304,7 +301,6 @@ def _report_for_horizon(prob, stat, are, scale, solver_fn):
         c_min=c_min,
         c_uniform=np.nan,
         bound_satisfied=False,
-        bound_margin=np.nan,
     )
 
 
@@ -320,16 +316,27 @@ def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
     solved once, and every report carries them.  Each horizon T solves
     ``replace(prob, horizon=T)`` by ``solver`` once, and its report keeps
     that trajectory: ``prob.horizon`` is never read, and ``prob.p0`` is
-    solved as given (zero at every caller).  The node-wise gaps against the stationary triple are taken,
-    the decay rate of the reversed deviation is fitted on the initial
-    layer (of length ``min(T/2, 5 / lambda_reference)``, trimmed to its
-    inner 10%-90% to avoid endpoint noise), and the envelope bound
+    solved as given (zero at every caller).  The node-wise gaps against
+    the stationary triple are taken, the decay rate of the reversed
+    deviation is fitted on the initial layer (of length
+    ``min(T/2, 5 / lambda_reference)``, trimmed to its inner 10%-90% to
+    avoid endpoint noise), and the envelope bound
 
         gap(t) <= c (e^{-lambda t} + e^{-lambda (T - t)}) (|x0 - x_bar| + |y_bar|)
 
     is checked node-wise on the summed gap with the constant taken
     uniform across all requested horizons (the maximum of the per-horizon
     minimal constants).
+
+    Above the trivial scale (|x0 - x_bar| + |y_bar| > 1e-12) that check
+    holds by construction: each ``c_min`` is the largest ratio of the
+    summed gap to the envelope, on the same grid and with the same fitted
+    rate, and ``c_uniform`` is their maximum.  ``bound_satisfied`` can
+    read False only at the trivial scale, where the summed gap must stay
+    below 1e-8, or when the envelope underflows to 0 (lambda T / 2 above
+    about 745) and the constant is no longer finite.  What the reports
+    say about the turnpike lies in how the ``c_min`` of different
+    horizons compare and in the gaps themselves.
 
     Returns
     -------
@@ -352,20 +359,12 @@ def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
     for partial in partials:
         total = partial.gap_x + partial.gap_y + partial.gap_u_window
         if scale <= _TRIVIAL_SCALE:
-            margin = float(1e-8 - np.max(total))
-            satisfied = bool(margin >= 0.0)
+            satisfied = bool(np.max(total) <= 1e-8)
         else:
             envelope = _envelope(partial.trajectory.grid, partial.fitted_lambda)
-            margin = float(np.min(c_uniform * scale * envelope - total))
+            margin = np.min(c_uniform * scale * envelope - total)
             satisfied = bool(margin >= -1e-12 * max(1.0, c_uniform * scale))
-        reports.append(
-            replace(
-                partial,
-                c_uniform=c_uniform,
-                bound_satisfied=satisfied,
-                bound_margin=margin,
-            )
-        )
+        reports.append(replace(partial, c_uniform=c_uniform, bound_satisfied=satisfied))
     return reports
 
 

@@ -30,6 +30,7 @@ from . import reporting
 from ._blas import serial_blas
 from .lq import (
     LqProblem,
+    _step_count,
     _trapezoid,
     cost,
     duality_residual,
@@ -37,7 +38,7 @@ from .lq import (
     solve_transcription,
 )
 from .operators import make_system, spectral_abscissa
-from .riccati import _step_count, solve_are, solve_dre
+from .riccati import solve_are, solve_dre
 from .scenarios import heat_1d, random_stable, random_target_and_state, scalar_example
 from .stationary import solve_stationary, stationary_convergence_study
 from .turnpike import energy_diagnostics, verify_turnpike, yosida_dynamic_study
@@ -430,23 +431,26 @@ def check_yosida(ctx: SuiteContext) -> CheckResult:
 
 
 def _null_space_margin(sys_, z, stat, samples, seed):
+    """Smallest sampled cost change over feasible moves in ker [A B].
+
+    The stationary cost |C x - z|^2 + |u|^2 is quadratic, so a move
+    (dx, du) changes it by exactly
+
+        2 <C x_bar - z, C dx> + 2 <u_bar, du> + |C dx|^2 + |du|^2,
+
+    evaluated here for all ``samples`` moves at once.
+    """
     stacked = np.hstack([sys_.a, sys_.b])
     _, sv, vt = np.linalg.svd(stacked)
     rank = int(np.sum(sv > 1e-12 * sv[0]))
     basis = vt[rank:]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    base_cost = (
-        np.linalg.norm(sys_.c @ stat.x_bar - z) ** 2 + np.linalg.norm(stat.u_bar) ** 2
-    )
-    worst = np.inf
-    n = sys_.n
-    for _ in range(samples):
-        delta = rng.standard_normal(basis.shape[0]) @ basis
-        x_p = stat.x_bar + delta[:n]
-        u_p = stat.u_bar + delta[n:]
-        cost_p = np.linalg.norm(sys_.c @ x_p - z) ** 2 + np.linalg.norm(u_p) ** 2
-        worst = min(worst, cost_p - base_cost)
-    return float(worst)
+    delta = rng.standard_normal((samples, basis.shape[0])) @ basis
+    c_dx = delta[:, : sys_.n] @ sys_.c.T
+    du = delta[:, sys_.n :]
+    first = c_dx @ (sys_.c @ stat.x_bar - z) + du @ stat.u_bar
+    second = np.sum(c_dx * c_dx, axis=1) + np.sum(du * du, axis=1)
+    return float(np.min(2.0 * first + second))
 
 
 def _sampled_cost_margins(prob, traj, v, eps_values):
@@ -454,44 +458,35 @@ def _sampled_cost_margins(prob, traj, v, eps_values):
 
     The state is affine in the control, and the exact nodal step of
     :func:`~lqturnpike.lq.simulate_forward` is an affine map of (x0,
-    forcing), so x(u + eps v) = x(u) + eps (x(u + v) - x(u)) up to
-    rounding.  One batched forward solve of [u, u + v_1, ..., u + v_k]
-    therefore serves every eps.  Each margin
-    is still the trapezoid cost of the perturbed (state, control) pair
-    minus ``cost(prob, traj)``.  Returns shape (len(eps_values), k).
+    forcing), so one batched forward solve of [u, u + v_1, ..., u + v_k]
+    gives x_u = x(u) and every d = x(u + v) - x(u).  The trapezoid cost is
+    quadratic in the control, so for every eps at once
 
-    The work is done in place: the differences overwrite the solved
-    batch, only its terminal rows outlive the observations, and every
-    eps reuses one deviation and one control array, so the peak is a few
-    arrays of the batch's size.
+        J(u + eps v) = J_sim(u) + eps a_v + eps^2 b_v,
+        a_v = 2 [int <C x_u - z, C d> + <u, v> dt + <P0 x_u(T), d(T)>],
+        b_v = int |C d|^2 + |v|^2 dt + <P0 d(T), d(T)>,
+
+    with J_sim(u) the cost of (x_u, u) and the integrals by trapezoid
+    quadrature.  Each margin is J(u + eps v) - ``cost(prob, traj)``.
+    Returns shape (len(eps_values), k).
     """
     u = traj.u[:, :, None]
     x_all = simulate_forward(prob, np.concatenate([u, u + v], axis=2))
-    x_base = x_all[:, :, :1]
-    x_dir = x_all[:, :, 1:]
-    x_dir -= x_base
-    # C is linear too, so the observations superpose the same way.
-    obs_base = prob.sys.c @ x_base
-    obs_dir = prob.sys.c @ x_dir
-    end_base, end_dir = x_base[-1].copy(), x_dir[-1].copy()
-    del x_all, x_base, x_dir
-    base = cost(prob, traj)
-    target = prob.target[None, :, None]
-    dev = np.empty_like(obs_dir)
-    u_pert = np.empty_like(v)
-    margins = np.empty((len(eps_values), v.shape[2]))
-    for row, eps in zip(margins, eps_values):
-        np.multiply(obs_dir, eps, out=dev)
-        dev += obs_base
-        dev -= target
-        np.multiply(v, eps, out=u_pert)
-        u_pert += u
-        running = np.einsum("tib,tib->tb", dev, dev)
-        running += np.einsum("tib,tib->tb", u_pert, u_pert)
-        x_end = end_base + eps * end_dir
-        terminal = np.einsum("ib,ij,jb->b", x_end, prob.p0, x_end)
-        row[:] = _trapezoid(running, prob.dt) + terminal - base
-    return margins
+    x_u = x_all[:, :, :1]
+    d = x_all[:, :, 1:] - x_u
+    c_d = prob.sys.c @ d
+
+    def integral(p, q):
+        return _trapezoid(np.einsum("tib,tib->tb", p, q), prob.dt)
+
+    residual = prob.sys.c @ x_u - prob.target[:, None]
+    end = d[-1]
+    p0_end = prob.p0 @ end
+    a_v = 2.0 * (integral(residual, c_d) + integral(u, v) + x_u[-1, :, 0] @ p0_end)
+    b_v = integral(c_d, c_d) + integral(v, v) + np.sum(end * p0_end, axis=0)
+    offset = cost(prob, replace(traj, x=x_all[:, :, 0])) - cost(prob, traj)
+    eps = np.asarray(eps_values, dtype=float)[:, None]
+    return offset + eps * a_v + eps**2 * b_v
 
 
 def check_optimality(ctx: SuiteContext) -> CheckResult:

@@ -9,6 +9,7 @@ separate directories and comparing CSV bytes.
 import os
 import time
 
+import numpy as np
 import pytest
 
 from lqturnpike import turnpike, verification
@@ -105,6 +106,26 @@ def test_quick_suite_solves_each_tracking_problem_once(monkeypatch):
     assert keys
     repeated = sorted({key[:3] for key in keys if keys.count(key) > 1})
     assert not repeated, f"solved more than once: {repeated}"
+
+
+def test_quick_suite_simulates_forward_once(monkeypatch):
+    """Criterion 11's sampled margins come from one batched forward solve.
+
+    Every eps reads its cost change off the cost's quadratic expansion, so
+    the quick suite calls ``simulate_forward`` once, on the 101 columns
+    [u, u + v_1, ..., u + v_100] over the 10,001 nodes of the scalar
+    problem, and never once per eps.
+    """
+    shapes = []
+    simulate = verification.simulate_forward
+
+    def spied(prob, u):
+        shapes.append(np.shape(u))
+        return simulate(prob, u)
+
+    monkeypatch.setattr(verification, "simulate_forward", spied)
+    run_suite("quick")
+    assert shapes == [(10001, 1, 101)]
 
 
 def test_criterion_01_scalar_are(full_results):

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from lqturnpike.errors import (
     ProblemSizeError,
 )
 from lqturnpike.lq import _nodal_adjoint, _trapezoid
-from lqturnpike.verification import _sampled_cost_margins
+from lqturnpike.verification import _null_space_margin, _sampled_cost_margins
 
 
 def scalar_problem(sys_, z, x0, horizon=10.0, dt=1e-3, p0=None):
@@ -671,8 +672,9 @@ def _peak_units(call, unit):
 
 
 class TestSampledCostMargins:
-    # Criterion 11 forms every perturbed state from one batched solve by
-    # superposition; it must match solving each perturbation directly.
+    # Criterion 11 reads every sampled cost change off the cost's exact
+    # quadratic expansion around one batched forward solve; it must match
+    # solving and costing each perturbation directly.
     EPS = (0.1, -0.1, 0.01, -0.01)
 
     def _compare(self, prob, v):
@@ -708,6 +710,46 @@ class TestSampledCostMargins:
         unit = cols.nbytes
         assert _peak_units(lambda: lab.simulate_forward(prob, cols), unit) <= 4.0
         assert _peak_units(lambda: _sampled_cost_margins(prob, traj, v, self.EPS), unit) <= 6.0
+
+    def test_shifted_control_gives_a_negative_margin(self, scalar):
+        # Criterion 11's scalar data around a control that is not optimal.
+        # The directions are white noise at the nodes, so they pair only
+        # weakly with a smooth shift, while eps^2 |v|^2 costs about 1e-3 at
+        # eps = 0.01; a shift of amplitude 0.1 still leaves every margin
+        # positive.  At 0.5 the first-order gain wins in some direction.
+        sys_, z, x0 = scalar
+        prob = scalar_problem(sys_, z, x0)
+        traj = lab.solve_transcription(prob)
+        u = traj.u + 0.5 * np.sin(np.pi * prob.grid / prob.horizon)[:, None]
+        shifted = replace(traj, x=lab.simulate_forward(prob, u), u=u)
+        rng = np.random.Generator(np.random.Philox(key=103))
+        v = rng.standard_normal((prob.n_steps + 1, 1, 100))
+        assert np.min(_sampled_cost_margins(prob, shifted, v, self.EPS)) < -1e-12
+
+    def test_null_space_margin_matches_a_sample_loop(self, scalar, rand4):
+        # Criterion 11's stationary cases, costed one drawn move at a time.
+        for (sys_, z, _), seed in ((scalar, 101), (rand4, 102)):
+            stat = lab.solve_stationary(sys_, z)
+            _, sv, vt = np.linalg.svd(np.hstack([sys_.a, sys_.b]))
+            basis = vt[int(np.sum(sv > 1e-12 * sv[0])):]
+            base = np.sum((sys_.c @ stat.x_bar - z) ** 2) + np.sum(stat.u_bar**2)
+            rng = np.random.Generator(np.random.Philox(key=seed))
+            changes = []
+            for _ in range(100):
+                delta = rng.standard_normal(basis.shape[0]) @ basis
+                x_p, u_p = stat.x_bar + delta[: sys_.n], stat.u_bar + delta[sys_.n :]
+                changes.append(np.sum((sys_.c @ x_p - z) ** 2) + np.sum(u_p**2) - base)
+            fast = _null_space_margin(sys_, z, stat, 100, seed)
+            assert abs(fast - min(changes)) <= 1e-12
+
+    def test_moved_stationary_triple_gives_a_negative_margin(self, scalar, scalar_pipeline):
+        # (1, 1)/sqrt(2) spans ker [A B] = ker [-1, 1]: the moved pair stays
+        # feasible but no longer minimizes, and sampling finds a cheaper one.
+        sys_, z, _ = scalar
+        stat, _ = scalar_pipeline
+        step = 0.5 / np.sqrt(2.0)
+        moved = replace(stat, x_bar=stat.x_bar + step, u_bar=stat.u_bar + step)
+        assert _null_space_margin(sys_, z, moved, 100, seed=101) < -1e-12
 
 
 class TestDualityResidual:
