@@ -392,11 +392,12 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
 
     Memory is the (N + 1)(n + m + 1)^2 doubles of the Q samples.  On
     ``heat_1d(n, "boundary_flavored")`` with T = 5 and dt = 1e-2 (2-CPU
-    x86-64 host) one solve takes 0.04-0.05 s at n = 50, 0.11-0.17 s at
-    n = 100 and 0.58-0.66 s at n = 200 on one OpenBLAS thread (0.04-0.05,
-    0.24 and 0.70-0.88 s on two), with process peak RSS of 71, 104 and
-    227 MB; at n = 400 and T = 1 the two are level (0.67-0.73 s against
-    0.72-0.75 s).  This call keeps the caller's BLAS thread count; the
+    x86-64 host, medians of five solves in each of two processes) one
+    solve takes 0.041-0.044 s at n = 50, 0.10-0.15 s at n = 100 and
+    0.56-0.65 s at n = 200 on one OpenBLAS thread (0.03-0.04, 0.23-0.27
+    and 0.73-0.78 s on two), with process peak RSS of 71, 103 and 226 MB;
+    at n = 400 and T = 1 the two are level (0.76-0.95 s against
+    0.82-0.86 s).  This call keeps the caller's BLAS thread count; the
     command line runs it on one thread.
 
     Raises

@@ -324,7 +324,9 @@ def double_step_flow(e, w, g):
 # time, one BLAS thread) the lifted sweep was 40x faster at size 2
 # (N = 10,000), 2.6x at 16, 1.3x at 32 and 1.05x at 51 (N = 2,000), but
 # ran at 0.93x, 0.69x and 0.59x the stepwise speed at 16, 32 and 51 on
-# N = 25.
+# N = 25.  Of these sizes only 2 has an S narrow enough for the closed
+# forms of _solve_small, and with them lifting there is 55-78x faster
+# (5.5-8.2 ms against 430-450 ms; 15 against 680 ms with LAPACK).
 _LIFTED_SWEEP_MAX_STATE = 16
 
 # Most nodes one block of a pass takes in one batched call.  A block's
@@ -394,6 +396,33 @@ def _batches(levels):
             yield flow, start, min(start + span, start + _BLOCK_NODES, hi), span
 
 
+def _solve_small(s, rhs):
+    """``S^{-1} rhs`` for a (..., r, r) batch of the passes' S, in closed form at r <= 2.
+
+    At r = 1 it divides (Sherman-Morrison, Hager 1989), at r = 2 it takes
+    one elimination step without pivoting, and at any other r it calls
+    ``np.linalg.solve``, whose LAPACK call costs 0.1 to 0.3 us per matrix
+    however small.  Every step is elementwise over the batch, so a node's
+    result does not depend on the batch it is taken in.  Neither closed
+    form pivots, which is safe for a symmetric positive definite S, whose
+    leading entry and Schur complement are positive; S = I + V* Q V is one
+    wherever the passes form it.  On the sweep Q is positive semidefinite,
+    and on the transcription S is the scaled Hessian of a cost strictly
+    convex in the decided control.
+    """
+    r = s.shape[-1]
+    if r == 1:
+        return rhs / s
+    if r == 2:
+        s00, s01 = s[..., :1, :1], s[..., :1, 1:]
+        s10, s11 = s[..., 1:, :1], s[..., 1:, 1:]
+        b0, b1 = rhs[..., :1, :], rhs[..., 1:, :]
+        ratio = s10 / s00
+        x1 = (b1 - ratio * b0) / (s11 - ratio * s01)
+        return np.concatenate([(b0 - s01 * x1) / s00, x1], axis=-2)
+    return np.linalg.solve(s, rhs)
+
+
 def riccati_backward_pass(levels, q_end) -> np.ndarray:
     """Riccati samples at every node of a uniform grid, exact up to rounding.
 
@@ -406,7 +435,11 @@ def riccati_backward_pass(levels, q_end) -> np.ndarray:
 
     backward from ``Q_N = q_end``, which is stored as given; the second
     line is the Woodbury form, which solves only the r x r system S for
-    a V of width r.  The same map holds over 2^k steps with the doubled
+    a V of width r.  :func:`_solve_small` solves it in closed form at
+    r = 1 (the scalar sweep and the ``heat_1d`` boundary transcription)
+    and r = 2 (the scalar transcription's lifted levels), and by LAPACK
+    at the heat sweep's r = 32 to 36 (50 state cells) and 60 to 64 (100
+    cells).  The same map holds over 2^k steps with the doubled
     flow.  ``levels`` are :func:`_pass_schedule` of that flow, and each
     batch of :func:`_batches` takes its nodes in one batched call.
 
@@ -421,7 +454,7 @@ def riccati_backward_pass(levels, q_end) -> np.ndarray:
         q = q_rev[lo - span : hi - span]
         qv = q @ v
         s = np.eye(v.shape[1]) + v.T @ qv
-        prev = g + e.T @ (q - qv @ np.linalg.solve(s, qv.swapaxes(1, 2))) @ e
+        prev = g + e.T @ (q - qv @ _solve_small(s, qv.swapaxes(1, 2))) @ e
         q_rev[lo:hi] = 0.5 * (prev + prev.swapaxes(1, 2))
     return q_nodes
 
@@ -443,7 +476,7 @@ def riccati_forward_pass(levels, q_nodes, x_start) -> np.ndarray:
         ex = e @ x_nodes[lo - span : hi - span, :, None]
         vq = v.T @ q_nodes[lo:hi]
         s = np.eye(v.shape[1]) + vq @ v
-        x_nodes[lo:hi] = (ex - v @ np.linalg.solve(s, vq @ ex))[:, :, 0]
+        x_nodes[lo:hi] = (ex - v @ _solve_small(s, vq @ ex))[:, :, 0]
     return x_nodes
 
 

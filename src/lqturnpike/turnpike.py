@@ -282,8 +282,15 @@ def _report_for_horizon(prob, stat, are, scale, solver_fn):
         layer = min(prob.horizon / 2.0, 5.0 / lam_ref)
         window = (_FIT_WINDOW[0] * layer, _FIT_WINDOW[1] * layer)
         fitted_c, fitted_lambda = fit_decay_rate((grid, h_norm[::-1]), window)
+        envelope = _envelope(grid, fitted_lambda)
+        if not np.all(envelope > 0.0):
+            raise UndefinedRateError(
+                f"at T={prob.horizon:g} the envelope of the fitted rate underflows "
+                f"to 0 (lambda T/2 = {0.5 * fitted_lambda * prob.horizon:.4g}, above "
+                "about 745), so no finite constant bounds the gap: shorten the horizon"
+            )
         total = gap_x + gap_y + gap_u_window
-        c_min = float(np.max(total / (_envelope(grid, fitted_lambda) * scale)))
+        c_min = float(np.max(total / (envelope * scale)))
     # The shared constant and the bound need every horizon's c_min;
     # verify_turnpike fills them in.
     return TurnpikeReport(
@@ -333,14 +340,19 @@ def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
     summed gap to the envelope, on the same grid and with the same fitted
     rate, and ``c_uniform`` is their maximum.  ``bound_satisfied`` can
     read False only at the trivial scale, where the summed gap must stay
-    below 1e-8, or when the envelope underflows to 0 (lambda T / 2 above
-    about 745) and the constant is no longer finite.  What the reports
-    say about the turnpike lies in how the ``c_min`` of different
-    horizons compare and in the gaps themselves.
+    below 1e-8.  What the reports say about the turnpike lies in how the
+    ``c_min`` of different horizons compare and in the gaps themselves.
 
     Returns
     -------
     list of TurnpikeReport, ordered like ``horizons``.
+
+    Raises
+    ------
+    UndefinedRateError
+        If a horizon's deviation is zero on its fit window, or the
+        envelope of its fitted rate underflows to 0 at some node
+        (lambda T / 2 above about 745), where no finite constant exists.
     """
     solver_fn = _solver(solver)
     stat = solve_stationary(prob.sys, prob.target)

@@ -6,13 +6,15 @@ caps are asserted at the end by running the quick suite twice into
 separate directories and comparing CSV bytes.
 """
 
+import collections
 import os
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from lqturnpike import turnpike, verification
+from lqturnpike import operators, turnpike, verification
 from lqturnpike.verification import CheckResult, Record, run_suite
 
 _CHECKS = {}
@@ -126,6 +128,36 @@ def test_quick_suite_simulates_forward_once(monkeypatch):
     monkeypatch.setattr(verification, "simulate_forward", spied)
     run_suite("quick")
     assert shapes == [(10001, 1, 101)]
+
+
+def test_quick_suite_solves_no_narrow_s_by_lapack(monkeypatch):
+    """The Riccati passes solve each S of width 1 or 2 in closed form.
+
+    Every pass of the quick suite forms an S = I + V* Q V of width 1 or 2,
+    and both widths occur; none of them reaches ``np.linalg.solve``, whose
+    per-matrix call overhead the closed forms remove.
+    """
+    passes = {"riccati_backward_pass", "riccati_forward_pass"}
+    widths, by_lapack = collections.Counter(), []
+    solve_small, lapack = operators._solve_small, np.linalg.solve
+
+    def spied_small(s, rhs):
+        widths[s.shape[-1]] += 1
+        return solve_small(s, rhs)
+
+    def spied_lapack(a, b):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name not in passes:
+            frame = frame.f_back
+        if frame is not None and a.shape[-1] <= 2:
+            by_lapack.append(a.shape)
+        return lapack(a, b)
+
+    monkeypatch.setattr(operators, "_solve_small", spied_small)
+    monkeypatch.setattr(np.linalg, "solve", spied_lapack)
+    run_suite("quick")
+    assert by_lapack == []
+    assert set(widths) == {1, 2}
 
 
 def test_criterion_01_scalar_are(full_results):

@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lqturnpike as lab
 from lqturnpike import _blas, cli, verification
 from lqturnpike.cli import main
-from lqturnpike.reporting import format_value, render_csv
+from lqturnpike.reporting import format_value, render_csv, turnpike_report_rows
 
 
 CUSTOM_1X1 = {"a": [[-1.0]], "b": [[1.0]], "c": [[1.0]]}
@@ -55,6 +56,21 @@ class TestFormatting:
             [",".join(header)] + [",".join(format_value(v) for v in row) for row in rows]
         ) + "\n"
         assert render_csv(header, rows) == want
+
+    def test_turnpike_rows_render_as_their_numpy_scalars(self):
+        # The rows hold Python floats taken off the report's arrays; the text
+        # is what the arrays' numpy scalars render.
+        sys_, z, x0 = lab.scalar_example()
+        prob = lab.LqProblem(sys=sys_, horizon=5.0, target=z, x0=x0, dt=1e-2)
+        report = lab.verify_turnpike(prob, [5.0], solver="transcription")[0]
+        header, rows = turnpike_report_rows(report)
+        columns = (
+            report.trajectory.grid, report.gap_x, report.gap_y,
+            report.gap_u_window, report.h_norm,
+        )
+        numpy_rows = [(report.horizon, *values) for values in zip(*columns)]
+        assert isinstance(numpy_rows[1][2], np.float64)
+        assert render_csv(header, rows) == render_csv(header, numpy_rows)
 
 
 class TestExitCodes:
@@ -367,6 +383,17 @@ class TestCommands:
         assert main([command, "--config", path]) == 2
         assert "above the cap of 5e+07 doubles" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_underflowing_envelope_is_internal_error(self, tmp_path, capsys):
+        path = write_config(
+            tmp_path,
+            {
+                "scenario": "scalar", "horizons": [20.0, 1100.0], "dt": 0.1,
+                "output_dir": str(tmp_path / "o"),
+            },
+        )
+        assert main(["turnpike", "--config", path]) == 3
+        assert "envelope of the fitted rate underflows" in capsys.readouterr().err
 
     def test_turnpike_summary(self, tmp_path, capsys):
         path = write_config(

@@ -350,12 +350,17 @@ class TestFactoredPasses:
         "solve", [lab.solve_riccati_sweep, lab.solve_transcription],
         ids=["sweep", "transcription"],
     )
-    @pytest.mark.parametrize("case", ["distributed", "boundary_flavored", "rand4"])
+    @pytest.mark.parametrize("case", ["distributed", "boundary_flavored", "rand4", "scalar"])
     def test_passes_match_the_direct_oracle(
-        self, solve, case, rand4, monkeypatch, direct_passes
+        self, solve, case, rand4, scalar, monkeypatch, direct_passes
     ):
-        # heat_1d(50) with either column walks node by node; rand4 is lifted.
-        if case == "rand4":
+        # heat_1d(50) with either column walks node by node; rand4 and the
+        # scalar problem are lifted, and the scalar passes solve every S in
+        # closed form (width 1 on the sweep, 1 then 2 on the transcription).
+        if case == "scalar":
+            sys_, z, x0 = scalar
+            prob = lab.LqProblem(sys=sys_, horizon=10.0, target=z, x0=x0, dt=1e-3)
+        elif case == "rand4":
             sys_, z, _ = rand4
             x0 = np.random.Generator(np.random.Philox(key=4)).standard_normal(4)
             prob = lab.LqProblem(

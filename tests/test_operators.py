@@ -6,7 +6,7 @@ from scipy.linalg import expm, solve_continuous_lyapunov
 
 import lqturnpike as lab
 from lqturnpike.errors import DimensionError, NonFiniteError, ResolventError
-from lqturnpike.operators import _RANK_TOL, riccati_step_flow
+from lqturnpike.operators import _RANK_TOL, _solve_small, riccati_step_flow
 
 
 class TestMakeSystem:
@@ -92,6 +92,38 @@ class TestStepFlowFactor:
         sys_, _ = lab.heat_1d(50, control)
         _, v, _ = riccati_step_flow(sys_.a, sys_.b, sys_.c, 1e-2)
         assert v.shape[0] == 50 and 1 <= v.shape[1] <= 50
+
+
+def _pass_like_s(r, count, k):
+    """``count`` matrices S = I + V* Q V, formed as the passes form them, and rhs.
+
+    Q is positive semidefinite, so each S is symmetric positive definite,
+    though the product leaves it symmetric only up to rounding.
+    """
+    rng = np.random.Generator(np.random.Philox(key=30 + r))
+    v = rng.standard_normal((count, 3, r))
+    root = rng.standard_normal((count, 3, 3))
+    s = np.eye(r) + v.swapaxes(1, 2) @ (root @ root.swapaxes(1, 2)) @ v
+    return s, rng.standard_normal((count, r, k))
+
+
+class TestSolveSmall:
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_closed_forms_match_lapack(self, r, k):
+        s, rhs = _pass_like_s(r, 4096, k)
+        asymmetric = np.any(s != s.swapaxes(1, 2), axis=(1, 2))
+        assert r == 1 or np.any(asymmetric)
+        single = int(np.argmax(asymmetric))
+        for s_, rhs_ in ((s, rhs), (s[single], rhs[single])):
+            want = np.linalg.solve(s_, rhs_)
+            err = np.max(np.abs(_solve_small(s_, rhs_) - want), axis=(-2, -1))
+            assert np.all(err <= 1e-14 * np.max(np.abs(want), axis=(-2, -1)))
+
+    def test_wider_s_is_lapack_bit_for_bit(self):
+        s, rhs = _pass_like_s(3, 64, 2)
+        assert np.array_equal(_solve_small(s, rhs), np.linalg.solve(s, rhs))
+        assert np.array_equal(_solve_small(s[0], rhs[0]), np.linalg.solve(s[0], rhs[0]))
 
 
 class TestYosida:

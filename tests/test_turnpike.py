@@ -252,6 +252,14 @@ class TestVerifyTurnpike:
             gap_x = np.linalg.norm(r.trajectory.x - stat.x_bar, axis=1)
             assert np.array_equal(r.gap_x, gap_x)
 
+    def test_underflowing_envelope_raises(self, scalar):
+        # lambda T/2 = 779 at T = 1100: the envelope is 0 at the midpoint, so
+        # no finite constant bounds that horizon, nor one shared with T = 20.
+        sys_, z, x0 = scalar
+        prob = lab.LqProblem(sys=sys_, horizon=20.0, target=z, x0=x0, dt=0.1)
+        with pytest.raises(UndefinedRateError, match=r"T=1100 .* = 779\.1"):
+            verify_turnpike(prob, [20.0, 1100.0], solver="transcription")
+
     def test_problem_horizon_is_not_read(self, scalar_problem):
         # Problems that differ only in their horizon give equal reports.
         reports = [
