@@ -26,7 +26,7 @@ def run():
           f"{report.ker_astar_bstar_trivial}; delta = {report.delta}")
     print(f"  (A, C) observability margin : {report.obs_ac:.3e}")
     print(f"  (A*, B*) observability floor: {report.obs_astar_bstar:.3e}")
-    print("  the dual margin underflows double precision: heat observability")
+    print("  the dual margin falls below double precision: heat observability")
     print("  constants decay exponentially in the mode index, which is exactly")
     print("  the near-unbounded regime this scenario emulates.")
 

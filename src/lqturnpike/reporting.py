@@ -150,7 +150,7 @@ def turnpike_summary_rows(reports):
         "fitted_lambda",
         "lambda_reference",
         "propagation_residual",
-        "bound_satisfied",
+        "c_min",
     ]
     rows = [
         (
@@ -159,7 +159,7 @@ def turnpike_summary_rows(reports):
             r.fitted_lambda,
             r.lambda_reference,
             r.propagation_residual,
-            r.bound_satisfied,
+            r.c_min,
         )
         for r in reports
     ]

@@ -12,8 +12,8 @@ is propagated exactly by the adjoint closed-loop semigroup,
 
 which makes the turnpike mechanism directly checkable as a matrix
 exponential comparison.  On top of that this module fits exponential
-decay rates, checks the node-wise turnpike envelope with a constant
-shared across horizons, evaluates the energy identity that precedes the
+decay rates, measures the constant of the node-wise turnpike envelope
+for each horizon, evaluates the energy identity that precedes the
 Cauchy-Schwarz step of the main estimate, and tabulates the dynamic
 convergence of Yosida-smoothed problems.
 """
@@ -64,9 +64,14 @@ def _map(fn, items: list, jobs: int) -> list:
     return [fn(x) for x in items]
 
 
-# Below this deviation scale the problem starts on the turnpike and the
-# envelope degenerates; gaps are then compared against solver tolerance.
+# Below this deviation scale the problem starts on the turnpike: there is
+# no layer to fit, and the envelope constant is 0.
 _TRIVIAL_SCALE = 1e-12
+
+# The envelope constant is taken on the nodes where the envelope of the
+# reference rate is at least this floor; below it the gap/envelope ratio
+# measures rounding, not the turnpike.
+_ENVELOPE_FLOOR = 1e-6
 
 # The rate is fitted on these fractions of the initial layer, clear of
 # the noise at both of its ends.
@@ -98,13 +103,9 @@ class TurnpikeReport:
     propagation_residual : float
         Max node-wise defect of the semigroup propagation of g.
     c_min : float
-        Minimal constant making the node-wise envelope bound hold for
-        this horizon with the fitted rate.
-    c_uniform : float
-        Constant shared across all horizons of the run (max of c_min).
-    bound_satisfied : bool
-        Node-wise envelope bound with the shared constant; it holds by
-        construction above the trivial scale (see :func:`verify_turnpike`).
+        Smallest c in the envelope estimate of :func:`verify_turnpike`, at
+        the reference rate, on the nodes where the envelope is at least
+        1e-6; 0 at the trivial scale.
     """
 
     horizon: float
@@ -119,8 +120,6 @@ class TurnpikeReport:
     fitted_lambda: float
     propagation_residual: float
     c_min: float
-    c_uniform: float
-    bound_satisfied: bool
 
     @property
     def lambda_reference(self) -> float:
@@ -282,17 +281,10 @@ def _report_for_horizon(prob, stat, are, scale, solver_fn):
         layer = min(prob.horizon / 2.0, 5.0 / lam_ref)
         window = (_FIT_WINDOW[0] * layer, _FIT_WINDOW[1] * layer)
         fitted_c, fitted_lambda = fit_decay_rate((grid, h_norm[::-1]), window)
-        envelope = _envelope(grid, fitted_lambda)
-        if not np.all(envelope > 0.0):
-            raise UndefinedRateError(
-                f"at T={prob.horizon:g} the envelope of the fitted rate underflows "
-                f"to 0 (lambda T/2 = {0.5 * fitted_lambda * prob.horizon:.4g}, above "
-                "about 745), so no finite constant bounds the gap: shorten the horizon"
-            )
+        envelope = np.exp(-lam_ref * grid) + np.exp(-lam_ref * (grid[-1] - grid))
+        kept = envelope >= _ENVELOPE_FLOOR
         total = gap_x + gap_y + gap_u_window
-        c_min = float(np.max(total / (envelope * scale)))
-    # The shared constant and the bound need every horizon's c_min;
-    # verify_turnpike fills them in.
+        c_min = float(np.max(total[kept] / (envelope[kept] * scale)))
     return TurnpikeReport(
         horizon=prob.horizon,
         trajectory=traj,
@@ -306,42 +298,32 @@ def _report_for_horizon(prob, stat, are, scale, solver_fn):
         fitted_lambda=fitted_lambda,
         propagation_residual=prop_res,
         c_min=c_min,
-        c_uniform=np.nan,
-        bound_satisfied=False,
     )
 
 
-def _envelope(grid, lam):
-    """e^{-lam t} + e^{-lam (T - t)} on a grid that ends at T."""
-    return np.exp(-lam * grid) + np.exp(-lam * (grid[-1] - grid))
-
-
 def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
-    """Turnpike reports for a list of horizons with one shared constant.
+    """Turnpike reports for a list of horizons, each with its envelope constant.
 
     The stationary triple of ``prob.target`` and the Riccati solution are
     solved once, and every report carries them.  Each horizon T solves
     ``replace(prob, horizon=T)`` by ``solver`` once, and its report keeps
     that trajectory: ``prob.horizon`` is never read, and ``prob.p0`` is
     solved as given (zero at every caller).  The node-wise gaps against
-    the stationary triple are taken, the decay rate of the reversed
+    the stationary triple are taken, and the decay rate of the reversed
     deviation is fitted on the initial layer (of length
     ``min(T/2, 5 / lambda_reference)``, trimmed to its inner 10%-90% to
-    avoid endpoint noise), and the envelope bound
+    avoid endpoint noise).  ``c_min`` is the smallest c in the estimate
 
         gap(t) <= c (e^{-lambda t} + e^{-lambda (T - t)}) (|x0 - x_bar| + |y_bar|)
 
-    is checked node-wise on the summed gap with the constant taken
-    uniform across all requested horizons (the maximum of the per-horizon
-    minimal constants).
-
-    Above the trivial scale (|x0 - x_bar| + |y_bar| > 1e-12) that check
-    holds by construction: each ``c_min`` is the largest ratio of the
-    summed gap to the envelope, on the same grid and with the same fitted
-    rate, and ``c_uniform`` is their maximum.  ``bound_satisfied`` can
-    read False only at the trivial scale, where the summed gap must stay
-    below 1e-8.  What the reports say about the turnpike lies in how the
-    ``c_min`` of different horizons compare and in the gaps themselves.
+    on the summed gap, with lambda the reference rate ``lambda_reference``,
+    taken over the nodes where the envelope is at least rho = 1e-6.  The
+    envelope is at least 1 at t = 0, so that set is never empty, and the
+    floor keeps out the nodes where both sides are rounding.  The theory
+    asks for one c for every horizon, so the spread of ``c_min`` across
+    horizons is what can fail.  At the trivial scale
+    (|x0 - x_bar| + |y_bar| <= 1e-12) the problem starts on the turnpike,
+    and ``c_min`` is 0.
 
     Returns
     -------
@@ -350,9 +332,7 @@ def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
     Raises
     ------
     UndefinedRateError
-        If a horizon's deviation is zero on its fit window, or the
-        envelope of its fitted rate underflows to 0 at some node
-        (lambda T / 2 above about 745), where no finite constant exists.
+        If a horizon's deviation is zero on its fit window.
     """
     solver_fn = _solver(solver)
     stat = solve_stationary(prob.sys, prob.target)
@@ -364,20 +344,7 @@ def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
             replace(prob, horizon=horizon), stat, are, scale, solver_fn
         )
 
-    partials = _map(run, list(horizons), jobs)
-
-    c_uniform = max((p.c_min for p in partials), default=0.0)
-    reports = []
-    for partial in partials:
-        total = partial.gap_x + partial.gap_y + partial.gap_u_window
-        if scale <= _TRIVIAL_SCALE:
-            satisfied = bool(np.max(total) <= 1e-8)
-        else:
-            envelope = _envelope(partial.trajectory.grid, partial.fitted_lambda)
-            margin = np.min(c_uniform * scale * envelope - total)
-            satisfied = bool(margin >= -1e-12 * max(1.0, c_uniform * scale))
-        reports.append(replace(partial, c_uniform=c_uniform, bound_satisfied=satisfied))
-    return reports
+    return _map(run, list(horizons), jobs)
 
 
 def energy_diagnostics(

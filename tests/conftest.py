@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse
 from scipy.linalg import expm
 
 import lqturnpike as lab
-from lqturnpike import operators
+from lqturnpike import operators, turnpike
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +28,22 @@ def scalar_pipeline(scalar):
     """Stationary triple and Riccati solution of the scalar instance."""
     sys_, z, _ = scalar
     return lab.solve_stationary(sys_, z), lab.solve_are(sys_)
+
+
+@pytest.fixture(params=[1e-3, 1e-2])
+def off_turnpike_solver(request, monkeypatch):
+    """Registers a ``transcription`` that solves on B (1 + eps), eps = the param.
+
+    ``verify_turnpike`` still measures each solve against the true
+    stationary triple and Riccati solution, so the gap stops decaying and
+    no one envelope constant fits several horizons.
+    """
+    solve = turnpike.SOLVERS["transcription"]
+
+    def off(prob):
+        return solve(replace(prob, sys=replace(prob.sys, b=prob.sys.b * (1 + request.param))))
+
+    monkeypatch.setitem(turnpike.SOLVERS, "transcription", off)
 
 
 def _rk4_dre(sys_, horizon, p0, steps):

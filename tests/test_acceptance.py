@@ -188,6 +188,13 @@ def test_criterion_07_turnpike_bound(full_results):
     _assert_criterion(full_results, "7 ")
 
 
+def test_criterion_07_fails_off_the_turnpike(off_turnpike_solver):
+    """Criterion 7 is red when the solves miss the turnpike they are measured on."""
+    result = verification.check_turnpike_bound(verification.SuiteContext(quick=True))
+    ratio = next(r for r in result.records if r.quantity == "uniform-c ratio")
+    assert not ratio.holds()
+
+
 def test_criterion_08_energy_identity(full_results):
     _assert_criterion(full_results, "8 ")
 

@@ -384,7 +384,9 @@ class TestCommands:
         assert "above the cap of 5e+07 doubles" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_underflowing_envelope_is_internal_error(self, tmp_path, capsys):
+    def test_long_horizon_shares_the_constant(self, tmp_path, capsys):
+        # The envelope is 0 at the midpoint of T = 1100; the floored nodes
+        # give that horizon the constant of T = 20.
         path = write_config(
             tmp_path,
             {
@@ -392,8 +394,33 @@ class TestCommands:
                 "output_dir": str(tmp_path / "o"),
             },
         )
-        assert main(["turnpike", "--config", path]) == 3
-        assert "envelope of the fitted rate underflows" in capsys.readouterr().err
+        assert main(["turnpike", "--config", path]) == 0
+        assert "c spread = 1 (limit 2)" in capsys.readouterr().out
+
+    def test_start_on_the_turnpike_has_no_verdict(self, tmp_path, capsys):
+        # Target 0 and x0 = 0 put the scalar problem on its turnpike.
+        path = write_config(
+            tmp_path,
+            {
+                "scenario": "scalar", "horizons": [2.0, 4.0], "target": [0.0],
+                "output_dir": str(tmp_path / "o"),
+            },
+        )
+        assert main(["turnpike", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert out.count("c=0\n") == 2
+        assert "every c is 0" in out
+
+    def test_off_turnpike_solve_fails(self, tmp_path, capsys, off_turnpike_solver):
+        path = write_config(
+            tmp_path,
+            {
+                "scenario": "scalar", "horizons": [5.0, 10.0, 20.0, 40.0],
+                "output_dir": str(tmp_path / "o"),
+            },
+        )
+        assert main(["turnpike", "--config", path]) == 1
+        assert "c spread = " in capsys.readouterr().out
 
     def test_turnpike_summary(self, tmp_path, capsys):
         path = write_config(
@@ -408,10 +435,11 @@ class TestCommands:
         lines = (tmp_path / "o" / "turnpike_summary.csv").read_text().splitlines()
         assert lines[0] == (
             "T,fitted_c,fitted_lambda,lambda_reference,"
-            "propagation_residual,bound_satisfied"
+            "propagation_residual,c_min"
         )
         assert len(lines) == 3
-        assert lines[1].endswith("true") and lines[2].endswith("true")
+        c_values = [float(line.split(",")[-1]) for line in lines[1:]]
+        assert 1.0 < min(c_values) and max(c_values) <= 1.01 * min(c_values)
 
     def test_turnpike_horizon_override(self, tmp_path):
         out = str(tmp_path / "o")
