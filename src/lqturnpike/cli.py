@@ -83,7 +83,10 @@ def _peak_rss_mb() -> float:
 class _Manifest:
     """Collects timings and output paths; written as manifest.json.
 
-    The manifest also records the Python, numpy and scipy versions, the
+    ``digests`` maps the per-node CSVs of ``solve`` and ``riccati``, which
+    may be strided (:func:`~lqturnpike.reporting.node_indices`), to the
+    :func:`~lqturnpike.reporting.sha256_digest` of their full-resolution
+    arrays.  The manifest also records the Python, numpy and scipy versions, the
     thread count of each OpenBLAS pool (by library basename; empty when none
     is found) and the process's peak resident set size when it is written.
     Its ``config`` holds the values the scenario read, with the built n and
@@ -98,6 +101,7 @@ class _Manifest:
         self.out_dir = out_dir
         self.timings = {}
         self.outputs = []
+        self.digests = {}
         self._t0 = time.perf_counter()
 
     @contextlib.contextmanager
@@ -112,10 +116,13 @@ class _Manifest:
         os.makedirs(self.out_dir, exist_ok=True)
         return os.path.join(self.out_dir, name)
 
-    def write_csv(self, name: str, header, rows) -> str:
+    def write_csv(self, name: str, header, rows, digest_of=()) -> str:
+        """Write one CSV and record the digest of the arrays ``digest_of``, if any."""
         path = self._path(name)
         reporting.write_csv(path, header, rows)
         self.outputs.append(name)
+        if digest_of:
+            self.digests[name] = reporting.sha256_digest(*digest_of)
         return path
 
     def finalize(self) -> None:
@@ -126,6 +133,7 @@ class _Manifest:
             "timings_s": {k: round(v, 6) for k, v in self.timings.items()},
             "total_s": round(time.perf_counter() - self._t0, 6),
             "outputs": self.outputs,
+            "digests": self.digests,
             "environment": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
@@ -185,7 +193,10 @@ def cmd_solve(args) -> int:
     with manifest.stage("solve"):
         traj = SOLVERS[config.solver](prob)
     with manifest.stage("emit"):
-        manifest.write_csv("trajectory.csv", *reporting.trajectory_rows(traj))
+        manifest.write_csv(
+            "trajectory.csv", *reporting.trajectory_rows(traj),
+            digest_of=(traj.grid, traj.x, traj.y, traj.u),
+        )
         value = cost(prob, traj)
     manifest.finalize()
     print(f"solve: method={traj.method} T={prob.horizon} cost={value:.12g}")
@@ -200,7 +211,9 @@ def cmd_riccati(args) -> int:
         are = solve_are(prob.sys)
     with manifest.stage("emit"):
         manifest.write_csv("are.csv", *reporting.are_rows(are))
-        manifest.write_csv("dre.csv", *reporting.dre_rows(dre))
+        manifest.write_csv(
+            "dre.csv", *reporting.dre_rows(dre), digest_of=(dre.grid, dre.p_samples)
+        )
     manifest.finalize()
     print(
         f"riccati: residual={are.residual:.3e} abscissa={are.closed_loop_abscissa:.6g}"

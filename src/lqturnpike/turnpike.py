@@ -323,7 +323,10 @@ def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
     asks for one c for every horizon, so the spread of ``c_min`` across
     horizons is what can fail.  At the trivial scale
     (|x0 - x_bar| + |y_bar| <= 1e-12) the problem starts on the turnpike,
-    and ``c_min`` is 0.
+    and ``c_min`` is 0.  ``turnpike_summary.csv``
+    (:func:`~lqturnpike.reporting.turnpike_summary_rows`) writes each
+    report's ``c_min`` beside a ``sha256`` column, the digest of its
+    full-resolution arrays.
 
     Returns
     -------

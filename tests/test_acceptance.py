@@ -7,14 +7,16 @@ separate directories and comparing CSV bytes.
 """
 
 import collections
+import itertools
 import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from lqturnpike import operators, turnpike, verification
+from lqturnpike import operators, reporting, turnpike, verification
 from lqturnpike.verification import CheckResult, Record, run_suite
 
 _CHECKS = {}
@@ -237,3 +239,29 @@ def test_criterion_12_determinism_and_wall_clock(full_results, tmp_path):
         f"PASS  12 determinism: quick suite byte-identical across reruns "
         f"[full {full_elapsed:.1f}s <= 300s, quick {quick_elapsed:.1f}s <= 60s]"
     )
+
+
+def test_criterion_12_sees_a_node_the_csv_omits(monkeypatch):
+    """A one-ulp change at an unwritten node of turnpike_T20.csv turns criterion 12 red.
+
+    The second rerun's T = 20 report (20,000 intervals, stride 10) moves
+    gap_x at node 1; only the summary's sha256 column can see it.
+    """
+    node = 1
+    assert node not in reporting.node_indices(20001)
+    reruns = itertools.count()
+    solved = verification.verify_turnpike
+
+    def nudged(prob, horizons, **kwargs):
+        reports = solved(prob, horizons, **kwargs)
+        if tuple(horizons) != (5.0, 10.0, 20.0) or next(reruns) == 0:
+            return reports
+        *short, long = reports
+        gap_x = long.gap_x.copy()
+        gap_x[node] = np.nextafter(gap_x[node], np.inf)
+        return [*short, replace(long, gap_x=gap_x)]
+
+    monkeypatch.setattr(verification, "verify_turnpike", nudged)
+    result = verification.check_determinism("quick", 0.0)
+    assert next(reruns) == 2
+    assert result.records[0].measured == 1

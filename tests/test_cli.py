@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from dataclasses import replace
@@ -9,10 +10,27 @@ import pytest
 import lqturnpike as lab
 from lqturnpike import _blas, cli, verification
 from lqturnpike.cli import main
-from lqturnpike.reporting import format_value, render_csv, turnpike_report_rows
+from lqturnpike.reporting import (
+    dre_rows,
+    format_value,
+    node_indices,
+    render_csv,
+    trajectory_rows,
+    turnpike_report_rows,
+    turnpike_summary_rows,
+)
+from lqturnpike.scenarios import config_from_dict
 
 
 CUSTOM_1X1 = {"a": [[-1.0]], "b": [[1.0]], "c": [[1.0]]}
+
+
+def sha256_of(*arrays):
+    """Hex SHA-256 of the arrays' little-endian float64 bytes, in order."""
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.asarray(array, dtype="<f8").tobytes())
+    return digest.hexdigest()
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -71,6 +89,77 @@ class TestFormatting:
         numpy_rows = [(report.horizon, *values) for values in zip(*columns)]
         assert isinstance(numpy_rows[1][2], np.float64)
         assert render_csv(header, rows) == render_csv(header, numpy_rows)
+
+
+class TestNodeStride:
+    """Per-node tables write every s-th node and the last, s = ceil(N / 2000)."""
+
+    @pytest.fixture(scope="class")
+    def scalar_runs(self, scalar):
+        sys_, z, x0 = scalar
+        prob = lab.LqProblem(sys=sys_, horizon=5.0, target=z, x0=x0, dt=1e-3)
+        reports = lab.verify_turnpike(prob, [5.0, 10.0, 20.0], solver="transcription")
+        return prob, reports
+
+    def test_short_table_is_whole(self):
+        # heat_1d(50) at T = 5, dt = 1e-2 has N = 500 <= 2000 intervals.
+        sys_, z = lab.heat_1d(50)
+        prob = lab.LqProblem(sys=sys_, horizon=5.0, target=z, x0=np.zeros(50), dt=1e-2)
+        report = lab.verify_turnpike(prob, [5.0], solver="transcription")[0]
+        header, rows = turnpike_report_rows(report)
+        columns = (
+            report.trajectory.grid, report.gap_x, report.gap_y,
+            report.gap_u_window, report.h_norm,
+        )
+        full = [(report.horizon, *values) for values in zip(*columns)]
+        assert len(full) == 501
+        assert render_csv(header, rows) == render_csv(header, full)
+
+    @pytest.mark.parametrize("intervals, stride", [(5000, 3), (10000, 5), (20000, 10)])
+    def test_long_tables_keep_both_ends_at_one_spacing(self, scalar_runs, intervals, stride):
+        prob, reports = scalar_runs
+        report = next(r for r in reports if r.trajectory.grid.size == intervals + 1)
+        grid = report.trajectory.grid
+        t_rows = [row[1] for row in turnpike_report_rows(report)[1]]
+        assert t_rows[0] == 0.0 and t_rows[-1] == report.horizon
+        assert len(t_rows) <= 2001
+        # Every spacing is the stride but the last, which reaches t = T.
+        index = node_indices(grid.size)
+        steps = np.diff(index)
+        assert np.all(steps[:-1] == stride) and 1 <= steps[-1] <= stride
+        assert t_rows == grid[index].tolist()
+        # The trajectory (x, y, u blocks of width 1) and DRE tables write
+        # the same nodes.
+        traj_t = [row[0] for row in trajectory_rows(report.trajectory)[1]]
+        assert traj_t == t_rows * 3
+        dre = lab.solve_dre(replace(prob, horizon=report.horizon))
+        assert [row[0] for row in dre_rows(dre)[1]] == t_rows
+
+    def test_summary_digest_is_a_recomputation(self, scalar_runs):
+        _, reports = scalar_runs
+        header, rows = turnpike_summary_rows(reports)
+        assert header[-1] == "sha256"
+        for report, row in zip(reports, rows):
+            traj = report.trajectory
+            assert row[-1] == sha256_of(
+                traj.grid, traj.x, traj.y, traj.u,
+                report.gap_x, report.gap_y, report.gap_u_window, report.h_norm,
+            )
+
+    def test_manifest_digests_the_strided_tables(self, tmp_path):
+        # The scalar defaults solve T = 5 at dt = 1e-3: 5,001 nodes, 1,668 written.
+        prob = lab.build_scenario(config_from_dict({"scenario": "scalar"}))
+        traj = lab.solve_transcription(prob)
+        dre = lab.solve_dre(prob)
+        for command, name, rows, arrays in (
+            ("solve", "trajectory.csv", 3 * 1668, (traj.grid, traj.x, traj.y, traj.u)),
+            ("riccati", "dre.csv", 1668, (dre.grid, dre.p_samples)),
+        ):
+            out = tmp_path / command
+            assert main([command, "--out", str(out)]) == 0
+            assert len((out / name).read_text().splitlines()) == 1 + rows
+            digests = json.loads((out / "manifest.json").read_text())["digests"]
+            assert digests == {name: sha256_of(*arrays)}
 
 
 class TestExitCodes:
@@ -435,10 +524,10 @@ class TestCommands:
         lines = (tmp_path / "o" / "turnpike_summary.csv").read_text().splitlines()
         assert lines[0] == (
             "T,fitted_c,fitted_lambda,lambda_reference,"
-            "propagation_residual,c_min"
+            "propagation_residual,c_min,sha256"
         )
         assert len(lines) == 3
-        c_values = [float(line.split(",")[-1]) for line in lines[1:]]
+        c_values = [float(line.split(",")[-2]) for line in lines[1:]]
         assert 1.0 < min(c_values) and max(c_values) <= 1.01 * min(c_values)
 
     def test_turnpike_horizon_override(self, tmp_path):
