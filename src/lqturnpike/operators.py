@@ -12,10 +12,9 @@ triple it provides the building blocks the rest of the package relies on:
   the one-step semigroup of its Hamiltonian, formed by
   structure-preserving doubling and carried as ``(E, V, G)`` with
   ``W = V V*`` factored,
-* the backward and forward passes of that flow over a uniform grid and
-  the orbit of a linear map, all walked on the levels of one schedule,
-  which alone decides whether to lift and is formed once per solve, and
-  the one guard on the memory the Riccati samples of a solve take,
+* the backward and forward passes of that flow over a uniform grid, on
+  the levels of one schedule that alone decides whether to lift, the one
+  guard on their samples' memory, and one walker of ``v_{j+1} = R v_j + f``,
 * finite-time observability Gramians, read off that flow, and
 * the structural hypothesis report (kernel intersections, observability
   margins, and the coercivity constant of ``C*C``) that the turnpike
@@ -33,6 +32,7 @@ refined boundary column).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -373,7 +373,8 @@ def _pass_schedule(flow, nsteps: int) -> list:
     flow doubled and refactored once per level, about log2(nsteps) levels
     in all.  A larger state, whose per-node matrix work outweighs the call
     overhead lifting saves, gets the one level ``(flow, 1, nsteps + 1, 1)``.
-    A solve forms its levels once and walks both passes on them.
+    A solve forms its levels once and walks both passes on them.  With no
+    control, doubling keeps W exactly zero and every level's V of width 0.
     """
     e, v, g = flow
     if e.shape[0] > _LIFTED_SWEEP_MAX_STATE:
@@ -383,9 +384,7 @@ def _pass_schedule(flow, nsteps: int) -> list:
     while levels[-1][2] <= nsteps:
         lo = levels[-1][2]
         e, w, g = double_step_flow(e, w, g)
-        if v.shape[1]:  # doubling keeps a W of width 0, as in an orbit, exactly zero
-            v = _psd_factor(w)
-        levels.append(((e, v, g), lo, min(2 * lo, nsteps + 1), lo))
+        levels.append(((e, _psd_factor(w), g), lo, min(2 * lo, nsteps + 1), lo))
     return levels
 
 
@@ -480,20 +479,28 @@ def riccati_forward_pass(levels, q_nodes, x_start) -> np.ndarray:
     return x_nodes
 
 
-def linear_orbit(m, v0, nsteps: int) -> np.ndarray:
-    """Orbit ``v_j = M^j v0`` for j = 0..nsteps, on the levels of the flow ``(M, 0, 0)``.
+def linear_recurrence(r, out) -> np.ndarray:
+    """``out[j + 1] += r @ out[j]`` for j = 0..N-1, in place; returns ``out``.
 
-    :func:`double_step_flow` squares M bit for bit when W = G = 0, so the
-    orbit lifts exactly when a pass of its size does.  The rounding of the
-    squared powers grows with the transient of a strongly non-normal M.
+    ``out`` is (N + 1, n) or (N + 1, n, columns): the start, then the
+    forcing.  In blocks of L = isqrt(N) nodes, every block first runs from
+    zero, all at once in L batched products; then each block in turn adds
+    ``r, ..., r^L`` times the node before it.  That is about 3 sqrt(N)
+    calls instead of N; the temporaries are 2L nodes and the L powers.
     """
-    v0 = np.asarray(v0, dtype=float)
-    orbit = np.empty((nsteps + 1,) + v0.shape)
-    orbit[0] = v0
-    flow = (m, np.zeros((m.shape[0], 0)), np.zeros_like(m))
-    for (power, _, _), lo, hi, span in _batches(_pass_schedule(flow, nsteps)):
-        np.matmul(orbit[lo - span : hi - span], power.T, out=orbit[lo:hi])
-    return orbit
+    x = out[..., None] if out.ndim == 2 else out
+    nodes = x.shape[0]
+    span = max(math.isqrt(nodes - 1), 1)
+    for i in range(1, span):
+        ahead = x[1 + i :: span]
+        ahead += r @ x[i::span][: len(ahead)]
+    powers = np.empty((span,) + r.shape)
+    powers[0] = r
+    for i in range(1, span):
+        np.matmul(r, powers[i - 1], out=powers[i])
+    for lo in range(1, nodes, span):
+        x[lo : lo + span] += powers[: nodes - lo] @ x[lo - 1]
+    return out
 
 
 def observability_gramian(pair, t0: float) -> np.ndarray:

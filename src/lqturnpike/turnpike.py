@@ -28,7 +28,7 @@ from scipy.linalg import expm
 
 from .errors import ConfigError, DimensionError, GridMismatchError, UndefinedRateError
 from .lq import LqProblem, Trajectory, _trapezoid, solve_riccati_sweep, solve_transcription
-from .operators import LtiSystem, _check_ks, linear_orbit, yosida_system
+from .operators import LtiSystem, _check_ks, linear_recurrence, yosida_system
 from .riccati import AreSolution, solve_are
 from .stationary import StationaryTriple, solve_stationary
 
@@ -161,9 +161,9 @@ def propagation_residual(h: np.ndarray, sys: LtiSystem, are: AreSolution, grid) 
 
     ``A_cl = A - BB*P`` is the closed-loop generator ``are.a_cl``.
     The propagator is evaluated at every node, as the orbit of g(0) under
-    the one-step matrix exponential (one ``expm`` per call) on the levels
-    of the Riccati passes (:func:`~lqturnpike.operators.linear_orbit`); by
-    the semigroup law it agrees with the per-node exponential up to rounding.
+    the one-step matrix exponential (one ``expm`` per call), walked with no
+    forcing by :func:`~lqturnpike.operators.linear_recurrence`; by the
+    semigroup law it agrees with the per-node exponential up to rounding.
     Returns ``max_j |g(t_j) - e^{t_j A_cl*} g(0)|``.
     """
     grid = np.asarray(grid, dtype=float)
@@ -176,7 +176,9 @@ def propagation_residual(h: np.ndarray, sys: LtiSystem, are: AreSolution, grid) 
         return 0.0
     dt = _uniform_step(grid, "propagation check")
     g = h[::-1]
-    predicted = linear_orbit(expm(dt * are.a_cl.T), g[0], g.shape[0] - 1)
+    predicted = np.zeros(g.shape)
+    predicted[0] = g[0]
+    predicted = linear_recurrence(expm(dt * are.a_cl.T), predicted)
     return float(np.max(np.linalg.norm(g - predicted, axis=1)))
 
 

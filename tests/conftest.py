@@ -183,14 +183,33 @@ def direct_passes():
     return _direct_backward_pass, _direct_forward_pass
 
 
+def _stepwise_recurrence(r, forced):
+    """``v_{j+1} = r v_j + forced[j + 1]`` from ``v_0 = forced[0]``, node by node.
+
+    One product per node, the loop that
+    :func:`lqturnpike.operators.linear_recurrence` walks in blocks.
+    Returns a new array; ``forced`` is left as it is.
+    """
+    out = np.array(forced, dtype=float)
+    for j in range(out.shape[0] - 1):
+        out[j + 1] += r @ out[j]
+    return out
+
+
+@pytest.fixture(scope="session")
+def stepwise_recurrence():
+    """The node-by-node oracle of the blocked walker, ``(r, forced) -> v``."""
+    return _stepwise_recurrence
+
+
 def _lifted_orbit(m, v0, nsteps):
     """Orbit ``v_j = M^j v0`` for j = 0..nsteps, by power squaring.
 
     Level k fills nodes [2^k, 2^{k+1}) from nodes [0, 2^k) with one
-    batched product by ``M^{2^k}``, then squares the power, at every state
-    size.  An independent route to :func:`lqturnpike.operators.linear_orbit`,
-    which lifts only where the Riccati passes do and squares through
-    :func:`lqturnpike.operators.double_step_flow`.
+    batched product by ``M^{2^k}``, then squares the power.  An independent
+    route to the unforced walk of
+    :func:`lqturnpike.operators.linear_recurrence`, whose powers are
+    repeated products over blocks of about sqrt(nsteps) nodes.
     """
     orbit = np.empty((nsteps + 1,) + v0.shape)
     orbit[0] = v0

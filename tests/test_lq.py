@@ -306,6 +306,15 @@ class TestSolveRiccatiSweep:
         feedback = -(traj.x @ are.p @ sys_.b)
         assert np.max(np.abs(traj.u - feedback)) <= 1e-9
 
+    def test_zero_control_decays_freely(self):
+        # With B = 0 the flow's V has width 0 at every level, and the state
+        # is the free decay x = e^{-t} of A = -1 from x0 = 1.
+        sys_ = lab.make_system([[-1.0]], [[0.0]], [[1.0]])
+        prob = scalar_problem(sys_, np.zeros(1), np.ones(1), horizon=1.0, dt=1e-2)
+        want = np.exp(-prob.grid)
+        traj = lab.solve_riccati_sweep(prob)
+        assert np.max(np.abs(traj.x[:, 0] - want) / want) <= 1e-13
+
 
 class TestSweepPaths:
     def test_lifted_and_stepwise_agree(self, rand4, monkeypatch):
@@ -715,6 +724,22 @@ class TestSampledCostMargins:
         unit = cols.nbytes
         assert _peak_units(lambda: lab.simulate_forward(prob, cols), unit) <= 4.0
         assert _peak_units(lambda: _sampled_cost_margins(prob, traj, v, self.EPS), unit) <= 6.0
+
+    def test_walker_works_in_place(self, scalar):
+        # Criterion 11's batch: the walker returns its own buffer and holds
+        # only blocks of about sqrt(N) nodes besides it.
+        sys_, z, x0 = scalar
+        prob = scalar_problem(sys_, z, x0)
+        out = np.random.Generator(np.random.Philox(key=105)).standard_normal(
+            (prob.n_steps + 1, 1, 101)
+        )
+        walked = []
+        peak = _peak_units(
+            lambda: walked.append(operators.linear_recurrence(expm(prob.dt * sys_.a), out)),
+            out.nbytes,
+        )
+        assert walked[0] is out
+        assert peak <= 0.1
 
     def test_shifted_control_gives_a_negative_margin(self, scalar):
         # Criterion 11's scalar data around a control that is not optimal.

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -7,12 +9,13 @@ from lqturnpike import operators
 from lqturnpike.errors import NotStabilizableError
 from lqturnpike.operators import (
     _pass_schedule,
-    linear_orbit,
+    linear_recurrence,
     riccati_backward_pass,
     riccati_forward_pass,
     riccati_step_flow,
 )
 from lqturnpike.turnpike import fit_decay_rate
+from lqturnpike.verification import _duality_dataset
 
 
 class TestSolveAre:
@@ -73,6 +76,16 @@ class TestSolveDre:
         sys_ = lab.make_system(-np.eye(2), np.ones((2, 1)), np.zeros((2, 2)))
         dre = _dre(sys_, 1.0, np.zeros((2, 2)), 1e-2)
         assert np.allclose(dre.p_samples, 0.0, atol=0.0)
+
+    def test_zero_control_closed_form(self):
+        # Oracle: with A = -1, B = 0, C = 1 and P0 = 0 the equation is
+        # -P' = 1 - 2P, solved by (1 - e^{-2(T - t)}) / 2.  W = 0, so V has
+        # width 0 at every level of the pass schedule.
+        sys_ = lab.make_system([[-1.0]], [[0.0]], [[1.0]])
+        assert riccati_step_flow(sys_.a, sys_.b, sys_.c, 1e-2)[1].shape == (1, 0)
+        dre = _dre(sys_, 1.0, np.zeros((1, 1)), 1e-2)
+        want = 0.5 * (1.0 - np.exp(-2.0 * (1.0 - dre.grid)))
+        assert np.max(np.abs(dre.p_samples[:, 0, 0] - want)) <= 1e-13 * np.max(want)
 
     def test_terminal_sample_is_exact(self, rand4):
         sys_, _, _ = rand4
@@ -175,51 +188,75 @@ class TestSolveDre:
             _dre(scalar[0], 1.0, np.zeros((1, 1)), 0.3)
 
 
-class TestLiftedOrbit:
-    @pytest.mark.parametrize("nsteps", [0, 1, 2, 7, 1000])
-    def test_matches_step_by_step_loop(self, nsteps):
-        rng = np.random.Generator(np.random.Philox(key=21))
-        m = rng.standard_normal((4, 4))
-        m *= 0.95 / np.max(np.abs(np.linalg.eigvals(m)))
-        assert np.linalg.norm(m @ m.T - m.T @ m) > 0.1  # not normal
-        v = rng.standard_normal(4)
-        want = [v]
-        for _ in range(nsteps):
-            v = m @ v
-            want.append(v)
-        want = np.array(want)
-        got = linear_orbit(m, want[0], nsteps)
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+# The walker's matrices: the closed-loop steps e^{dt A_cl} of the orbits,
+# the forward steps e^{dt (A + M)} of criterion 9's five datasets, and a
+# non-normal map whose powers rise 200-fold before they decay.
+RECURRENCES = ["scalar", "rand4"] + [f"duality{seed}" for seed in range(1, 6)] + [
+    "heat_1d(50)", "heat_1d(100)-boundary", "non-normal"
+]
+RECURRENCE_STEPS = [0, 1, 2, 15, 16, 17, 1000, 10_000]
 
-    @pytest.mark.parametrize(
-        "case, dt, nsteps, bound",
-        [("scalar", 1e-3, 40_000, 0.0), ("rand4", 1e-3, 10_000, 0.0),
-         ("heat_1d(50)", 1e-2, 2_000, 1e-15)],
-    )
-    def test_matches_the_power_squaring_oracle(
-        self, case, dt, nsteps, bound, scalar, rand4, lifted_orbit
-    ):
-        # Up to size 16 the orbit lifts, squaring by double_step_flow with
-        # W = G = 0, bit for bit the oracle's squaring; at size 50 it steps
-        # node by node, one rounding route against another.
-        if case == "heat_1d(50)":
-            sys_ = lab.heat_1d(50)[0]
-        else:
-            sys_ = {"scalar": scalar, "rand4": rand4}[case][0]
-        m = expm(dt * lab.solve_are(sys_).a_cl)
-        v0 = np.random.Generator(np.random.Philox(key=22)).standard_normal(sys_.n)
-        got = linear_orbit(m, v0, nsteps)
-        want = lifted_orbit(m, v0, nsteps)
-        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
-    def test_orbit_factors_nothing(self, monkeypatch):
-        # The orbit's W has width 0, and doubling keeps it exactly zero, so
-        # no lifted level refactors it.
-        monkeypatch.setattr(operators, "_psd_factor", lambda w: pytest.fail("W factored"))
-        m = np.array([[0.5, 0.2], [0.0, 0.9]])
-        orbit = linear_orbit(m, np.ones(2), 1000)
-        assert np.allclose(orbit[3], np.linalg.matrix_power(m, 3) @ np.ones(2))
+@functools.cache
+def _recurrence_matrix(case):
+    if case == "non-normal":
+        return np.array([[0.9, 50.0], [0.0, 0.9]])
+    if case.startswith("duality"):
+        sys_, (_, _, _, m_op), _, _ = _duality_dataset(int(case[-1]), 1e-3)
+        return expm(1e-3 * (sys_.a + m_op))
+    if case.startswith("heat"):
+        sys_ = lab.heat_1d(*((100, "boundary_flavored") if "boundary" in case else (50,)))[0]
+        return expm(1e-2 * lab.solve_are(sys_).a_cl)
+    sys_ = lab.scalar_example()[0] if case == "scalar" else lab.random_stable(4, 2, 42)
+    return expm(1e-3 * lab.solve_are(sys_).a_cl)
+
+
+def _relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestLinearRecurrence:
+    @pytest.mark.parametrize("nsteps", RECURRENCE_STEPS)
+    @pytest.mark.parametrize("case", RECURRENCES)
+    def test_matches_step_by_step_loop(self, case, nsteps, stepwise_recurrence):
+        # Columns 1 and 101, the latter up to the size of criterion 11's
+        # batch (10,001 x 1 x 101 doubles).  N = 15 and 16 fill their
+        # blocks; N = 17 and 1000 end on a short block of 1 and 8 nodes.
+        r = _recurrence_matrix(case)
+        rng = np.random.Generator(np.random.Philox(key=23))
+        for cols in (1, 101):
+            shape = (nsteps + 1, r.shape[0], cols)
+            if np.prod(shape) > 10_001 * 101:
+                continue
+            forced = rng.standard_normal(shape)
+            want = stepwise_recurrence(r, forced)
+            got = linear_recurrence(r, forced.copy())
+            assert _relative_gap(got, want) <= 1e-13
+
+    @pytest.mark.parametrize("case", RECURRENCES)
+    def test_matches_the_power_squaring_oracle(self, case, lifted_orbit):
+        r = _recurrence_matrix(case)
+        v0 = np.random.Generator(np.random.Philox(key=22)).standard_normal(r.shape[0])
+        for nsteps in RECURRENCE_STEPS:
+            orbit = np.zeros((nsteps + 1, r.shape[0]))
+            orbit[0] = v0
+            got = linear_recurrence(r, orbit)
+            assert _relative_gap(got, lifted_orbit(r, v0, nsteps)) <= 1e-13
+
+    def test_walks_a_non_contiguous_out_in_place(self, stepwise_recurrence):
+        r = _recurrence_matrix("rand4")
+        forced = np.random.Generator(np.random.Philox(key=24)).standard_normal((1001, 4, 3))
+        want = stepwise_recurrence(r, forced)
+        views = [
+            (forced.transpose(0, 2, 1).copy().transpose(0, 2, 1), want),
+            (np.repeat(forced, 2, axis=0)[::2], want),
+            (forced.copy()[:, :, 0], want[:, :, 0]),
+        ]
+        for out, want_out in views:
+            assert not out.flags.c_contiguous
+            got = linear_recurrence(r, out)
+            assert got is out
+            assert _relative_gap(got, want_out) <= 1e-13
 
 
 class TestClosedLoopGenerator:
