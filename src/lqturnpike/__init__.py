@@ -16,6 +16,7 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     GridMismatchError,
+    InputError,
     IntegrationError,
     LqTurnpikeError,
     NonFiniteError,

@@ -31,38 +31,18 @@ import scipy
 
 from . import __version__, reporting
 from ._blas import serial_blas, thread_counts
-from .errors import (
-    ConfigError,
-    DimensionError,
-    GridMismatchError,
-    LqTurnpikeError,
-    NonFiniteError,
-    ProblemSizeError,
-    ResolventError,
-    UniquenessError,
-)
+from .errors import InputError, LqTurnpikeError
 from .lq import cost
 from .riccati import solve_are, solve_dre
 from .scenarios import ExperimentConfig, _read_json, build_scenario, config_from_dict
 from .stationary import solve_stationary, stationary_convergence_study
 from .turnpike import SOLVERS, verify_turnpike, yosida_dynamic_study
-from .verification import check_determinism, run_suite
+from .verification import check_determinism, run_suite, suite_tables
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 EXIT_INTERNAL_ERROR = 3
-
-_INPUT_ERRORS = (
-    ConfigError,
-    UniquenessError,
-    DimensionError,
-    NonFiniteError,
-    ResolventError,
-    GridMismatchError,
-    ProblemSizeError,
-    OSError,
-)
 
 # The KKT residual bound of `stationary`'s exit code, relative to max(1, |z|).
 _KKT_TOL = 1e-10
@@ -273,21 +253,16 @@ def cmd_yosida(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     manifest = _Manifest(f"verify-{args.suite}", None, args.out)
     with manifest.stage("suite"):
         results = run_suite(args.suite, out_dir=args.out, jobs=args.jobs)
+    manifest.outputs = list(suite_tables(results))
     with manifest.stage("determinism"):
-        determinism = check_determinism(args.suite, manifest.timings["suite"], args.jobs)
+        determinism = check_determinism(args.suite, results, manifest.timings["suite"], args.jobs)
     determinism.runtime = manifest.timings["determinism"]
     results.append(determinism)
     for result in results:
         print(result.line())
-
-    manifest.outputs.extend(
-        name for result in results for name, _, _ in result.artifacts
-    )
-    manifest.outputs.append("verify_summary.csv")
     manifest.finalize()
     failed = [r.criterion for r in results if not r.passed]
     if failed:
@@ -364,7 +339,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         try:
             return args.func(args)
-        except _INPUT_ERRORS as exc:
+        except (InputError, OSError) as exc:
             print(f"error: {exc}", file=_sys.stderr)
             return EXIT_INPUT_ERROR
         except LqTurnpikeError as exc:

@@ -5,20 +5,24 @@ class LqTurnpikeError(Exception):
     """Base class for every error raised by this package."""
 
 
-class DimensionError(LqTurnpikeError, ValueError):
+class InputError(LqTurnpikeError):
+    """Base class of the errors in a caller's input; the CLI exits 2 on them."""
+
+
+class DimensionError(InputError, ValueError):
     """Matrix or vector dimensions are inconsistent."""
 
 
-class NonFiniteError(LqTurnpikeError, ValueError):
+class NonFiniteError(InputError, ValueError):
     """An input contains NaN or infinite entries."""
 
 
-class ResolventError(LqTurnpikeError, ValueError):
+class ResolventError(InputError, ValueError):
     """The resolvent scaling parameter k is invalid (kI - A is singular
     or k does not exceed the spectral abscissa of A)."""
 
 
-class UniquenessError(LqTurnpikeError):
+class UniquenessError(InputError):
     """The stationary KKT system is rank deficient, so the optimal triple
     is not unique."""
 
@@ -41,7 +45,7 @@ class IntegrationError(LqTurnpikeError):
     """A time integration diverged (norm blow-up)."""
 
 
-class GridMismatchError(LqTurnpikeError, ValueError):
+class GridMismatchError(InputError, ValueError):
     """Sampled data is off the expected time grid, or the grid is too coarse."""
 
 
@@ -49,7 +53,7 @@ class UndefinedRateError(LqTurnpikeError, ValueError):
     """A decay rate cannot be fitted (e.g. the series is identically zero)."""
 
 
-class ProblemSizeError(LqTurnpikeError):
+class ProblemSizeError(InputError):
     """A Riccati pass would hold more samples than its memory cap allows.
 
     The solvers check ``operators.check_sample_memory`` before they form
@@ -57,5 +61,5 @@ class ProblemSizeError(LqTurnpikeError):
     """
 
 
-class ConfigError(LqTurnpikeError, ValueError):
+class ConfigError(InputError, ValueError):
     """An experiment configuration is malformed or violates an invariant."""

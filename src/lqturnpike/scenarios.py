@@ -225,8 +225,6 @@ def _check_time_grid(dt: float, horizons) -> None:
     if not horizons:
         raise ConfigError("horizons must be nonempty")
     for i, t_final in enumerate(horizons):
-        if t_final <= 0.0:
-            raise ConfigError(f"horizons must be positive, got {t_final}")
         try:
             _step_count(t_final, dt)
         except ValueError as exc:

@@ -8,17 +8,16 @@ together with the check's wall-clock cap, which :func:`run_suite` times.
 ``run_suite`` executes the whole list (a reduced but criterion-complete
 set in the quick suite), optionally writing the data-bearing CSV
 artifacts, and is deliberately deterministic: identical invocations
-produce byte-identical files.  :func:`check_determinism`, criterion 12,
-checks that property and the suite's wall-clock cap.
+produce byte-identical files, which :func:`suite_tables` names.
+:func:`check_determinism`, criterion 12, checks that property and the
+suite's wall-clock cap.
 """
 
 from __future__ import annotations
 
-import filecmp
 import math
 import operator
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -48,6 +47,7 @@ __all__ = [
     "Record",
     "SuiteContext",
     "run_suite",
+    "suite_tables",
     "check_determinism",
     "CRITERIA",
 ]
@@ -527,7 +527,8 @@ def run_suite(suite: str = "quick", out_dir=None, jobs: int = 1):
     """Run the acceptance checks and optionally write their CSV artifacts.
 
     Returns the list of :class:`CheckResult`, one per criterion, in
-    criterion order.  Criterion 12 (byte-identical reruns and the wall
+    criterion order, and writes their :func:`suite_tables` to ``out_dir``
+    if given.  Criterion 12 (byte-identical reruns and the wall
     clock caps) is a property of this function itself, checked by
     :func:`check_determinism`.  The suite runs on one BLAS thread
     (:func:`~lqturnpike._blas.serial_blas`), so its files do not depend on
@@ -545,37 +546,44 @@ def run_suite(suite: str = "quick", out_dir=None, jobs: int = 1):
             results.append(result)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        for result in results:
-            for name, header, rows in result.artifacts:
-                reporting.write_csv(os.path.join(out_dir, name), header, rows)
-        summary_rows = [(r.criterion, r.passed) for r in results]
-        reporting.write_csv(
-            os.path.join(out_dir, "verify_summary.csv"),
-            ["criterion", "passed"],
-            summary_rows,
-        )
+        for name, (header, rows) in suite_tables(results).items():
+            reporting.write_csv(os.path.join(out_dir, name), header, rows)
     return results
+
+
+def suite_tables(results) -> dict:
+    """The files a suite writes, ``{name: (header, rows)}``: every criterion's
+    artifacts in criterion order, then ``verify_summary.csv`` of the verdicts.
+    """
+    tables = {name: (head, rows) for r in results for name, head, rows in r.artifacts}
+    tables["verify_summary.csv"] = (
+        ["criterion", "passed"], [(r.criterion, r.passed) for r in results]
+    )
+    return tables
 
 
 # --- criterion 12 --------------------------------------------------------
 
 
-def check_determinism(suite: str, suite_runtime: float, jobs: int = 1) -> CheckResult:
-    """Criterion 12: two quick-suite reruns write byte-identical files.
+def check_determinism(suite: str, results, suite_runtime: float, jobs=1) -> CheckResult:
+    """Criterion 12: two quick runs render byte-identical files.
 
-    Also bounds ``suite_runtime``, the measured runtime of one ``suite``
-    run, by the suite's cap, which caps the two reruns as well.  Like the
-    other checks, the result is untimed: the caller sets ``runtime``.
+    The first run is ``results`` when ``suite`` is ``"quick"`` (the run
+    whose files the caller wrote) and a quick rerun otherwise; the second
+    is always a rerun.  Their :func:`suite_tables` are rendered by
+    :func:`~lqturnpike.reporting.render_csv` and compared name by name in
+    memory; a file that only one run has counts as differing.  Also
+    bounds ``suite_runtime``, the measured runtime of the ``suite`` run,
+    by the suite's cap, which caps the reruns as well.  Like the other
+    checks, the result is untimed: the caller sets ``runtime``.
     """
     cap = SUITE_CAPS[suite]
-    with tempfile.TemporaryDirectory() as tmp:
-        dirs = [os.path.join(tmp, name) for name in ("a", "b")]
-        for out_dir in dirs:
-            run_suite("quick", out_dir=out_dir, jobs=jobs)
-        names = set(os.listdir(dirs[0])) | set(os.listdir(dirs[1]))
-        # A file missing from one rerun lands in ``errors``.
-        _, mismatch, errors = filecmp.cmpfiles(*dirs, names, shallow=False)
-    differing = len(mismatch) + len(errors)
+    first = results if suite == "quick" else run_suite("quick", jobs=jobs)
+    a, b = (
+        {name: reporting.render_csv(*table) for name, table in suite_tables(run).items()}
+        for run in (first, run_suite("quick", jobs=jobs))
+    )
+    differing = sum(a.get(name) != b.get(name) for name in a.keys() | b.keys())
     records = [
         Record("files differing between reruns", differing, "==", 0),
         Record(f"{suite} suite runtime (s)", suite_runtime, "<=", cap),

@@ -262,6 +262,46 @@ def test_criterion_12_sees_a_node_the_csv_omits(monkeypatch):
         return [*short, replace(long, gap_x=gap_x)]
 
     monkeypatch.setattr(verification, "verify_turnpike", nudged)
-    result = verification.check_determinism("quick", 0.0)
+    result = verification.check_determinism("quick", run_suite("quick"), 0.0)
     assert next(reruns) == 2
     assert result.records[0].measured == 1
+
+
+def test_criterion_12_reruns_quick_twice_for_full(monkeypatch):
+    """After a full run, criterion 12 compares two quick runs of its own."""
+    suites = []
+    run = verification.run_suite
+
+    def spied(suite, **kwargs):
+        suites.append(suite)
+        return run(suite, **kwargs)
+
+    monkeypatch.setattr(verification, "run_suite", spied)
+    result = verification.check_determinism("full", [], 0.0)
+    assert suites == ["quick", "quick"]
+    assert result.records[0].measured == 0
+
+
+def test_criterion_12_counts_a_file_one_run_lacks(monkeypatch):
+    """A rerun that writes one artifact fewer turns criterion 12 red."""
+    results = run_suite("quick")
+    run = verification.run_suite
+
+    def dropping(suite, **kwargs):
+        rerun = run(suite, **kwargs)
+        first = next(r for r in rerun if r.artifacts)
+        first.artifacts = first.artifacts[:-1]
+        return rerun
+
+    monkeypatch.setattr(verification, "run_suite", dropping)
+    result = verification.check_determinism("quick", results, 0.0)
+    result.runtime = 0.0
+    assert not result.passed
+    assert "files differing between reruns = 1 != 0" in result.line()
+
+
+@pytest.mark.parametrize("suite", ["medium", "Quick"])
+def test_unknown_suite_is_refused(suite):
+    message = f"unknown suite '{suite}', expected 'quick' or 'full'"
+    with pytest.raises(ValueError, match=message):
+        run_suite(suite)

@@ -184,7 +184,7 @@ class TestExitCodes:
         "override, message",
         [
             (["--dt", "0"], "dt must be positive"),
-            (["--T", "-1"], "horizons must be positive"),
+            (["--T", "-1"], "horizon must be positive, got -1.0"),
             (["--dt", "0.3", "--T", "1"], "does not divide horizon 1.0"),
         ],
     )
@@ -296,6 +296,54 @@ class TestExitCodes:
         assert "PASS  12 determinism: files differing between reruns = 0 == 0" in captured.out
         manifest = json.loads(Path(out, "manifest.json").read_text())
         assert manifest["config"] is None
+
+    @pytest.mark.parametrize(
+        "suite, runs", [("quick", ["quick", "quick"]), ("full", ["full", "quick", "quick"])]
+    )
+    def test_verify_passes_and_lists_what_it_wrote(
+        self, tmp_path, capsys, monkeypatch, suite, runs
+    ):
+        # Criterion 12 compares the quick run it follows with one rerun, so
+        # `verify quick` runs the suite twice and `verify full` three times.
+        calls = []
+        run_suite = verification.run_suite
+
+        def spied(name, **kwargs):
+            calls.append(name)
+            return run_suite(name, **kwargs)
+
+        monkeypatch.setattr(verification, "run_suite", spied)
+        monkeypatch.setattr(cli, "run_suite", spied)
+        out = tmp_path / "verify"
+        assert main(["verify", suite, "--out", str(out)]) == 0
+        assert f"verify: all 12 criteria passed ({suite} suite)" in capsys.readouterr().out
+        assert calls == runs
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["outputs"]) == sorted(path.name for path in out.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            *[
+                (cls, 2) for cls in (
+                    lab.ConfigError, lab.UniquenessError, lab.DimensionError,
+                    lab.NonFiniteError, lab.ResolventError, lab.GridMismatchError,
+                    lab.ProblemSizeError, OSError,
+                )
+            ],
+            (lab.UndefinedRateError, 3),
+            (lab.IntegrationError, 3),
+            (lab.ConvergenceError, 3),
+        ],
+        ids=lambda value: getattr(value, "__name__", str(value)),
+    )
+    def test_error_type_decides_the_exit_code(self, tmp_path, capsys, monkeypatch, error, code):
+        def fail(config):
+            raise error("planted")
+
+        monkeypatch.setattr(cli, "build_scenario", fail)
+        assert main(["stationary", "--out", str(tmp_path / "run")]) == code
+        assert capsys.readouterr().err == "error: planted\n"
 
     def test_dimension_mismatch_is_input_error(self, tmp_path, capsys):
         # heat_1d builds one control column, so it does not read m.

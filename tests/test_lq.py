@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,6 +14,7 @@ from scipy.sparse.linalg import spsolve
 import lqturnpike as lab
 from lqturnpike import lq, operators
 from lqturnpike.errors import (
+    DimensionError,
     GridMismatchError,
     IntegrationError,
     NonFiniteError,
@@ -917,3 +919,38 @@ class TestInfiniteHorizon:
         assert np.max(np.abs(traj.x[:, 0] - x_exact)) <= 1e-8
         assert np.max(np.abs(traj.y[:, 0] - y_exact)) <= 1e-8
         assert np.array_equal(traj.u, -traj.y)
+
+
+def _unit_problem(sys_, p0):
+    zeros = np.zeros(sys_.n)
+    return lab.LqProblem(sys=sys_, horizon=1.0, target=zeros, x0=zeros, dt=0.1, p0=p0)
+
+
+def _off_grid_duality(sys_):
+    """The duality residual of the scalar system with f one node short of the grid."""
+    zeros = np.zeros((11, 1))
+    forward = (np.ones(1), zeros[:10], zeros, np.zeros((1, 1)))
+    return lab.duality_residual(sys_, forward, (np.ones(1), zeros), 1.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda sys1, sys4: _unit_problem(sys1, np.eye(2)),
+            DimensionError, "p0 must be 1 x 1, got shape (2, 2)",
+        ),
+        (
+            lambda sys1, sys4: _unit_problem(sys4, np.triu(np.ones((4, 4)))),
+            ValueError, "p0 must be symmetric",
+        ),
+        (
+            lambda sys1, sys4: _off_grid_duality(sys1),
+            GridMismatchError, "f must have shape (11, 1), got (10, 1)",
+        ),
+    ],
+    ids=["p0 shape", "asymmetric p0", "f off the grid"],
+)
+def test_problem_data_checks(scalar, rand4, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(scalar[0], rand4[0])

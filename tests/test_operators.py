@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,3 +294,38 @@ class TestCheckHypotheses:
         assert report.ker_ac_trivial and report.ker_astar_bstar_trivial
         assert report.obs_astar_bstar_max > 0.0
         assert report.satisfied == satisfied
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: lab.make_system([-1.0], [[1.0]], [[1.0]]),
+            "a must be a 2-d matrix, got ndim=1",
+        ),
+        (
+            lambda: lab.make_system(np.ones((2, 3)), np.ones((2, 1)), np.eye(2)),
+            "a must be square, got shape (2, 3)",
+        ),
+        (
+            lambda: lab.make_system(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((0, 0))),
+            "state dimension must be at least 1",
+        ),
+        (
+            lambda: lab.make_system([[-1.0]], np.zeros((1, 0)), [[1.0]]),
+            "control dimension must be at least 1",
+        ),
+        (
+            lambda: lab.observability_gramian((np.ones((2, 3)), np.eye(3)), 1.0),
+            "M must be square, got shape (2, 3)",
+        ),
+        (
+            lambda: lab.observability_gramian((np.eye(2), np.ones((1, 3))), 1.0),
+            "N must have 2 columns, got shape (1, 3)",
+        ),
+    ],
+    ids=["1-d a", "non-square a", "0x0 a", "b without columns", "non-square M", "N columns"],
+)
+def test_shape_checks_name_the_operator(call, message):
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        call()

@@ -277,3 +277,9 @@ class TestBuildScenario:
         with pytest.raises(ConfigError) as excinfo:
             config_from_dict(raw)
         assert f"does not read config key(s) {key}" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("raw", [["scalar"], "scalar", None, 1.0])
+def test_config_root_must_be_an_object(raw):
+    with pytest.raises(ConfigError, match="config root must be a JSON object"):
+        config_from_dict(raw)

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import lqturnpike as lab
-from lqturnpike.errors import UniquenessError
+from lqturnpike.errors import DimensionError, UniquenessError
 
 
 class TestSolveStationary:
@@ -159,3 +161,18 @@ class TestConvergenceStudy:
             lab.stationary_convergence_study(sys_, z, [4.0, 2.0])
         with pytest.raises(ValueError):
             lab.stationary_convergence_study(sys_, z, [-1.0, 2.0])
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lab.solve_stationary,
+        lambda sys_, z: lab.stationary_convergence_study(sys_, z, [10.0]),
+    ],
+    ids=["solve_stationary", "stationary_convergence_study"],
+)
+def test_target_of_the_wrong_length_is_refused(scalar, solve):
+    sys_, _, _ = scalar
+    message = "target z must have length 1, got (2,)"
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        solve(sys_, np.ones(2))

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +10,7 @@ from scipy.integrate import simpson
 from scipy.linalg import expm
 
 import lqturnpike as lab
-from lqturnpike.errors import UndefinedRateError
+from lqturnpike.errors import DimensionError, UndefinedRateError
 from lqturnpike.turnpike import (
     _simpson,
     _windowed_control_gap,
@@ -398,3 +399,37 @@ class TestYosidaDynamicStudy:
         rows = yosida_dynamic_study(prob, [4.0, 64.0, 1024.0], solver="riccati-sweep")
         u_errs = [row[1] for row in rows]
         assert all(b < a for a, b in zip(u_errs, u_errs[1:]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda sys_, stat, are, traj, sys4: h_trajectory(
+                traj, stat, replace(are, p=np.eye(2))
+            ),
+            "trajectory, stationary triple, and Riccati solution must share one state dimension",
+        ),
+        (
+            lambda sys_, stat, are, traj, sys4: propagation_residual(
+                np.zeros((3, 1)), sys_, are, np.arange(4.0)
+            ),
+            "h must have shape (4, 1): one state per grid node",
+        ),
+        (
+            lambda sys_, stat, are, traj, sys4: fit_decay_rate(
+                (np.arange(5.0), np.ones(4)), (0.0, 4.0)
+            ),
+            "time and magnitude arrays must have equal shape",
+        ),
+        (
+            lambda sys_, stat, are, traj, sys4: energy_diagnostics(traj, stat, sys4),
+            "trajectory, stationary triple, and system dimensions differ",
+        ),
+    ],
+    ids=["h_trajectory", "propagation_residual", "fit_decay_rate", "energy_diagnostics"],
+)
+def test_dimension_checks(scalar_run, rand4, call, message):
+    sys_, _, _, stat, are, _, traj = scalar_run
+    with pytest.raises(DimensionError, match=re.escape(message)):
+        call(sys_, stat, are, traj, rand4[0])
