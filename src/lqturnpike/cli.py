@@ -63,8 +63,11 @@ def _peak_rss_mb() -> float:
 class _Manifest:
     """Collects timings and output paths; written as manifest.json.
 
-    ``digests`` maps the per-node CSVs of ``solve`` and ``riccati``, which
-    may be strided (:func:`~lqturnpike.reporting.node_indices`), to the
+    :meth:`write` writes ``{name: (header, rows)}`` maps, the shape of
+    :func:`~lqturnpike.reporting.turnpike_tables`, and ``outputs`` lists
+    their names in order.  ``digests`` maps the per-node CSVs of ``solve``
+    and ``riccati``, which may be strided
+    (:func:`~lqturnpike.reporting.node_indices`), to the
     :func:`~lqturnpike.reporting.sha256_digest` of their full-resolution
     arrays.  The manifest also records the Python, numpy and scipy versions, the
     thread count of each OpenBLAS pool (by library basename; empty when none
@@ -96,14 +99,12 @@ class _Manifest:
         os.makedirs(self.out_dir, exist_ok=True)
         return os.path.join(self.out_dir, name)
 
-    def write_csv(self, name: str, header, rows, digest_of=()) -> str:
-        """Write one CSV and record the digest of the arrays ``digest_of``, if any."""
-        path = self._path(name)
-        reporting.write_csv(path, header, rows)
-        self.outputs.append(name)
-        if digest_of:
-            self.digests[name] = reporting.sha256_digest(*digest_of)
-        return path
+    def write(self, tables: dict, digests=None) -> None:
+        """Write each ``{name: (header, rows)}`` table and record ``digests``, if any."""
+        for name, (header, rows) in tables.items():
+            reporting.write_csv(self._path(name), header, rows)
+        self.outputs.extend(tables)
+        self.digests.update(digests or {})
 
     def finalize(self) -> None:
         payload = {
@@ -152,7 +153,7 @@ def cmd_stationary(args) -> int:
     with manifest.stage("solve"):
         triple = solve_stationary(prob.sys, prob.target)
     with manifest.stage("emit"):
-        manifest.write_csv("stationary.csv", *reporting.stationary_rows(triple))
+        manifest.write({"stationary.csv": reporting.stationary_rows(triple)})
     manifest.finalize()
     scale = max(1.0, float(np.linalg.norm(prob.target)))
     worst = max(
@@ -173,9 +174,9 @@ def cmd_solve(args) -> int:
     with manifest.stage("solve"):
         traj = SOLVERS[config.solver](prob)
     with manifest.stage("emit"):
-        manifest.write_csv(
-            "trajectory.csv", *reporting.trajectory_rows(traj),
-            digest_of=(traj.grid, traj.x, traj.y, traj.u),
+        manifest.write(
+            {"trajectory.csv": reporting.trajectory_rows(traj)},
+            {"trajectory.csv": reporting.sha256_digest(traj.grid, traj.x, traj.y, traj.u)},
         )
         value = cost(prob, traj)
     manifest.finalize()
@@ -190,9 +191,9 @@ def cmd_riccati(args) -> int:
     with manifest.stage("are"):
         are = solve_are(prob.sys)
     with manifest.stage("emit"):
-        manifest.write_csv("are.csv", *reporting.are_rows(are))
-        manifest.write_csv(
-            "dre.csv", *reporting.dre_rows(dre), digest_of=(dre.grid, dre.p_samples)
+        manifest.write(
+            {"are.csv": reporting.are_rows(are), "dre.csv": reporting.dre_rows(dre)},
+            {"dre.csv": reporting.sha256_digest(dre.grid, dre.p_samples)},
         )
     manifest.finalize()
     print(
@@ -208,14 +209,7 @@ def cmd_turnpike(args) -> int:
             prob, config.horizons, solver=config.solver, jobs=args.jobs
         )
     with manifest.stage("emit"):
-        for report in reports:
-            manifest.write_csv(
-                f"turnpike_T{report.horizon:g}.csv",
-                *reporting.turnpike_report_rows(report),
-            )
-        manifest.write_csv(
-            "turnpike_summary.csv", *reporting.turnpike_summary_rows(reports)
-        )
+        manifest.write(reporting.turnpike_tables(reports))
     manifest.finalize()
     for report in reports:
         print(
@@ -240,10 +234,7 @@ def cmd_yosida(args) -> int:
             prob, config.ks, solver=config.solver, jobs=args.jobs
         )
     with manifest.stage("emit"):
-        manifest.write_csv("yosida_stationary.csv", *reporting.study_rows(stat_rows))
-        manifest.write_csv(
-            "yosida_dynamic.csv", *reporting.dynamic_study_rows(dyn_rows)
-        )
+        manifest.write(reporting.yosida_tables(stat_rows, dyn_rows))
     manifest.finalize()
     print(
         f"yosida: stationary errors {stat_rows[0][1]:.3e} -> {stat_rows[-1][1]:.3e}, "

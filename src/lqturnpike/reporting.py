@@ -1,4 +1,8 @@
-"""Deterministic CSV emission shared by the command-line front end.
+"""Deterministic CSV emission shared by the command-line front end and the gate.
+
+:func:`turnpike_tables` and :func:`yosida_tables` are the one statement of
+the files of a turnpike run and of a Yosida study, which the CLI and the
+acceptance suite both write: ``{file name: (header, rows)}`` in order.
 
 All floating-point values are rendered with 17 significant digits, which
 round-trips IEEE doubles exactly, so identical runs produce byte-identical
@@ -28,13 +32,15 @@ __all__ = [
     "render_csv",
     "write_csv",
     "stationary_rows",
-    "study_rows",
     "dynamic_study_rows",
     "trajectory_rows",
     "dre_rows",
     "are_rows",
     "turnpike_report_rows",
     "turnpike_summary_rows",
+    "horizon_label",
+    "turnpike_tables",
+    "yosida_tables",
 ]
 
 
@@ -142,10 +148,6 @@ def stationary_rows(triple):
     return header, rows
 
 
-def study_rows(rows):
-    return ["k", "err_x", "err_u", "err_y"], rows
-
-
 def dynamic_study_rows(rows):
     return ["k", "err_u_l2", "err_x_max", "err_y_max"], rows
 
@@ -223,15 +225,8 @@ def turnpike_summary_rows(reports):
     gap_u_window and h_norm, so it changes with any node the strided
     ``turnpike_T*.csv`` omits.
     """
-    header = [
-        "T",
-        "fitted_c",
-        "fitted_lambda",
-        "lambda_reference",
-        "propagation_residual",
-        "c_min",
-        "sha256",
-    ]
+    header = ["T", "fitted_c", "fitted_lambda", "lambda_reference",
+              "propagation_residual", "c_min", "sha256"]
     rows = [
         (
             r.horizon,
@@ -248,3 +243,23 @@ def turnpike_summary_rows(reports):
         for r in reports
     ]
     return header, rows
+
+
+def horizon_label(horizon) -> str:
+    """``T{T:g}``, the label that names a horizon's turnpike table."""
+    return f"T{horizon:g}"
+
+
+def turnpike_tables(reports) -> dict:
+    """``turnpike_T*.csv`` for each report in order, then ``turnpike_summary.csv``."""
+    tables = {f"turnpike_{horizon_label(r.horizon)}.csv": turnpike_report_rows(r) for r in reports}
+    tables["turnpike_summary.csv"] = turnpike_summary_rows(reports)
+    return tables
+
+
+def yosida_tables(stat_rows, dyn_rows) -> dict:
+    """The stationary and dynamic Yosida studies' tables."""
+    return {
+        "yosida_stationary.csv": (["k", "err_x", "err_u", "err_y"], stat_rows),
+        "yosida_dynamic.csv": dynamic_study_rows(dyn_rows),
+    }

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError
 from .lq import LqProblem, _step_count
 from .operators import LtiSystem, _check_ks, make_system, spectral_abscissa
+from .reporting import horizon_label
 from .turnpike import _solver
 
 __all__ = [
@@ -137,14 +138,34 @@ _FIELD_DEFAULTS = {
 
 _COMMON_KEYS = ("scenario", "horizons", "dt", "target", "x0", "ks", "solver", "output_dir")
 
-# Per scenario: where its defaults depart from the dataclass's, and the keys it
-# reads besides _COMMON_KEYS, which all read.  A custom scenario reads n and m
-# off its matrices.
+
+def _custom_system(system) -> LtiSystem:
+    """The custom scenario's inline system; ConfigError if it is malformed."""
+    try:
+        return make_system(system["a"], system["b"], system["c"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"config key 'system' must hold matrices a, b, c: {exc}") from exc
+
+
+def _custom(config):
+    sys = _custom_system(config.system)
+    if config.target is None:
+        raise ConfigError("custom scenario requires an inline 'target' vector")
+    return sys, config.target, np.zeros(sys.n)
+
+
+# Per scenario: where its defaults depart from the dataclass's, the keys it
+# reads besides _COMMON_KEYS, which all read, and its builder of (system,
+# target, x0) from the config.  A custom scenario reads n and m off its matrices.
 _SCENARIOS = {
-    "scalar": ({"n": 1, "m": 1}, ()),
-    "random_stable": ({"n": 4, "m": 2}, ("n", "m", "seed")),
-    "heat_1d": ({"n": 50, "m": 1, "dt": 1e-2}, ("n", "control")),
-    "custom": ({}, ("system",)),
+    "scalar": ({"n": 1, "m": 1}, (), lambda cfg: scalar_example()),
+    "random_stable": ({"n": 4, "m": 2}, ("n", "m", "seed"), lambda cfg: (
+        random_stable(cfg.n, cfg.m, cfg.seed), *random_target_and_state(cfg.n, cfg.seed)
+    )),
+    "heat_1d": ({"n": 50, "m": 1, "dt": 1e-2}, ("n", "control"), lambda cfg: (
+        *heat_1d(cfg.n, cfg.control), np.zeros(cfg.n)
+    )),
+    "custom": ({}, ("system",), _custom),
 }
 
 
@@ -220,7 +241,8 @@ def load_config(path) -> ExperimentConfig:
 
 def _check_time_grid(dt: float, horizons) -> None:
     """Raise ConfigError unless dt > 0 splits every horizon into whole steps and
-    no two horizons share the label T{T:g} that names their output files.
+    no two horizons share the :func:`~lqturnpike.reporting.horizon_label`
+    that names their output files.
     """
     if not horizons:
         raise ConfigError("horizons must be nonempty")
@@ -229,20 +251,12 @@ def _check_time_grid(dt: float, horizons) -> None:
             _step_count(t_final, dt)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        twins = [t for t in horizons[:i] if f"{t:g}" == f"{t_final:g}"]
+        label = horizon_label(t_final)
+        twins = [t for t in horizons[:i] if horizon_label(t) == label]
         if twins:
             raise ConfigError(
-                f"config key 'horizons': {twins[0]!r} and {t_final!r} "
-                f"share the label T{t_final:g}"
+                f"config key 'horizons': {twins[0]!r} and {t_final!r} share the label {label}"
             )
-
-
-def _custom_system(system) -> LtiSystem:
-    """The custom scenario's inline system; ConfigError if it is malformed."""
-    try:
-        return make_system(system["a"], system["b"], system["c"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config key 'system' must hold matrices a, b, c: {exc}") from exc
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -261,7 +275,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"unknown scenario {scenario!r}; valid names: {', '.join(_SCENARIOS)}"
         )
-    defaults, reads = _SCENARIOS[scenario]
+    defaults, reads, _ = _SCENARIOS[scenario]
     unread = sorted(set(raw) - set(_COMMON_KEYS) - set(reads))
     if unread:
         raise ConfigError(
@@ -287,22 +301,7 @@ def build_scenario(config: ExperimentConfig) -> LqProblem:
     :class:`~lqturnpike.lq.LqProblem` checks the lengths of the target and
     the initial state (DimensionError).
     """
-    if config.scenario == "scalar":
-        sys, z, x0 = scalar_example()
-    elif config.scenario == "random_stable":
-        sys = random_stable(config.n, config.m, config.seed)
-        z, x0 = random_target_and_state(config.n, config.seed)
-    elif config.scenario == "heat_1d":
-        sys, z = heat_1d(config.n, config.control)
-        x0 = np.zeros(config.n)
-    else:  # custom; config_from_dict admits no other scenario
-        sys = _custom_system(config.system)
-        if config.target is None:
-            raise ConfigError("custom scenario requires an inline 'target' vector")
-        x0 = np.zeros(sys.n)
-
-    if config.target is not None:
-        z = config.target
-    if config.x0 is not None:
-        x0 = config.x0
+    sys, z, x0 = _SCENARIOS[config.scenario][2](config)
+    z = z if config.target is None else config.target
+    x0 = x0 if config.x0 is None else config.x0
     return LqProblem(sys=sys, horizon=config.horizons[0], target=z, x0=x0, dt=config.dt)

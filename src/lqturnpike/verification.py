@@ -106,7 +106,7 @@ class CheckResult:
     criterion: str
     cap: float
     records: list
-    artifacts: list = field(default_factory=list)  # (filename, header, rows)
+    artifacts: dict = field(default_factory=dict)  # {file name: (header, rows)}
     runtime: float = math.nan
 
     @property
@@ -198,8 +198,7 @@ def check_scalar_are(ctx: SuiteContext) -> CheckResult:
         Record("|P - (sqrt2 - 1)|", p_err, "<=", 1e-10),
         Record("|abscissa + sqrt2|", a_err, "<=", 1e-10),
     ]
-    artifacts = [("are.csv", *reporting.are_rows(are))]
-    return CheckResult("1 scalar-are", 0.1, records, artifacts)
+    return CheckResult("1 scalar-are", 0.1, records, {"are.csv": reporting.are_rows(are)})
 
 
 # --- criterion 2 ---------------------------------------------------------
@@ -215,7 +214,7 @@ def check_scalar_stationary(ctx: SuiteContext) -> CheckResult:
         Record("triple error", triple_err, "<=", 1e-12),
         Record("KKT residuals", res, "<=", 1e-12),
     ]
-    artifacts = [("stationary.csv", *reporting.stationary_rows(stat))]
+    artifacts = {"stationary.csv": reporting.stationary_rows(stat)}
     return CheckResult("2 scalar-stationary", 0.1, records, artifacts)
 
 
@@ -314,12 +313,7 @@ def check_turnpike_bound(ctx: SuiteContext) -> CheckResult:
         Record("midpoint gap_x(10)", mid[10.0], "<", 1e-2),
         Record("midpoint gap_x(20)", mid[20.0], "<", 1e-2),
     ]
-    artifacts = [("turnpike_summary.csv", *reporting.turnpike_summary_rows(reports))]
-    for r in reports:
-        artifacts.append(
-            (f"turnpike_T{r.horizon:g}.csv", *reporting.turnpike_report_rows(r))
-        )
-    return CheckResult("7 turnpike-bound", 30.0, records, artifacts)
+    return CheckResult("7 turnpike-bound", 30.0, records, reporting.turnpike_tables(reports))
 
 
 # --- criterion 8 ---------------------------------------------------------
@@ -409,10 +403,7 @@ def check_yosida(ctx: SuiteContext) -> CheckResult:
         final_ratio = max(col[-1] / col[0] for col in cols)
         records.append(Record(f"{label} error steps not decreasing", steps, "==", 0))
         records.append(Record(f"{label} final/initial", final_ratio, "<=", 1e-2))
-    artifacts = [
-        ("yosida_stationary.csv", *reporting.study_rows(stat_rows)),
-        ("yosida_dynamic.csv", *reporting.dynamic_study_rows(dyn_rows)),
-    ]
+    artifacts = reporting.yosida_tables(stat_rows, dyn_rows)
     if not ctx.quick:
         hsys, hz = heat_1d(50, "boundary_flavored")
         hprob = LqProblem(sys=hsys, horizon=5.0, target=hz, x0=np.zeros(50), dt=1e-2)
@@ -421,7 +412,7 @@ def check_yosida(ctx: SuiteContext) -> CheckResult:
         )
         steps = _non_decreasing_steps([r[1] for r in heat_rows])
         records.append(Record("heat control error steps not decreasing", steps, "==", 0))
-        artifacts.append(("yosida_heat.csv", *reporting.dynamic_study_rows(heat_rows)))
+        artifacts["yosida_heat.csv"] = reporting.dynamic_study_rows(heat_rows)
     return CheckResult("10 yosida-convergence", 60.0, records, artifacts)
 
 
@@ -555,7 +546,7 @@ def suite_tables(results) -> dict:
     """The files a suite writes, ``{name: (header, rows)}``: every criterion's
     artifacts in criterion order, then ``verify_summary.csv`` of the verdicts.
     """
-    tables = {name: (head, rows) for r in results for name, head, rows in r.artifacts}
+    tables = {name: table for r in results for name, table in r.artifacts.items()}
     tables["verify_summary.csv"] = (
         ["criterion", "passed"], [(r.criterion, r.passed) for r in results]
     )

@@ -1,6 +1,8 @@
+import fnmatch
 import hashlib
 import json
 import os
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from lqturnpike.scenarios import config_from_dict
 
 
 CUSTOM_1X1 = {"a": [[-1.0]], "b": [[1.0]], "c": [[1.0]]}
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def sha256_of(*arrays):
@@ -171,6 +174,15 @@ class TestExitCodes:
         manifest = json.loads(Path(out, "manifest.json").read_text())
         for name in manifest["outputs"]:
             assert os.path.exists(os.path.join(out, name))
+
+    def test_kkt_residual_above_tolerance_fails_the_check(self, tmp_path, capsys, monkeypatch):
+        # heat_1d's triple has a KKT residual near 4e-13, above 1e-14 times
+        # max(1, |z|) = 5.2; no input reaches 1e-10, the shipped tolerance.
+        monkeypatch.setattr(cli, "_KKT_TOL", 1e-14)
+        path = write_config(tmp_path, {"scenario": "heat_1d"})
+        assert main(["stationary", "--config", path, "--out", str(tmp_path / "run")]) == 1
+        message = r"stationary: KKT residual \S+ above tolerance 1\.0e-14"
+        assert re.search(message, capsys.readouterr().err)
 
     def test_missing_config_is_input_error(self, tmp_path):
         code = main(["stationary", "--config", str(tmp_path / "nope.json")])
@@ -437,6 +449,71 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.csv"))
+
+
+def _readme_command_files():
+    """{command: the file names, ``*`` globs among them, its README line names}.
+
+    A line of the command block that does not start with ``lqturnpike``
+    continues the command above it.
+    """
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    named = {}
+    for line in block.splitlines():
+        if line.startswith("lqturnpike "):
+            words = line.split()
+            command = " ".join(words[1:3] if words[1] == "verify" else words[1:2])
+        named.setdefault(command, set()).update(re.findall(r"[\w*]+\.csv", line))
+    return named
+
+
+class TestPipelineFiles:
+    @pytest.fixture(scope="class")
+    def command_runs(self, tmp_path_factory):
+        """Each scenario command on {"scenario": "scalar"}, and verify quick: their out dirs."""
+        root = tmp_path_factory.mktemp("commands")
+        config = write_config(root, {"scenario": "scalar"})
+        runs = {}
+        for command in ("stationary", "solve", "riccati", "turnpike", "yosida"):
+            runs[command] = root / command
+            assert main([command, "--config", config, "--out", str(runs[command])]) == 0
+        runs["verify quick"] = root / "verify"
+        assert main(["verify", "quick", "--out", str(runs["verify quick"])]) == 0
+        return runs
+
+    def test_gate_checks_the_default_pipeline(self, command_runs):
+        gate = command_runs["verify quick"]
+        for command, names in (
+            ("turnpike", ["turnpike_T5.csv", "turnpike_T10.csv", "turnpike_T20.csv",
+                          "turnpike_summary.csv"]),
+            ("stationary", ["stationary.csv"]),
+            ("riccati", ["are.csv"]),
+        ):
+            for name in names:
+                written = (command_runs[command] / name).read_bytes()
+                assert written == (gate / name).read_bytes(), (command, name)
+        turnpike, verify = (
+            json.loads((command_runs[run] / "manifest.json").read_text())["outputs"]
+            for run in ("turnpike", "verify quick")
+        )
+        start = verify.index(turnpike[0])
+        assert verify[start : start + len(turnpike)] == turnpike  # one order
+
+    def test_readme_names_every_file_of_each_command(self, command_runs):
+        named = _readme_command_files()
+        named["verify full"] |= named["verify quick"]  # "the quick suite's files, plus ..."
+        written = {
+            command: json.loads((out / "manifest.json").read_text())["outputs"]
+            for command, out in command_runs.items()
+        }
+        written["verify full"] = list(verification.suite_tables(verification.run_suite("full")))
+        assert set(named) == set(written)
+        for command, outputs in written.items():
+            for name in outputs:
+                assert any(fnmatch.fnmatchcase(name, p) for p in named[command]), (command, name)
+            for pattern in named[command]:
+                assert any(fnmatch.fnmatchcase(n, pattern) for n in outputs), (command, pattern)
 
 
 class TestCommands:

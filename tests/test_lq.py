@@ -954,3 +954,14 @@ def _off_grid_duality(sys_):
 def test_problem_data_checks(scalar, rand4, call, error, message):
     with pytest.raises(error, match=re.escape(message)):
         call(scalar[0], rand4[0])
+
+
+def test_non_finite_trajectory_is_refused():
+    # The sweep's Riccati flow overflows on A = 1e300, and the trajectory
+    # it would return is refused rather than locked.
+    sys_ = lab.make_system([[1e300]], [[1.0]], [[1.0]])
+    prob = lab.LqProblem(sys=sys_, horizon=1.0, target=np.ones(1), x0=np.ones(1), dt=0.1)
+    message = "riccati-sweep produced non-finite values"
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(IntegrationError, match=re.escape(message)):
+            lab.solve_riccati_sweep(prob)

@@ -1,12 +1,13 @@
 import functools
+import re
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import lqturnpike as lab
-from lqturnpike import operators
-from lqturnpike.errors import NotStabilizableError
+from lqturnpike import operators, riccati
+from lqturnpike.errors import ConvergenceError, IntegrationError, NotStabilizableError
 from lqturnpike.operators import (
     _pass_schedule,
     linear_recurrence,
@@ -291,3 +292,42 @@ class TestClosedLoopGenerator:
         c_fit, lam_fit = fit_decay_rate((grid, norms), (0.0, 20.0))
         envelope = c_fit * np.exp(-lam_fit * grid)
         assert np.all(norms <= envelope * (1.0 + 1e-9))
+
+
+def _zero_system(scalar, monkeypatch):
+    return lab.solve_are(lab.make_system([[0.0]], [[0.0]], [[0.0]]))
+
+
+def _zero_tolerance(scalar, monkeypatch):
+    # No input leaves the refined residual above 1e-10, so the tolerance
+    # drops below the scalar system's residual of about 5.6e-17.
+    monkeypatch.setattr(riccati, "_ARE_TOL", 0.0)
+    return lab.solve_are(scalar[0])
+
+
+def _overflowing_dre(scalar, monkeypatch):
+    """solve_dre on A = 1e300, whose one-step flow overflows."""
+    sys_ = lab.make_system([[1e300]], [[1.0]], [[1.0]])
+    prob = lab.LqProblem(sys=sys_, horizon=1.0, target=np.ones(1), x0=np.ones(1), dt=0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return lab.solve_dre(prob)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            _zero_system, NotStabilizableError,
+            re.escape("Hamiltonian has a stable invariant subspace of dimension 0, expected 1"),
+        ),
+        (
+            _zero_tolerance, ConvergenceError,
+            r"Riccati residual \S+ above tolerance 0\.0e\+00 after refinement",
+        ),
+        (_overflowing_dre, IntegrationError, "Riccati flow produced non-finite samples"),
+    ],
+    ids=["no stable subspace", "residual above tolerance", "non-finite flow"],
+)
+def test_failure_paths(scalar, monkeypatch, call, error, message):
+    with pytest.raises(error, match=message):
+        call(scalar, monkeypatch)

@@ -183,7 +183,7 @@ class TestConfig:
         assert set(read_by) == {f.name for f in dataclasses.fields(ExperimentConfig)}
         for key, named in read_by.items():
             assert named == {
-                name for name, (_, reads) in _SCENARIOS.items()
+                name for name, (_, reads, _) in _SCENARIOS.items()
                 if key in _COMMON_KEYS or key in reads
             }, key
 
@@ -191,7 +191,7 @@ class TestConfig:
         # A field that no scenario reads, or a parser of no field, is a
         # setting no configuration can reach.
         names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        reads = {key for _, keys in _SCENARIOS.values() for key in keys}
+        reads = {key for _, keys, _ in _SCENARIOS.values() for key in keys}
         assert names == {*_COMMON_KEYS, *reads, "n", "m"}
         assert set(_PARSERS) <= names
 

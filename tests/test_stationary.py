@@ -176,3 +176,24 @@ def test_target_of_the_wrong_length_is_refused(scalar, solve):
     message = "target z must have length 1, got (2,)"
     with pytest.raises(DimensionError, match=re.escape(message)):
         solve(sys_, np.ones(2))
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+@pytest.mark.parametrize(
+    "system, rank",
+    [
+        # The LU factorization succeeds, but its solution overflows.
+        (([[0.0]], [[1e-160]], [[1e-160]]), 1),
+        # A finite solution whose residual exceeds 1e-8 of its scale.
+        (([[1e15]], [[1e15]], [[1.0]]), 2),
+    ],
+    ids=["non-finite solution", "residual above tolerance"],
+)
+def test_kkt_guards_refuse_a_near_singular_solve(system, rank):
+    message = (
+        f"stationary KKT matrix is rank deficient (rank {rank} of 3); "
+        "the optimal triple is not unique"
+    )
+    with pytest.raises(UniquenessError, match=re.escape(message)) as excinfo:
+        lab.solve_stationary(lab.make_system(*system), np.ones(1))
+    assert excinfo.value.__cause__ is None  # not the factorization's own LinAlgError

@@ -433,3 +433,9 @@ def test_dimension_checks(scalar_run, rand4, call, message):
     sys_, _, _, stat, are, _, traj = scalar_run
     with pytest.raises(DimensionError, match=re.escape(message)):
         call(sys_, stat, are, traj, rand4[0])
+
+
+def test_one_node_grid_has_no_propagation_defect(scalar_run):
+    # g(0) is the only node, so there is nothing to propagate.
+    sys_, _, _, _, are, _, _ = scalar_run
+    assert propagation_residual(np.ones((1, 1)), sys_, are, np.zeros(1)) == 0.0
