@@ -22,13 +22,14 @@ def run():
     print(f"heat rod, {n} interior nodes, bump target, control on [0.25, 0.75]")
 
     report = lab.check_hypotheses(sys_)
-    print(f"  kernel intersections trivial: {report.ker_ac_trivial}, "
-          f"{report.ker_astar_bstar_trivial}; delta = {report.delta}")
-    print(f"  (A, C) observability margin : {report.obs_ac:.3e}")
-    print(f"  (A*, B*) observability floor: {report.obs_astar_bstar:.3e}")
-    print("  the dual margin falls below double precision: heat observability")
+    print(f"  admissibility constant      : {report.obs_astar_bstar_max:.4f}")
+    print(f"  exact-controllability floor : {report.obs_astar_bstar:.3e}")
+    print("  the floor falls below double precision: heat observability")
     print("  constants decay exponentially in the mode index, which is exactly")
-    print("  the near-unbounded regime this scenario emulates.")
+    print("  the near-unbounded regime this scenario emulates.  It is reported,")
+    print("  not required.")
+    print(f"  delta = {report.delta}, stabilizable = {report.stabilizable}, "
+          f"satisfied = {report.satisfied}")
 
     prob = lab.LqProblem(
         sys=sys_, horizon=20.0, target=z, x0=x0, dt=1e-2

@@ -449,7 +449,8 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
 
     x_nodes = np.ascontiguousarray(s_nodes[:, :n])
     grad = np.einsum("tij,tj->it", q_nodes[1:, :n, :], s_nodes[1:])
-    y_nodes = _nodal_adjoint(prob, x_nodes, lu_solve(lu, grad, trans=1).T)
+    nu = lu_solve(lu, grad, trans=1, check_finite=False).T  # _trajectory refuses NaN
+    y_nodes = _nodal_adjoint(prob, x_nodes, nu)
     # Discrete optimality gives u = -B* y exactly at interior nodes; the
     # same law defines the nodal convention at t = 0 and t = T.
     return _trajectory(prob, x_nodes, y_nodes, "transcription")

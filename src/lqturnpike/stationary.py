@@ -17,6 +17,7 @@ same :func:`solve_stationary`.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,15 +56,6 @@ class StationaryTriple:
     residual_control: float
 
 
-def _check_target(sys: LtiSystem, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape != (sys.n,):
-        raise DimensionError(
-            f"target z must have length {sys.n}, got {z.shape}"
-        )
-    return z
-
-
 def _solve_kkt(sys: LtiSystem, z: np.ndarray):
     a, b, c = sys.a, sys.b, sys.c
     n, m = sys.n, sys.m
@@ -90,10 +82,12 @@ def _solve_kkt(sys: LtiSystem, z: np.ndarray):
             full_rank=dim,
         )
 
-    try:
-        sol = scipy.linalg.solve(kkt, rhs)
-    except scipy.linalg.LinAlgError as exc:
-        raise _rank_failure() from exc
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+        try:
+            sol = scipy.linalg.solve(kkt, rhs)
+        except (scipy.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
+            raise _rank_failure() from None
     if not np.all(np.isfinite(sol)):
         raise _rank_failure()
     # Guard near-singular solves that slipped through the factorization.
@@ -109,11 +103,12 @@ def solve_stationary(sys: LtiSystem, z) -> StationaryTriple:
     Raises
     ------
     UniquenessError
-        If the KKT matrix is rank deficient (the structural hypotheses on
-        kernel triviality or observability fail); the error names the
-        deficient rank.
+        If the KKT matrix is singular or too ill-conditioned to solve;
+        the error names its numerical rank.
     """
-    z = _check_target(sys, z)
+    z = np.asarray(z, dtype=float).reshape(-1)
+    if z.shape != (sys.n,):
+        raise DimensionError(f"target z must have length {sys.n}, got {z.shape}")
     x_bar, u_bar, y_bar = _solve_kkt(sys, z)
     a, b, c = sys.a, sys.b, sys.c
     return StationaryTriple(

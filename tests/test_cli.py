@@ -3,6 +3,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -264,6 +266,40 @@ class TestExitCodes:
             },
         )
         assert main(["riccati", "--config", path]) == 3
+
+    @pytest.mark.parametrize(
+        "command, system, dt",
+        [
+            ("riccati", {"a": [[1e300]], "b": [[1.0]], "c": [[1.0]]}, 1e-1),
+            ("solve", {"a": [[100.0, 0.0], [0.0, 100.0]], "b": [[0.0], [0.0]],
+                       "c": [[1.0, 0.0], [0.0, 1.0]]}, 1e-3),
+        ],
+        ids=["riccati A=1e300", "solve A=100I2,B=0"],
+    )
+    def test_overflow_is_typed_when_warnings_are_errors(self, tmp_path, command, system, dt):
+        # A fresh interpreter under -W error: numpy's overflow warning must
+        # not reach the "internal error" branch before the typed refusal.
+        n = len(system["a"])
+        path = write_config(
+            tmp_path,
+            {
+                "scenario": "custom",
+                "system": system,
+                "target": [1.0] * n,
+                "x0": [1.0] * n,
+                "horizons": [10.0],
+                "dt": dt,
+                "output_dir": str(tmp_path / "out"),
+            },
+        )
+        src = os.path.dirname(os.path.dirname(lab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lqturnpike", command, "--config", path],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 3
+        assert result.stderr == "error: Riccati flow produced non-finite samples\n"
 
     def test_singular_trapezoid_step_is_internal_class(self, tmp_path, capsys):
         path = write_config(

@@ -957,11 +957,54 @@ def test_problem_data_checks(scalar, rand4, call, error, message):
 
 
 def test_non_finite_trajectory_is_refused():
-    # The sweep's Riccati flow overflows on A = 1e300, and the trajectory
-    # it would return is refused rather than locked.
-    sys_ = lab.make_system([[1e300]], [[1.0]], [[1.0]])
-    prob = lab.LqProblem(sys=sys_, horizon=1.0, target=np.ones(1), x0=np.ones(1), dt=0.1)
+    # At n + 1 = 21 the sweep walks node by node with a finite one-step flow,
+    # and the backward pass overflows on A = 100 I over T = 10: the
+    # trajectory it would return is refused rather than locked.
+    sys_ = lab.make_system(100.0 * np.eye(20), np.zeros((20, 1)), np.eye(20))
+    prob = lab.LqProblem(
+        sys=sys_, horizon=10.0, target=np.ones(20), x0=np.ones(20), dt=1e-2
+    )
     message = "riccati-sweep produced non-finite values"
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(IntegrationError, match=re.escape(message)):
-            lab.solve_riccati_sweep(prob)
+    with pytest.raises(IntegrationError, match=re.escape(message)):
+        lab.solve_riccati_sweep(prob)
+
+
+def _overflow_problem(a, b, dt):
+    n = len(a)
+    sys_ = lab.make_system(a, b, np.eye(n))
+    return lab.LqProblem(sys=sys_, horizon=10.0, target=np.ones(n), x0=np.ones(n), dt=dt)
+
+
+_OVERFLOW_ROUTES = {
+    "dre": lab.solve_dre,
+    "sweep": lab.solve_riccati_sweep,
+    "transcription": lab.solve_transcription,
+    "simulate": lambda prob: lab.simulate_forward(
+        prob, np.zeros((prob.n_steps + 1, prob.sys.m))
+    ),
+}
+_OVERFLOW_CASES = {
+    "A=1e300": ([[1e300]], [[1.0]], 1e-1),
+    "A=100,B=0": ([[100.0]], [[0.0]], 1e-3),
+    "A=100I2,B=0": (100.0 * np.eye(2), np.zeros((2, 1)), 1e-3),
+    "A=100I20,B=0": (100.0 * np.eye(20), np.zeros((20, 1)), 1e-2),
+}
+
+
+@pytest.mark.parametrize(
+    "route, case",
+    [
+        (route, case)
+        for case in _OVERFLOW_CASES
+        for route in _OVERFLOW_ROUTES
+        # The trapezoid's Cayley map keeps A = 1e300 finite: it solves.
+        if (route, case) != ("transcription", "A=1e300")
+    ],
+)
+def test_overflow_is_a_typed_integration_error(route, case):
+    # Under the suite's warnings-as-errors filter: the flow, a lifted level,
+    # solve_dre, _trajectory or _nodal_steps refuses the overflow, and no
+    # numpy RuntimeWarning or LinAlgError escapes first.
+    prob = _overflow_problem(*_OVERFLOW_CASES[case])
+    with pytest.raises(IntegrationError):
+        _OVERFLOW_ROUTES[route](prob)

@@ -82,16 +82,15 @@ class TestHeat1d:
         assert abs(lab.check_hypotheses(sys_).delta - 1.0) < 1e-14
 
     def test_hypothesis_margins_at_pde_scale(self):
-        # Kernel flags, coercivity, and state observability hold outright;
-        # the dual Gramian margin sits at the rounding floor because heat
-        # observability constants decay exponentially in the mode index
-        # (the quasi-unbounded regime this scenario emulates).
-        sys_, _ = lab.heat_1d(50)
-        report = lab.check_hypotheses(sys_)
-        assert report.ker_ac_trivial and report.ker_astar_bstar_trivial
-        assert report.delta == 1.0
-        assert report.obs_ac > 0.0
-        assert report.obs_astar_bstar >= -1e-10
+        # Both columns are stabilizable (A is stable) and C = I is coercive,
+        # so the hypotheses hold; the exact-controllability floor sits at
+        # rounding because heat observability constants decay exponentially
+        # in the mode index, and it is reported, not required.
+        for control in ("distributed", "boundary_flavored"):
+            report = lab.check_hypotheses(lab.heat_1d(50, control)[0])
+            assert report.satisfied and report.stabilizable
+            assert report.delta == 1.0
+            assert abs(report.obs_astar_bstar) <= 1e-10 * report.obs_astar_bstar_max
 
     def test_boundary_flavored_norm_grows(self):
         norms = [

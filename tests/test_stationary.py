@@ -178,11 +178,11 @@ def test_target_of_the_wrong_length_is_refused(scalar, solve):
         solve(sys_, np.ones(2))
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 @pytest.mark.parametrize(
     "system, rank",
     [
-        # The LU factorization succeeds, but its solution overflows.
+        # rcond = 0: scipy's LinAlgWarning, raised before the solution
+        # (which overflows) reaches the non-finite guard.
         (([[0.0]], [[1e-160]], [[1e-160]]), 1),
         # A finite solution whose residual exceeds 1e-8 of its scale.
         (([[1e15]], [[1e15]], [[1.0]]), 2),
