@@ -16,13 +16,16 @@ Two solvers with independent error structure are provided:
 ``solve_transcription``
     Discretize-then-optimize.  The dynamics are discretized with the
     implicit trapezoid rule and the cost with trapezoid quadrature; that
-    discrete LQ problem's KKT system is solved exactly by the sweep's own
-    passes over the trapezoid's one-step map.  Nodal adjoints are
-    recovered from the constraint multipliers: the multipliers live
-    naturally at interval midpoints, so adjacent multipliers are averaged
-    onto nodes and the two boundary nodes get a half-step correction
-    from the adjoint equation, which keeps the recovery second-order
-    accurate up to and including the endpoints.  The discrete optimality
+    discrete LQ problem's KKT system is solved exactly by Riccati passes
+    over the trapezoid's one-step map: the sweep's own passes, or, for a
+    symmetric A with one control whose state the passes walk node by
+    node, the same backward recursion in A's eigenbasis, where the map is
+    diagonal but for one column.  Nodal adjoints are recovered from the
+    constraint multipliers: the multipliers live naturally at interval
+    midpoints, so adjacent multipliers are averaged onto nodes and the
+    two boundary nodes get a half-step correction from the adjoint
+    equation, which keeps the recovery second-order accurate up to and
+    including the endpoints.  The discrete optimality
     law then fixes u = -B* y at every node (at interior nodes this
     reproduces the discrete controls exactly; the nodal control values at
     t = 0 and t = T are a convention, since the continuous problem only
@@ -43,15 +46,16 @@ Two solvers with independent error structure are provided:
     once per solve by structure-preserving doubling, so the sweep has no
     time-discretization error and no stability limit on stiff generators.
 
-The two solvers share the passes of :mod:`lqturnpike.operators`, which
-decide how the grid is walked and refuse a problem whose samples exceed
-the memory cap, but not the flow: the transcription steps by the
-trapezoid's Cayley map, the sweep by the exact flow of the Riccati pair,
-so their errors stay independent.  Both are pure functions returning an
-immutable :class:`Trajectory`.
-:func:`solve_infinite_horizon` realizes the infinite-horizon problem on
-the same grid, the Riccati closed loop around the stationary pair; it
-does not solve the finite-horizon problem.
+Both solvers refuse a problem whose samples exceed the memory cap of
+:mod:`lqturnpike.operators`, and both walk its passes but for the
+backward pass of the transcription's eigenbasis route.  They never
+share the flow: the transcription steps by the trapezoid's Cayley map,
+the sweep by the exact flow of the Riccati pair, so their errors stay
+independent.  Both are pure functions returning an immutable
+:class:`Trajectory`.  :func:`solve_infinite_horizon` realizes the
+infinite-horizon problem on the same grid, the Riccati closed loop
+around the stationary pair; it does not solve the finite-horizon
+problem.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, expm, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, eigh, expm, lu_factor, lu_solve
 
 from .errors import (
     DimensionError,
@@ -71,6 +75,9 @@ from .errors import (
 )
 from .operators import (
     LtiSystem,
+    _check_target,
+    _let_overflow,
+    _lifts,
     _pass_schedule,
     check_sample_memory,
     linear_recurrence,
@@ -167,6 +174,7 @@ class LqProblem:
                 raise NonFiniteError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        _check_target(self.sys.c, self.target, square=True)
         p0 = _check_terminal_cost(np.zeros((n, n)) if self.p0 is None else self.p0, n)
         p0.setflags(write=False)
         object.__setattr__(self, "p0", p0)
@@ -362,6 +370,117 @@ def _nodal_adjoint(prob: LqProblem, x_nodes, nu):
     return y_nodes
 
 
+def _free_start(q0, ell, s_start, half: float, n: int) -> np.ndarray:
+    """(x0, u_0, 1) from ``s_start`` = (x0, 0, 1), which it changes in place.
+
+    Node 0 carries the end weights dt/2, and u_0 is free: it minimizes
+    the node-0 value.
+    """
+    u_blk = slice(n, s_start.shape[0] - 1)
+    v0 = q0 - half * ell
+    v0[u_blk, u_blk] += half * np.eye(u_blk.stop - n)
+    s_start[u_blk] = -np.linalg.solve(v0[u_blk, u_blk], v0[u_blk] @ s_start)
+    return s_start
+
+
+def _dense_walk(prob, lu, ell, q_end, s_start):
+    """States and midpoint multipliers of the transcription, by the generic passes.
+
+    The flow triple is the dense one of :func:`solve_transcription`, from
+    one LU of I - dt/2 A, on :func:`~lqturnpike.operators._pass_schedule`'s
+    levels.
+    """
+    sys = prob.sys
+    n, m = sys.n, sys.m
+    dt = prob.dt
+    half = 0.5 * dt
+    phi_gamma = lu_solve(lu, np.hstack([np.eye(n) + half * sys.a, half * sys.b]))
+    e = np.zeros((n + m + 1, n + m + 1))
+    e[:n, : n + m] = phi_gamma
+    e[-1, -1] = 1.0
+    v = np.vstack([phi_gamma[:, n:], np.eye(m), np.zeros((1, m))])
+    levels = _pass_schedule((e, v / np.sqrt(dt), dt * ell), prob.n_steps)
+    q_nodes = riccati_backward_pass(levels, q_end)
+    s_start = _free_start(q_nodes[0], ell, s_start, half, n)
+    s_nodes = riccati_forward_pass(levels, q_nodes, s_start)
+
+    x_nodes = np.ascontiguousarray(s_nodes[:, :n])
+    grad = np.einsum("tij,tj->it", q_nodes[1:, :n, :], s_nodes[1:])
+    nu = lu_solve(lu, grad, trans=1, check_finite=False).T  # _trajectory refuses NaN
+    return x_nodes, nu
+
+
+@_let_overflow
+def _modal_backward_pass(flow, q_end, nsteps: int) -> np.ndarray:
+    """Riccati samples for a one-control map diagonal but for one column, O(size^2) a node.
+
+    The map of :func:`~lqturnpike.operators.riccati_backward_pass`, node
+    by node from ``Q_N = q_end``.  ``flow`` is ``(d, gamma, v, g)``:
+    E = diag(d) plus the column ``gamma`` (length n) from the control,
+    entry n of the state, to the n states, with ``d`` zero at the
+    control, ``v`` the column of the generic pass's V and ``g`` its G,
+    zero on the control's row and column.  The Woodbury form
+    M = Q - Q v S^{-1} v* Q is taken as Q - w w* with w = Q v / sqrt(S),
+    so M is symmetric to the bit without a transposed add.  Then
+    Q_j = G + (d d*) o M off the control, d o (M_{:,x} gamma) on its row
+    and column, and gamma* M_xx gamma at their crossing.
+    """
+    d, gamma, v, g = flow
+    n = gamma.shape[0]
+    dd = np.outer(d, d)
+    q_nodes = np.empty((nsteps + 1,) + q_end.shape)
+    q_nodes[-1] = q_end
+    mat = np.empty_like(q_end)
+    for j in range(nsteps - 1, -1, -1):
+        q = q_nodes[j + 1]
+        w = q @ v
+        w /= np.sqrt(1.0 + v @ w)
+        np.subtract(q, np.multiply.outer(w, w, out=mat), out=mat)
+        prev = np.multiply(dd, mat, out=q_nodes[j])
+        prev += g
+        mg = mat[:, :n] @ gamma
+        prev[n] = prev[:, n] = d * mg
+        prev[n, n] = gamma @ mg[:n]
+    return q_nodes
+
+
+@_let_overflow
+def _modal_walk(prob, ell, q_end, s_start):
+    """States and midpoint multipliers of the transcription, in A's eigenbasis.
+
+    For symmetric A = U diag(lambda) U* and one control, the coordinates
+    (U* x, u, 1) make the Cayley map diag((1 + h lambda) / (1 - h lambda)),
+    h = dt/2, and Gamma the column U* h B / (1 - h lambda), so E is
+    diagonal but for that column.  :func:`_modal_backward_pass` walks it;
+    the forward pass is the generic one on E formed dense, whose E s is
+    no dearer than its V* Q.  The weights, the start and the multipliers'
+    (I - h A)^{-*} are taken in the same coordinates, the last a division
+    by 1 - h lambda; x and nu are mapped back by U.
+    """
+    sys = prob.sys
+    n = sys.n
+    dt = prob.dt
+    half = 0.5 * dt
+    lam, basis = eigh(sys.a)
+    frame = np.eye(n + 2)
+    frame[:n, :n] = basis
+    ell, q_end = (frame.T @ mat @ frame for mat in (ell, q_end))
+    ell, q_end = 0.5 * (ell + ell.T), 0.5 * (q_end + q_end.T)
+    resolvent = 1.0 / (1.0 - half * lam)
+    gamma = half * resolvent * (basis.T @ sys.b[:, 0])
+    d = np.concatenate([(1.0 + half * lam) * resolvent, [0.0, 1.0]])
+    v = np.concatenate([gamma, [1.0, 0.0]]) / np.sqrt(dt)
+    q_nodes = _modal_backward_pass((d, gamma, v, dt * ell), q_end, prob.n_steps)
+    e = np.diag(d)
+    e[:n, n] = gamma
+    levels = _pass_schedule((e, v[:, None], dt * ell), prob.n_steps)
+    s_start = _free_start(q_nodes[0], ell, frame.T @ s_start, half, n)
+    s_nodes = riccati_forward_pass(levels, q_nodes, s_start)
+
+    grad = (q_nodes[1:, :n, :] @ s_nodes[1:, :, None])[:, :, 0]
+    return s_nodes[:, :n] @ basis.T, (grad * resolvent) @ basis.T
+
+
 def solve_transcription(prob: LqProblem) -> Trajectory:
     """Solve the tracking problem by trapezoid transcription.
 
@@ -379,25 +498,30 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
         V = [Gamma; I; 0] / sqrt(dt),   G = dt L,
 
     with W = V V* of rank m, where s* L s = |C x - z|^2 and u_{i+1}
-    weighs dt at its decision.
-    :func:`~lqturnpike.operators.riccati_backward_pass` runs from the end
-    weights (dt/2 L + P0, with u_N down to dt/2) and
-    :func:`~lqturnpike.operators.riccati_forward_pass` from (x0, u_0, 1),
-    u_0 minimizing the node-0 value at end weights dt/2; this solves the
-    discrete KKT system exactly.  Node by node, each pass solves one
-    m x m system per node.  The multipliers nu_i = (I - dt/2 A)^{-*}
-    (Q_{i+1} s_{i+1})_x approximate y(t_{i+1/2}), and
-    :func:`_nodal_adjoint` carries them to the nodes.
+    weighs dt at its decision.  A backward pass runs from the end
+    weights (dt/2 L + P0, with u_N down to dt/2) and a forward pass from
+    (x0, u_0, 1), u_0 minimizing the node-0 value at end weights dt/2;
+    this solves the discrete KKT system exactly.  The multipliers
+    nu_i = (I - dt/2 A)^{-*} (Q_{i+1} s_{i+1})_x approximate
+    y(t_{i+1/2}), and :func:`_nodal_adjoint` carries them to the nodes.
 
-    Memory is the (N + 1)(n + m + 1)^2 doubles of the Q samples.  On
-    ``heat_1d(n, "boundary_flavored")`` with T = 5 and dt = 1e-2 (2-CPU
-    x86-64 host, medians of five solves in each of two processes) one
-    solve takes 0.041-0.044 s at n = 50, 0.10-0.15 s at n = 100 and
-    0.56-0.65 s at n = 200 on one OpenBLAS thread (0.03-0.04, 0.23-0.27
-    and 0.73-0.78 s on two), with process peak RSS of 71, 103 and 226 MB;
-    at n = 400 and T = 1 the two are level (0.76-0.95 s against
-    0.82-0.86 s).  This call keeps the caller's BLAS thread count; the
-    command line runs it on one thread.
+    Two routes walk the passes.  A state size n + m + 1 that
+    :func:`~lqturnpike.operators._lifts` takes, a nonsymmetric A or more
+    than one control walks
+    :func:`~lqturnpike.operators.riccati_backward_pass` and
+    :func:`~lqturnpike.operators.riccati_forward_pass` on the dense
+    triple, two (n + m + 1)-square products per node when it walks node
+    by node.  A larger state with A exactly symmetric and m = 1 is walked
+    in A's eigenbasis by :func:`_modal_walk`, O((n + 2)^2) work per node.
+
+    Memory is the (N + 1)(n + m + 1)^2 doubles of the Q samples on either
+    route.  On ``heat_1d(n, "boundary_flavored")`` with T = 5 and
+    dt = 1e-2 (2-CPU x86-64 host, one OpenBLAS thread as the command line
+    runs it, medians of five solves in each of two processes) one solve
+    takes 0.017-0.019 s at n = 50, 0.040-0.042 s at n = 100 and
+    0.13-0.14 s at n = 200 in A's eigenbasis, against 0.026-0.027,
+    0.097 and 0.47-0.53 s on the dense triple.  This call keeps the caller's BLAS
+    thread count.
 
     Raises
     ------
@@ -410,10 +534,10 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
     """
     sys = prob.sys
     n, m = sys.n, sys.m
-    nsteps = prob.n_steps
-    check_sample_memory(nsteps, n + m + 1)
+    check_sample_memory(prob.n_steps, n + m + 1)
     dt = prob.dt
     half = 0.5 * dt
+    # Both routes refuse a singular step here; only the dense one solves with the LU.
     with warnings.catch_warnings():
         warnings.simplefilter("error", LinAlgWarning)
         try:
@@ -423,33 +547,20 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
                 f"the trapezoid step dt={dt} makes I - (dt/2) A singular "
                 "(dt/2 times an eigenvalue of A equals 1)"
             ) from exc
-    phi_gamma = lu_solve(lu, np.hstack([np.eye(n) + half * sys.a, half * sys.b]))
 
     u_blk = slice(n, n + m)
-    e = np.zeros((n + m + 1, n + m + 1))
-    e[:n, : n + m] = phi_gamma
-    e[-1, -1] = 1.0
-    v = np.vstack([phi_gamma[:, n:], np.eye(m), np.zeros((1, m))])
-    ell = np.zeros_like(e)
+    ell = np.zeros((n + m + 1, n + m + 1))
     ell[:n, :n] = sys.c.T @ sys.c
     ell[:n, -1] = ell[-1, :n] = -(sys.c.T @ prob.target)
     ell[-1, -1] = prob.target @ prob.target
-    levels = _pass_schedule((e, v / np.sqrt(dt), dt * ell), nsteps)
     q_end = half * ell
     q_end[:n, :n] += prob.p0
     q_end[u_blk, u_blk] -= half * np.eye(m)
-    q_nodes = riccati_backward_pass(levels, q_end)
-
-    # Node 0 carries the end weights dt/2, and u_0 is free.
-    v0 = q_nodes[0] - half * ell
-    v0[u_blk, u_blk] += half * np.eye(m)
     s_start = np.concatenate([prob.x0, np.zeros(m), [1.0]])
-    s_start[u_blk] = -np.linalg.solve(v0[u_blk, u_blk], v0[u_blk] @ s_start)
-    s_nodes = riccati_forward_pass(levels, q_nodes, s_start)
-
-    x_nodes = np.ascontiguousarray(s_nodes[:, :n])
-    grad = np.einsum("tij,tj->it", q_nodes[1:, :n, :], s_nodes[1:])
-    nu = lu_solve(lu, grad, trans=1, check_finite=False).T  # _trajectory refuses NaN
+    if m == 1 and np.array_equal(sys.a, sys.a.T) and not _lifts(n + m + 1):
+        x_nodes, nu = _modal_walk(prob, ell, q_end, s_start)
+    else:
+        x_nodes, nu = _dense_walk(prob, lu, ell, q_end, s_start)
     y_nodes = _nodal_adjoint(prob, x_nodes, nu)
     # Discrete optimality gives u = -B* y exactly at interior nodes; the
     # same law defines the nodal convention at t = 0 and t = T.

@@ -13,8 +13,9 @@ triple it provides the building blocks the rest of the package relies on:
   structure-preserving doubling and carried as ``(E, V, G)`` with
   ``W = V V*`` factored,
 * the backward and forward passes of that flow over a uniform grid, on
-  the levels of one schedule that alone decides whether to lift, the one
-  guard on their samples' memory, and one walker of ``v_{j+1} = R v_j + f``,
+  the levels of one schedule that lifts the sizes one predicate names,
+  the one guard on their samples' memory, and one walker of
+  ``v_{j+1} = R v_j + f``,
 * finite-time observability Gramians, read off that flow, and
 * the structural hypothesis report: stabilizability of (A, B), the
   coercivity constant of ``C*C`` and the (A*, B*) Gramian's extreme
@@ -237,6 +238,22 @@ _let_overflow = np.errstate(over="ignore", invalid="ignore")
 
 
 @_let_overflow
+def _check_target(c, z, *, square: bool) -> None:
+    """NonFiniteError unless the target's cost products are finite.
+
+    C*z always, and |z|^2 where the solver may form it (``square``): an
+    :class:`~lqturnpike.lq.LqProblem` can reach the transcription, whose
+    cost weights hold it; the stationary KKT solve forms C*z only.
+    A finite target can still overflow them (C = 1e10, z = 1e300), so the
+    problem is refused where it is built.
+    """
+    if not np.all(np.isfinite(c.T @ z)):
+        raise NonFiniteError("the target's cost product C*z is not finite")
+    if square and not np.isfinite(z @ z):
+        raise NonFiniteError("the target's cost product |z|^2 is not finite")
+
+
+@_let_overflow
 def riccati_step_flow(a, b, c, dt: float):
     """Exact one-step flow of the Riccati equation, by doubling.
 
@@ -328,6 +345,16 @@ def double_step_flow(e, w, g):
 # (5.5-8.2 ms against 430-450 ms; 15 against 680 ms with LAPACK).
 _LIFTED_SWEEP_MAX_STATE = 16
 
+
+def _lifts(size: int) -> bool:
+    """Whether the passes walk a state of this size by binary lifting.
+
+    The one statement of the threshold: :func:`_pass_schedule` and the
+    transcription's choice of route both ask it.
+    """
+    return size <= _LIFTED_SWEEP_MAX_STATE
+
+
 # Most nodes one block of a pass takes in one batched call.  A block's
 # temporaries are several times its samples, and the last lifted blocks
 # would hold up to half the nodes.  On the scalar problem at N = 2.1e6
@@ -377,7 +404,7 @@ def _pass_schedule(flow, nsteps: int) -> list:
     control, doubling keeps W exactly zero and every level's V of width 0.
     """
     e, v, g = flow
-    if e.shape[0] > _LIFTED_SWEEP_MAX_STATE:
+    if not _lifts(e.shape[0]):
         return [(flow, 1, nsteps + 1, 1)]
     w = v @ v.T
     levels = [(flow, 1, min(2, nsteps + 1), 1)]

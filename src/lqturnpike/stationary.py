@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionError, UniquenessError
-from .operators import LtiSystem, _check_ks, yosida_system
+from .operators import LtiSystem, _check_ks, _check_target, yosida_system
 
 __all__ = [
     "StationaryTriple",
@@ -102,6 +102,8 @@ def solve_stationary(sys: LtiSystem, z) -> StationaryTriple:
 
     Raises
     ------
+    NonFiniteError
+        If z or C*z is not finite.
     UniquenessError
         If the KKT matrix is singular or too ill-conditioned to solve;
         the error names its numerical rank.
@@ -109,6 +111,7 @@ def solve_stationary(sys: LtiSystem, z) -> StationaryTriple:
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape != (sys.n,):
         raise DimensionError(f"target z must have length {sys.n}, got {z.shape}")
+    _check_target(sys.c, z, square=False)
     x_bar, u_bar, y_bar = _solve_kkt(sys, z)
     a, b, c = sys.a, sys.b, sys.c
     return StationaryTriple(

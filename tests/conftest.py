@@ -134,11 +134,11 @@ def _direct_schedule(flow, nsteps):
     """Batches ``(e, w, g), lo, hi, span`` of the passes, on the unfactored flow.
 
     The same walk as the levels of :func:`lqturnpike.operators._pass_schedule`
-    without the block-size cap of their batches: a state of size up to
-    ``operators._LIFTED_SWEEP_MAX_STATE`` takes level k over 2^k steps
-    with ``W`` itself doubled, a larger one its single level node by node.
+    without the block-size cap of their batches: a state whose size
+    ``operators._lifts`` takes level k over 2^k steps with ``W`` itself
+    doubled, any other its single level node by node.
     """
-    lifted = flow[0].shape[0] <= operators._LIFTED_SWEEP_MAX_STATE
+    lifted = operators._lifts(flow[0].shape[0])
     lo = 1
     while lo <= nsteps:
         if lifted and lo > 1:

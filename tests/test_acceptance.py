@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lqturnpike import operators, reporting, turnpike, verification
+from lqturnpike import lq, operators, reporting, turnpike, verification
 from lqturnpike.verification import CheckResult, Record, run_suite
 
 _CHECKS = {}
@@ -160,6 +160,20 @@ def test_quick_suite_solves_no_narrow_s_by_lapack(monkeypatch):
     run_suite("quick")
     assert by_lapack == []
     assert set(widths) == {1, 2}
+
+
+def test_quick_suite_takes_no_modal_walk(monkeypatch):
+    """Every transcription of the quick suite is lifted, so none walks A's eigenbasis.
+
+    The modal walk serves a symmetric A whose state size the passes walk
+    node by node; the quick suite's scalar and rand4 problems are lifted,
+    so ``verify quick`` keeps the generic passes and its numbers.
+    """
+    walks = []
+    walk = lq._modal_walk
+    monkeypatch.setattr(lq, "_modal_walk", lambda *args: walks.append(1) or walk(*args))
+    run_suite("quick")
+    assert walks == []
 
 
 def test_criterion_01_scalar_are(full_results):

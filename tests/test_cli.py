@@ -301,6 +301,30 @@ class TestExitCodes:
         assert result.returncode == 3
         assert result.stderr == "error: Riccati flow produced non-finite samples\n"
 
+    @pytest.mark.parametrize("command", ["stationary", "solve"])
+    def test_overflowing_target_is_an_input_error(self, tmp_path, command):
+        # A fresh interpreter under -W error: C*z and |z|^2 overflow for a
+        # finite target, refused where the problem is built.
+        path = write_config(
+            tmp_path,
+            {
+                "scenario": "custom",
+                "system": {"a": [[-1.0]], "b": [[1.0]], "c": [[1e10]]},
+                "target": [1e300],
+                "horizons": [1.0],
+                "dt": 1e-2,
+                "output_dir": str(tmp_path / "out"),
+            },
+        )
+        src = os.path.dirname(os.path.dirname(lab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lqturnpike", command, "--config", path],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 2
+        assert result.stderr == "error: the target's cost product C*z is not finite\n"
+
     def test_singular_trapezoid_step_is_internal_class(self, tmp_path, capsys):
         path = write_config(
             tmp_path,

@@ -17,6 +17,7 @@ from lqturnpike.errors import (
     DimensionError,
     GridMismatchError,
     IntegrationError,
+    LqTurnpikeError,
     NonFiniteError,
     ProblemSizeError,
 )
@@ -200,14 +201,17 @@ class TestKktSystem:
             scale = max(1.0, np.max(np.abs(want)))
             assert np.max(np.abs(got - want)) <= 1e-12 * scale
         # Larger grids against a sparse solve, through the lifted passes
-        # (augmented size 3 and 7) and the stepwise ones (52); the KKT
-        # multipliers mu give the adjoint through the same recovery.
+        # (augmented size 3 and 7) and the modal walk of the symmetric heat
+        # generators (52 and 102); the KKT multipliers mu give the adjoint
+        # through the same recovery.
         sys4, z4, _ = rand4
         x0 = np.random.Generator(np.random.Philox(key=4)).standard_normal(4)
         for prob in (
             scalar_problem(*scalar),
             lab.LqProblem(sys=sys4, horizon=2.0, target=z4, x0=x0, p0=0.5 * np.eye(4), dt=1e-3),
             heat_problem(50, "boundary_flavored", horizon=5.0),
+            heat_problem(100, "boundary_flavored", horizon=5.0),
+            heat_problem(100, "distributed", horizon=5.0),
         ):
             kkt, rhs = kkt_system(prob)
             sol = spsolve(kkt, rhs)
@@ -219,6 +223,33 @@ class TestKktSystem:
             y_kkt = _nodal_adjoint(prob, x_kkt, -0.5 * mu[1:])
             for got, want in ((traj.x, x_kkt), (traj.y, y_kkt), (traj.u[1:-1], u_kkt[1:-1])):
                 assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
+
+    def test_several_controls_keep_the_dense_walk(self, kkt_system, monkeypatch):
+        # A symmetric A at state size 24 with m = 3 walks the generic passes
+        # on the dense triple, not A's eigenbasis, and meets the sparse
+        # solve at the bound above.
+        walks = []
+        walk = lq._modal_walk
+        monkeypatch.setattr(lq, "_modal_walk", lambda *args: walks.append(1) or walk(*args))
+        gen = np.random.Generator(np.random.Philox(key=11))
+        root = gen.standard_normal((20, 20))
+        gram = root @ root.T
+        a = -0.5 * (gram + gram.T) - np.eye(20)
+        sys_ = lab.make_system(a, gen.standard_normal((20, 3)), np.eye(20))
+        prob = lab.LqProblem(
+            sys=sys_, horizon=1.0, target=np.ones(20), x0=gen.standard_normal(20),
+            p0=0.5 * np.eye(20), dt=1e-2,
+        )
+        kkt, rhs = kkt_system(prob)
+        sol = spsolve(kkt, rhs)
+        traj = lab.solve_transcription(prob)
+        assert walks == []
+        n, m, nodes = 20, 3, prob.n_steps + 1
+        x_kkt = sol[: n * nodes].reshape(nodes, n)
+        u_kkt = sol[n * nodes : (n + m) * nodes].reshape(nodes, m)
+        y_kkt = _nodal_adjoint(prob, x_kkt, -0.5 * sol[(n + m) * nodes :].reshape(nodes, n)[1:])
+        for got, want in ((traj.x, x_kkt), (traj.y, y_kkt), (traj.u[1:-1], u_kkt[1:-1])):
+            assert np.max(np.abs(got - want)) <= 1e-11 * np.max(np.abs(want))
 
 
 def test_import_leaves_scipy_sparse_out():
@@ -343,17 +374,22 @@ class TestSweepPaths:
                 assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _recorded_passes(monkeypatch, solve, prob):
-    """``(args, result)`` of the backward and the forward pass inside one solve."""
+_HEAT_COLUMNS = ("distributed", "boundary_flavored")
+_GENERIC_PASSES = ("riccati_backward_pass", "riccati_forward_pass")
+_MODAL_PASSES = ("_modal_backward_pass", "riccati_forward_pass")
+
+
+def _recorded_passes(monkeypatch, solve, prob, names=_GENERIC_PASSES):
+    """``(args, result)`` of each named pass inside one solve, by default the generic two."""
     calls = {}
-    for name in ("riccati_backward_pass", "riccati_forward_pass"):
+    for name in names:
         def spy(*args, _pass=getattr(lq, name), _name=name):
             calls[_name] = (args, _pass(*args))
             return calls[_name][1]
 
         monkeypatch.setattr(lq, name, spy)
     solve(prob)
-    return calls["riccati_backward_pass"], calls["riccati_forward_pass"]
+    return tuple(calls[name] for name in names)
 
 
 class TestFactoredPasses:
@@ -361,13 +397,16 @@ class TestFactoredPasses:
         "solve", [lab.solve_riccati_sweep, lab.solve_transcription],
         ids=["sweep", "transcription"],
     )
-    @pytest.mark.parametrize("case", ["distributed", "boundary_flavored", "rand4", "scalar"])
+    @pytest.mark.parametrize("case", [*_HEAT_COLUMNS, "rand4", "scalar", "rand20"])
     def test_passes_match_the_direct_oracle(
         self, solve, case, rand4, scalar, monkeypatch, direct_passes
     ):
-        # heat_1d(50) with either column walks node by node; rand4 and the
-        # scalar problem are lifted, and the scalar passes solve every S in
-        # closed form (width 1 on the sweep, 1 then 2 on the transcription).
+        # heat_1d(50) with either column walks node by node, and its
+        # symmetric generator takes the transcription to A's eigenbasis;
+        # rand20's nonsymmetric one keeps the generic passes node by node.
+        # rand4 and the scalar problem are lifted, and the scalar passes
+        # solve every S in closed form (width 1 on the sweep, 1 then 2 on
+        # the transcription).
         if case == "scalar":
             sys_, z, x0 = scalar
             prob = lab.LqProblem(sys=sys_, horizon=10.0, target=z, x0=x0, dt=1e-3)
@@ -377,11 +416,30 @@ class TestFactoredPasses:
             prob = lab.LqProblem(
                 sys=sys_, horizon=2.0, target=z, x0=x0, p0=0.5 * np.eye(4), dt=1e-3
             )
+        elif case == "rand20":
+            sys_ = lab.random_stable(20, 1, 7)
+            assert not np.array_equal(sys_.a, sys_.a.T)
+            prob = lab.LqProblem(
+                sys=sys_, horizon=2.0, target=np.ones(20), x0=np.ones(20), dt=1e-2
+            )
         else:
             prob = heat_problem(50, case)
-        backward, forward = _recorded_passes(monkeypatch, solve, prob)
-        levels, q_end = backward[0]
-        (e, v, g), _, _, _ = levels[0]
+        if solve is lab.solve_transcription and case in _HEAT_COLUMNS:
+            # The same oracle on the modal flow, whose forward pass is the
+            # generic one on its E formed dense.
+            backward, forward = _recorded_passes(monkeypatch, solve, prob, _MODAL_PASSES)
+            (d, gamma, _, g), q_end, _ = backward[0]
+            ((e, v, _), _, _, _), = forward[0][0]
+            n = gamma.shape[0]
+            want_e = np.diag(d)
+            want_e[:n, n] = gamma
+            assert np.array_equal(e, want_e)
+            assert all(np.array_equal(q, q.T) for q in backward[1])
+        else:
+            backward, forward = _recorded_passes(monkeypatch, solve, prob)
+            levels, q_end = backward[0]
+            (e, v, g), _, _, _ = levels[0]
+            assert (len(levels) == 1) == (case in ("rand20", *_HEAT_COLUMNS))
         direct_backward, direct_forward = direct_passes
         unfactored = (e, v @ v.T, g)
         want_q = direct_backward(unfactored, q_end, prob.n_steps)
@@ -1008,3 +1066,32 @@ def test_overflow_is_a_typed_integration_error(route, case):
     prob = _overflow_problem(*_OVERFLOW_CASES[case])
     with pytest.raises(IntegrationError):
         _OVERFLOW_ROUTES[route](prob)
+
+
+@pytest.mark.parametrize(
+    "c, z, product", [(1e10, 1e300, "C*z"), (1e-200, 1e160, "|z|^2")], ids=["C*z", "|z|^2"]
+)
+def test_overflowing_target_is_refused_where_the_problem_is_built(c, z, product):
+    # Under the suite's warnings-as-errors filter: z is finite, but a
+    # product of the transcription's cost weights overflows; the problem
+    # is refused.
+    sys_ = lab.make_system([[-1.0]], [[1.0]], [[c]])
+    with pytest.raises(NonFiniteError, match=re.escape(f"cost product {product} is not")):
+        lab.LqProblem(sys=sys_, horizon=1.0, target=[z], x0=[0.0], dt=1e-2)
+
+
+def test_singular_step_is_refused_on_the_modal_route(monkeypatch):
+    # A symmetric A at state size 22 walks its eigenbasis; dt/2 times its
+    # eigenvalue 2000 is 1, so I - (dt/2) A is singular all the same.
+    walks = []
+    walk = lq._modal_walk
+    monkeypatch.setattr(lq, "_modal_walk", lambda *args: walks.append(1) or walk(*args))
+    a = np.diag(np.concatenate([[2000.0], -np.arange(1.0, 20.0)]))
+    sys_ = lab.make_system(a, np.ones((20, 1)), np.eye(20))
+    prob = lab.LqProblem(sys=sys_, horizon=1.0, target=np.ones(20), x0=np.ones(20), dt=1e-3)
+    with pytest.raises(LqTurnpikeError, match=re.escape("makes I - (dt/2) A singular")):
+        lab.solve_transcription(prob)
+    # With that eigenvalue halved, the same problem solves on the modal route.
+    halved = lab.make_system(0.5 * a, sys_.b, sys_.c)
+    lab.solve_transcription(replace(prob, sys=halved))
+    assert walks == [1]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import lqturnpike as lab
-from lqturnpike.errors import DimensionError, UniquenessError
+from lqturnpike.errors import DimensionError, NonFiniteError, UniquenessError
 
 
 class TestSolveStationary:
@@ -197,3 +197,17 @@ def test_kkt_guards_refuse_a_near_singular_solve(system, rank):
     with pytest.raises(UniquenessError, match=re.escape(message)) as excinfo:
         lab.solve_stationary(lab.make_system(*system), np.ones(1))
     assert excinfo.value.__cause__ is None  # not the factorization's own LinAlgError
+
+
+def test_overflowing_target_is_refused():
+    # Under the suite's warnings-as-errors filter: C*z overflows in the KKT
+    # right-hand side although z is finite.
+    sys_ = lab.make_system([[-1.0]], [[1.0]], [[1e10]])
+    with pytest.raises(NonFiniteError, match=re.escape("cost product C*z is not finite")):
+        lab.solve_stationary(sys_, [1e300])
+
+
+def test_target_whose_square_overflows_solves():
+    # |z|^2 overflows, but the KKT solve forms only C*z = 1e-40.
+    triple = lab.solve_stationary(lab.make_system([[-1.0]], [[1.0]], [[1e-200]]), [1e160])
+    np.testing.assert_allclose(triple.x_bar, [1e-40], rtol=1e-15)
