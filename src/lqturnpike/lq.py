@@ -19,7 +19,7 @@ Two solvers with independent error structure are provided:
     discrete LQ problem's KKT system is solved exactly by Riccati passes
     over the trapezoid's one-step map: the sweep's own passes, or, for a
     symmetric A with one control whose state the passes walk node by
-    node, the same backward recursion in A's eigenbasis, where the map is
+    node, the same two recursions in A's eigenbasis, where the map is
     diagonal but for one column.  Nodal adjoints are recovered from the
     constraint multipliers: the multipliers live naturally at interval
     midpoints, so adjacent multipliers are averaged onto nodes and the
@@ -47,8 +47,8 @@ Two solvers with independent error structure are provided:
     time-discretization error and no stability limit on stiff generators.
 
 Both solvers refuse a problem whose samples exceed the memory cap of
-:mod:`lqturnpike.operators`, and both walk its passes but for the
-backward pass of the transcription's eigenbasis route.  They never
+:mod:`lqturnpike.operators`, and both walk its passes but on the
+transcription's eigenbasis route, which walks its own two.  They never
 share the flow: the transcription steps by the trapezoid's Cayley map,
 the sweep by the exact flow of the Riccati pair, so their errors stay
 independent.  Both are pure functions returning an immutable
@@ -65,6 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, eigh, expm, lu_factor, lu_solve
+from scipy.linalg.blas import dger
 
 from .errors import (
     DimensionError,
@@ -411,37 +412,72 @@ def _dense_walk(prob, lu, ell, q_end, s_start):
 
 
 @_let_overflow
-def _modal_backward_pass(flow, q_end, nsteps: int) -> np.ndarray:
-    """Riccati samples for a one-control map diagonal but for one column, O(size^2) a node.
+def _modal_backward_pass(flow, q_end, nsteps: int):
+    """Riccati samples and gains for a one-control map diagonal but for one column.
 
     The map of :func:`~lqturnpike.operators.riccati_backward_pass`, node
     by node from ``Q_N = q_end``.  ``flow`` is ``(d, gamma, v, g)``:
     E = diag(d) plus the column ``gamma`` (length n) from the control,
     entry n of the state, to the n states, with ``d`` zero at the
     control, ``v`` the column of the generic pass's V and ``g`` its G,
-    zero on the control's row and column.  The Woodbury form
-    M = Q - Q v S^{-1} v* Q is taken as Q - w w* with w = Q v / sqrt(S),
-    so M is symmetric to the bit without a transposed add.  Then
-    Q_j = G + (d d*) o M off the control, d o (M_{:,x} gamma) on its row
-    and column, and gamma* M_xx gamma at their crossing.
+    zero on the control's row and column.  With w = Q_{j+1} v and
+    S = 1 + v* w, the Woodbury form M = Q_{j+1} - w w* / S is never
+    formed: off the control
+
+        Q_j = G + (d d*) o Q_{j+1} - (d o w^)(d o w^)*,   w^ = w / sqrt(S),
+
+    the last term one in-place BLAS rank-one update, and the control's
+    row and column are d o c and their crossing gamma* c_x, with
+    c = Q_{j+1}[:, :n] gamma - w^ (w^_x* gamma) = M_{:,x} gamma.  Every
+    term is symmetric to the bit, so every sample is.  Returns the
+    (N + 1, size, size) samples and the (N + 1, size) gains
+    k_{j+1} = w / S of :func:`_modal_forward_pass`; row 0 of the gains
+    is zero, as no step ends at node 0.
     """
     d, gamma, v, g = flow
     n = gamma.shape[0]
     dd = np.outer(d, d)
     q_nodes = np.empty((nsteps + 1,) + q_end.shape)
     q_nodes[-1] = q_end
-    mat = np.empty_like(q_end)
+    gains = np.empty((nsteps + 1, q_end.shape[0]))
+    gains[0] = 0.0
     for j in range(nsteps - 1, -1, -1):
         q = q_nodes[j + 1]
         w = q @ v
-        w /= np.sqrt(1.0 + v @ w)
-        np.subtract(q, np.multiply.outer(w, w, out=mat), out=mat)
-        prev = np.multiply(dd, mat, out=q_nodes[j])
+        s = 1.0 + v @ w
+        np.divide(w, s, out=gains[j + 1])
+        w /= np.sqrt(s)
+        prev = np.multiply(dd, q, out=q_nodes[j])
         prev += g
-        mg = mat[:, :n] @ gamma
-        prev[n] = prev[:, n] = d * mg
-        prev[n, n] = gamma @ mg[:n]
-    return q_nodes
+        dw = d * w
+        # prev.T is Fortran-ordered over prev's memory, so dger updates prev in place.
+        dger(-1.0, dw, dw, a=prev.T, overwrite_a=True)
+        c = q[:, :n] @ gamma
+        c -= w * (w[:n] @ gamma)
+        prev[n] = prev[:, n] = d * c
+        prev[n, n] = gamma @ c[:n]
+    return q_nodes, gains
+
+
+@_let_overflow
+def _modal_forward_pass(flow, gains, s_start) -> np.ndarray:
+    """Closed loop of :func:`_modal_backward_pass`'s map from its gains, O(size) a node.
+
+    ``flow`` is ``(d, gamma, v)`` of that pass.  Each step forms
+    E s_j = d o s_j plus gamma times the control entry on the n states,
+    then s_{j+1} = E s_j - v (k_{j+1}* E s_j): the generic
+    x_{j+1} = E x_j - V S^{-1} V* Q_{j+1} E x_j with V* Q_{j+1} = w*, as
+    every sample is symmetric to the bit.  Returns the (N + 1, size) states.
+    """
+    d, gamma, v = flow
+    n = gamma.shape[0]
+    s_nodes = np.empty(gains.shape)
+    s_nodes[0] = s_start
+    for j in range(gains.shape[0] - 1):
+        ex = d * s_nodes[j]
+        ex[:n] += s_nodes[j, n] * gamma
+        np.subtract(ex, (gains[j + 1] @ ex) * v, out=s_nodes[j + 1])
+    return s_nodes
 
 
 @_let_overflow
@@ -451,11 +487,12 @@ def _modal_walk(prob, ell, q_end, s_start):
     For symmetric A = U diag(lambda) U* and one control, the coordinates
     (U* x, u, 1) make the Cayley map diag((1 + h lambda) / (1 - h lambda)),
     h = dt/2, and Gamma the column U* h B / (1 - h lambda), so E is
-    diagonal but for that column.  :func:`_modal_backward_pass` walks it;
-    the forward pass is the generic one on E formed dense, whose E s is
-    no dearer than its V* Q.  The weights, the start and the multipliers'
-    (I - h A)^{-*} are taken in the same coordinates, the last a division
-    by 1 - h lambda; x and nu are mapped back by U.
+    diagonal but for that column.  :func:`_modal_backward_pass` walks it
+    back and records its gains, and :func:`_modal_forward_pass` walks the
+    closed loop on those gains, so E is never formed.  The weights, the
+    start and the multipliers' (I - h A)^{-*} are taken in the same
+    coordinates, the last a division by 1 - h lambda; x and nu are
+    mapped back by U.
     """
     sys = prob.sys
     n = sys.n
@@ -470,12 +507,9 @@ def _modal_walk(prob, ell, q_end, s_start):
     gamma = half * resolvent * (basis.T @ sys.b[:, 0])
     d = np.concatenate([(1.0 + half * lam) * resolvent, [0.0, 1.0]])
     v = np.concatenate([gamma, [1.0, 0.0]]) / np.sqrt(dt)
-    q_nodes = _modal_backward_pass((d, gamma, v, dt * ell), q_end, prob.n_steps)
-    e = np.diag(d)
-    e[:n, n] = gamma
-    levels = _pass_schedule((e, v[:, None], dt * ell), prob.n_steps)
+    q_nodes, gains = _modal_backward_pass((d, gamma, v, dt * ell), q_end, prob.n_steps)
     s_start = _free_start(q_nodes[0], ell, frame.T @ s_start, half, n)
-    s_nodes = riccati_forward_pass(levels, q_nodes, s_start)
+    s_nodes = _modal_forward_pass((d, gamma, v), gains, s_start)
 
     grad = (q_nodes[1:, :n, :] @ s_nodes[1:, :, None])[:, :, 0]
     return s_nodes[:, :n] @ basis.T, (grad * resolvent) @ basis.T
@@ -512,16 +546,17 @@ def solve_transcription(prob: LqProblem) -> Trajectory:
     :func:`~lqturnpike.operators.riccati_forward_pass` on the dense
     triple, two (n + m + 1)-square products per node when it walks node
     by node.  A larger state with A exactly symmetric and m = 1 is walked
-    in A's eigenbasis by :func:`_modal_walk`, O((n + 2)^2) work per node.
+    in A's eigenbasis by :func:`_modal_walk`, O((n + 2)^2) work per
+    backward node and O(n) per forward node.
 
     Memory is the (N + 1)(n + m + 1)^2 doubles of the Q samples on either
-    route.  On ``heat_1d(n, "boundary_flavored")`` with T = 5 and
-    dt = 1e-2 (2-CPU x86-64 host, one OpenBLAS thread as the command line
-    runs it, medians of five solves in each of two processes) one solve
-    takes 0.017-0.019 s at n = 50, 0.040-0.042 s at n = 100 and
-    0.13-0.14 s at n = 200 in A's eigenbasis, against 0.026-0.027,
-    0.097 and 0.47-0.53 s on the dense triple.  This call keeps the caller's BLAS
-    thread count.
+    route, and the eigenbasis route's (N + 1)(n + 2) gains.  On
+    ``heat_1d(n, "boundary_flavored")`` with T = 5 and dt = 1e-2 (2-CPU
+    x86-64 host, one OpenBLAS thread as the command line runs it, medians
+    of nine solves in each of two processes) one solve takes 0.014 s at
+    n = 50, 0.032 s at n = 100 and 0.097-0.100 s at n = 200 in A's
+    eigenbasis, against 0.034, 0.115-0.120 and 0.54-0.56 s on the dense
+    triple.  This call keeps the caller's BLAS thread count.
 
     Raises
     ------

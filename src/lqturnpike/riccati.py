@@ -108,7 +108,10 @@ def solve_are(sys: LtiSystem) -> AreSolution:
     ``[[A, -BB*], [-C*C, -A*]]`` yields P; up to five Newton-Kleinman
     corrections (each a Lyapunov solve with the current closed-loop
     generator) polish the residual, stopping early once it reaches
-    ``1e-14``.
+    ``1e-14`` or once a correction fails to halve it: near the rounding
+    floor a further solve no longer pays (``heat_1d(200)`` stalls at
+    about 2e-14 after one correction), and Newton's convergence is
+    quadratic before it.  The last correction's P is kept.
 
     Raises
     ------
@@ -139,16 +142,18 @@ def solve_are(sys: LtiSystem) -> AreSolution:
     p = 0.5 * (p + p.T)
 
     res, rel = _are_residual(sys, p)
+    last = np.inf  # the residual before the latest correction
     for step in range(_NEWTON_STEPS + 1):
         # Every exit leaves a_cl formed from the final p.
         a_cl = sys.a - bbt @ p
-        if rel <= 1e-14 or step == _NEWTON_STEPS:
+        if rel <= 1e-14 or step == _NEWTON_STEPS or rel > 0.5 * last:
             break
         try:
             delta = solve_continuous_lyapunov(a_cl.T, -res)
         except Exception:  # Lyapunov solve can only fail far from a solution
             break
         p = 0.5 * ((p + delta) + (p + delta).T)
+        last = rel
         res, rel = _are_residual(sys, p)
     if rel > _ARE_TOL:
         raise ConvergenceError(

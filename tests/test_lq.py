@@ -376,7 +376,14 @@ class TestSweepPaths:
 
 _HEAT_COLUMNS = ("distributed", "boundary_flavored")
 _GENERIC_PASSES = ("riccati_backward_pass", "riccati_forward_pass")
-_MODAL_PASSES = ("_modal_backward_pass", "riccati_forward_pass")
+_MODAL_PASSES = ("_modal_backward_pass", "_modal_forward_pass")
+
+
+def _modal_map(d, gamma):
+    """E = diag(d) plus the column ``gamma`` from the control, entry n, to the n states."""
+    e = np.diag(d)
+    e[: gamma.shape[0], gamma.shape[0]] = gamma
+    return e
 
 
 def _recorded_passes(monkeypatch, solve, prob, names=_GENERIC_PASSES):
@@ -425,26 +432,46 @@ class TestFactoredPasses:
         else:
             prob = heat_problem(50, case)
         if solve is lab.solve_transcription and case in _HEAT_COLUMNS:
-            # The same oracle on the modal flow, whose forward pass is the
-            # generic one on its E formed dense.
+            # The same oracle on the modal flow, whose E is diag(d) plus the
+            # column gamma and whose forward pass walks the backward's gains.
             backward, forward = _recorded_passes(monkeypatch, solve, prob, _MODAL_PASSES)
-            (d, gamma, _, g), q_end, _ = backward[0]
-            ((e, v, _), _, _, _), = forward[0][0]
-            n = gamma.shape[0]
-            want_e = np.diag(d)
-            want_e[:n, n] = gamma
-            assert np.array_equal(e, want_e)
-            assert all(np.array_equal(q, q.T) for q in backward[1])
+            (d, gamma, v, g), q_end, _ = backward[0]
+            q_nodes = backward[1][0]
+            assert forward[0][1] is backward[1][1]
+            e = _modal_map(d, gamma)
+            v = v[:, None]
+            assert all(np.array_equal(q, q.T) for q in q_nodes)
         else:
             backward, forward = _recorded_passes(monkeypatch, solve, prob)
             levels, q_end = backward[0]
+            q_nodes = backward[1]
             (e, v, g), _, _, _ = levels[0]
             assert (len(levels) == 1) == (case in ("rand20", *_HEAT_COLUMNS))
         direct_backward, direct_forward = direct_passes
         unfactored = (e, v @ v.T, g)
         want_q = direct_backward(unfactored, q_end, prob.n_steps)
-        want_x = direct_forward(unfactored, backward[1], forward[0][2])
-        for got, want in ((backward[1], want_q), (forward[1], want_x)):
+        want_x = direct_forward(unfactored, q_nodes, forward[0][2])
+        for got, want in ((q_nodes, want_q), (forward[1], want_x)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("column", _HEAT_COLUMNS)
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_modal_passes_match_the_generic_passes(self, n, column, monkeypatch):
+        # The modal forward pass against the generic one on the dense E
+        # built from (d, gamma), both from the recorded samples; each gain
+        # against Q_{j+1} v / (1 + v* Q_{j+1} v) from those samples.
+        prob = heat_problem(n, column, horizon=5.0)
+        backward, forward = _recorded_passes(
+            monkeypatch, lab.solve_transcription, prob, _MODAL_PASSES
+        )
+        (d, gamma, v, g), _, nsteps = backward[0]
+        q_nodes, gains = backward[1]
+        levels = operators._pass_schedule((_modal_map(d, gamma), v[:, None], g), nsteps)
+        want_x = operators.riccati_forward_pass(levels, q_nodes, forward[0][2])
+        w = q_nodes[1:] @ v
+        want_gains = w / (1.0 + w @ v)[:, None]
+        assert not gains[0].any()
+        for got, want in ((forward[1], want_x), (gains[1:], want_gains)):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n, m", [(4, 2), (10, 1)])

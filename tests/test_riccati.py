@@ -53,6 +53,38 @@ class TestSolveAre:
             assert are.residual <= 1e-10
             assert are.closed_loop_abscissa < 0.0
 
+    @pytest.mark.parametrize(
+        "case, solves",
+        [
+            ("heat200-boundary_flavored", 2),
+            ("heat50-distributed", 1),
+            ("heat100-boundary_flavored", 1),
+            ("scalar", 0),
+            ("rand4", 0),
+        ],
+    )
+    def test_newton_stops_when_a_correction_stops_paying(
+        self, case, solves, scalar, rand4, monkeypatch
+    ):
+        # heat_1d(200) reaches about 2e-14 after one correction and stalls
+        # there, above the 1e-14 early stop; the second correction fails to
+        # halve the residual, so no third Lyapunov solve is made.  The
+        # smaller heat grids stop at 1e-14 after one, and the scalar and
+        # rand4 Schur solutions need none.
+        lyapunov = riccati.solve_continuous_lyapunov
+        calls = []
+        monkeypatch.setattr(
+            riccati, "solve_continuous_lyapunov",
+            lambda *args: calls.append(1) or lyapunov(*args),
+        )
+        systems = {"scalar": scalar[0], "rand4": rand4[0]}
+        if case.startswith("heat"):
+            n, column = case[4:].split("-")
+            systems[case] = lab.heat_1d(int(n), column)[0]
+        are = lab.solve_are(systems[case])
+        assert len(calls) == solves
+        assert are.residual <= 1e-10
+
 
 def _dre(sys_, horizon, p0, dt):
     """``solve_dre`` of the zero-data problem on this grid, from this p0."""
