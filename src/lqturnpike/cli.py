@@ -205,9 +205,7 @@ def cmd_riccati(args) -> int:
 def cmd_turnpike(args) -> int:
     config, prob, manifest = _prepare(args, "turnpike")
     with manifest.stage("pipeline"):
-        reports = verify_turnpike(
-            prob, config.horizons, solver=config.solver, jobs=args.jobs
-        )
+        reports = verify_turnpike(prob, config.horizons, solver=config.solver)
     with manifest.stage("emit"):
         manifest.write(reporting.turnpike_tables(reports))
     manifest.finalize()
@@ -230,9 +228,7 @@ def cmd_yosida(args) -> int:
     with manifest.stage("stationary-study"):
         stat_rows = stationary_convergence_study(prob.sys, prob.target, config.ks)
     with manifest.stage("dynamic-study"):
-        dyn_rows = yosida_dynamic_study(
-            prob, config.ks, solver=config.solver, jobs=args.jobs
-        )
+        dyn_rows = yosida_dynamic_study(prob, config.ks, solver=config.solver)
     with manifest.stage("emit"):
         manifest.write(reporting.yosida_tables(stat_rows, dyn_rows))
     manifest.finalize()
@@ -246,10 +242,10 @@ def cmd_yosida(args) -> int:
 def cmd_verify(args) -> int:
     manifest = _Manifest(f"verify-{args.suite}", None, args.out)
     with manifest.stage("suite"):
-        results = run_suite(args.suite, out_dir=args.out, jobs=args.jobs)
+        results = run_suite(args.suite, out_dir=args.out)
     manifest.outputs = list(suite_tables(results))
     with manifest.stage("determinism"):
-        determinism = check_determinism(args.suite, results, manifest.timings["suite"], args.jobs)
+        determinism = check_determinism(args.suite, results, manifest.timings["suite"])
     determinism.runtime = manifest.timings["determinism"]
     results.append(determinism)
     for result in results:
@@ -279,22 +275,6 @@ def _add_common(parser):
     )
 
 
-def _jobs(text: str) -> int:
-    jobs = int(text)
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
-    return jobs
-
-
-def _add_jobs(parser):
-    parser.add_argument(
-        "--jobs",
-        type=_jobs,
-        default=1,
-        help="max concurrent solves for horizon/k sweeps (default: 1)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lqturnpike",
@@ -312,14 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=f"run the {name} pipeline")
         _add_common(sp)
-        if fn in (cmd_turnpike, cmd_yosida):  # the commands that sweep horizons or k
-            _add_jobs(sp)
+        if fn is cmd_turnpike:  # perfbench passes --jobs 1; sweeps run on this thread
+            sp.add_argument("--jobs", type=int, choices=(1,), help=argparse.SUPPRESS)
         sp.set_defaults(func=fn)
 
     vp = sub.add_parser("verify", help="run the acceptance suite")
     vp.add_argument("suite", choices=("quick", "full"), help="suite flavor")
     vp.add_argument("--out", default="out", help="output directory (default: out)")
-    _add_jobs(vp)
     vp.set_defaults(func=cmd_verify)
     return parser
 

@@ -463,8 +463,11 @@ def riccati_backward_pass(levels, q_end) -> np.ndarray:
     backward from ``Q_N = q_end``, which is stored as given; the second
     line is the Woodbury form, which solves only the r x r system S for
     a V of width r.  :func:`_solve_small` solves it in closed form at
-    r = 1 (the scalar sweep and the ``heat_1d`` boundary transcription)
-    and r = 2 (the scalar transcription's lifted levels), and by LAPACK
+    r = 1 (the scalar sweep, the scalar transcription's first level and
+    a nonsymmetric one-control transcription such as
+    ``random_stable(20, 1, 7)``; a ``heat_1d`` transcription above 14
+    cells walks ``lq._modal_walk`` and never calls it) and r = 2 (the
+    scalar transcription's lifted levels), and by LAPACK
     at the heat sweep's r = 32 to 36 (50 state cells) and 60 to 64 (100
     cells).  The same map holds over 2^k steps with the doubled
     flow.  ``levels`` are :func:`_pass_schedule` of that flow, and each

@@ -20,7 +20,6 @@ convergence of Yosida-smoothed problems.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,14 +53,6 @@ def _solver(name: str):
     if not isinstance(name, str) or name not in SOLVERS:
         raise ConfigError(f"unknown solver {name!r}, expected one of {sorted(SOLVERS)}")
     return SOLVERS[name]
-
-
-def _map(fn, items: list, jobs: int) -> list:
-    """``[fn(x) for x in items]``, on up to ``jobs`` threads, in the order of ``items``."""
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 # Below this deviation scale the problem starts on the turnpike: there is
@@ -305,7 +296,7 @@ def _report_for_horizon(prob, stat, are, scale, solver_fn):
     )
 
 
-def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
+def verify_turnpike(prob: LqProblem, horizons, *, solver: str):
     """Turnpike reports for a list of horizons, each with its envelope constant.
 
     The stationary triple of ``prob.target`` and the Riccati solution are
@@ -346,12 +337,10 @@ def verify_turnpike(prob: LqProblem, horizons, *, solver: str, jobs: int = 1):
     are = solve_are(prob.sys)
     scale = float(np.linalg.norm(prob.x0 - stat.x_bar) + np.linalg.norm(stat.y_bar))
 
-    def run(horizon):
-        return _report_for_horizon(
-            replace(prob, horizon=horizon), stat, are, scale, solver_fn
-        )
-
-    return _map(run, list(horizons), jobs)
+    return [
+        _report_for_horizon(replace(prob, horizon=horizon), stat, are, scale, solver_fn)
+        for horizon in horizons
+    ]
 
 
 def energy_diagnostics(
@@ -396,14 +385,13 @@ def energy_diagnostics(
     )
 
 
-def yosida_dynamic_study(prob: LqProblem, ks, solver: str, jobs: int = 1):
+def yosida_dynamic_study(prob: LqProblem, ks, solver: str):
     """Convergence table of Yosida-smoothed dynamic problems.
 
     For each k the tracking problem is re-solved by ``solver`` on
     ``yosida_system(prob.sys, k)``, whose control operator is B_k = J_k B
     (same horizon, target, initial state, terminal cost, and step), and
-    the error against the exact-B solution is tabulated.  Distinct k
-    values may solve concurrently; rows come back ordered by k either way.
+    the error against the exact-B solution is tabulated.
 
     Returns
     -------
@@ -423,4 +411,4 @@ def yosida_dynamic_study(prob: LqProblem, ks, solver: str, jobs: int = 1):
         err_y = float(np.max(np.linalg.norm(traj_k.y - base.y, axis=1)))
         return (k, err_u, err_x, err_y)
 
-    return _map(run, ks, jobs)
+    return [run(k) for k in ks]

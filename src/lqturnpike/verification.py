@@ -133,9 +133,8 @@ class SuiteContext:
     :func:`run_suite` call builds its own.
     """
 
-    def __init__(self, quick: bool = False, jobs: int = 1):
+    def __init__(self, quick: bool = False):
         self.quick = quick
-        self.jobs = jobs
 
     # scalar pipeline -----------------------------------------------------
 
@@ -159,8 +158,7 @@ class SuiteContext:
     @cached_property
     def scalar_reports(self):
         return verify_turnpike(
-            self.scalar_problem, self.scalar_horizons,
-            solver="transcription", jobs=self.jobs,
+            self.scalar_problem, self.scalar_horizons, solver="transcription"
         )
 
     @property
@@ -527,7 +525,9 @@ def run_suite(suite: str = "quick", out_dir=None, jobs: int = 1):
     """
     if suite not in SUITE_CAPS:
         raise ValueError(f"unknown suite '{suite}', expected 'quick' or 'full'")
-    ctx = SuiteContext(quick=(suite == "quick"), jobs=jobs)
+    if jobs != 1:  # perfbench passes jobs=1; the suite runs on the calling thread
+        raise ValueError(f"jobs must be 1, got {jobs!r}")
+    ctx = SuiteContext(quick=(suite == "quick"))
     results = []
     with serial_blas():
         for check in CRITERIA:
@@ -556,7 +556,7 @@ def suite_tables(results) -> dict:
 # --- criterion 12 --------------------------------------------------------
 
 
-def check_determinism(suite: str, results, suite_runtime: float, jobs=1) -> CheckResult:
+def check_determinism(suite: str, results, suite_runtime: float) -> CheckResult:
     """Criterion 12: two quick runs render byte-identical files.
 
     The first run is ``results`` when ``suite`` is ``"quick"`` (the run
@@ -569,10 +569,10 @@ def check_determinism(suite: str, results, suite_runtime: float, jobs=1) -> Chec
     checks, the result is untimed: the caller sets ``runtime``.
     """
     cap = SUITE_CAPS[suite]
-    first = results if suite == "quick" else run_suite("quick", jobs=jobs)
+    first = results if suite == "quick" else run_suite("quick")
     a, b = (
         {name: reporting.render_csv(*table) for name, table in suite_tables(run).items()}
-        for run in (first, run_suite("quick", jobs=jobs))
+        for run in (first, run_suite("quick"))
     )
     differing = sum(a.get(name) != b.get(name) for name in a.keys() | b.keys())
     records = [

@@ -766,31 +766,52 @@ class TestCommands:
         assert parsed[("u_bar", 0)] == triple.u_bar[0]
         assert parsed[("y_bar", 0)] == triple.y_bar[0]
 
-    def test_jobs_do_not_change_outputs(self, tmp_path):
-        base = write_config(
-            tmp_path,
-            {
-                "scenario": "scalar",
-                "horizons": [2.0, 3.0],
-                "output_dir": str(tmp_path / "o1"),
-            },
-            name="c1.json",
+    def test_jobs_1_writes_the_same_bytes_as_no_flag(self, tmp_path):
+        # The benchmark passes --jobs 1; it must not change a byte.
+        outputs = {}
+        for label, flags in (("plain", []), ("jobs1", ["--jobs", "1"])):
+            config = write_config(
+                tmp_path,
+                {"scenario": "scalar", "horizons": [2.0, 3.0],
+                 "output_dir": str(tmp_path / label)},
+                name=f"{label}.json",
+            )
+            assert main(["turnpike", "--config", config, *flags]) == 0
+            csvs = (tmp_path / label).glob("*.csv")
+            outputs[label] = {path.name: path.read_bytes() for path in csvs}
+        assert "turnpike_T3.csv" in outputs["plain"]
+        assert outputs["plain"] == outputs["jobs1"]
+
+    def test_jobs_other_than_1_is_refused(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"scenario": "scalar", "horizons": [2.0, 3.0]})
+        argv = ["turnpike", "--config", config, "--out", str(tmp_path / "o"), "--jobs", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_run_suite_refuses_jobs_other_than_1(self, tmp_path):
+        with pytest.raises(ValueError, match="jobs"):
+            verification.run_suite("quick", out_dir=tmp_path / "o", jobs=2)
+        assert not (tmp_path / "o").exists()
+
+    def test_the_lab_starts_no_thread(self, tmp_path, monkeypatch):
+        # Every sweep over horizons or k runs on the calling thread, the
+        # premise of the benchmark's single-stack tracer.
+        import threading
+
+        def refuse(self):
+            raise AssertionError(f"thread {self.name!r} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        config = write_config(
+            tmp_path, {"scenario": "scalar", "output_dir": str(tmp_path / "o")}
         )
-        other = write_config(
-            tmp_path,
-            {
-                "scenario": "scalar",
-                "horizons": [2.0, 3.0],
-                "output_dir": str(tmp_path / "o2"),
-            },
-            name="c2.json",
-        )
-        assert main(["turnpike", "--config", base, "--jobs", "1"]) == 0
-        assert main(["turnpike", "--config", other, "--jobs", "4"]) == 0
-        for name in ("turnpike_summary.csv", "turnpike_T2.csv", "turnpike_T3.csv"):
-            a = (tmp_path / "o1" / name).read_bytes()
-            b = (tmp_path / "o2" / name).read_bytes()
-            assert a == b
+        argv = ["--config", config, "--T", "2", "--T", "3", "--T", "4"]
+        assert main(["turnpike", *argv]) == 0
+        assert main(["yosida", "--config", config]) == 0
+        assert all(r.passed for r in verification.run_suite("quick"))
 
     def test_manifest_records_environment_and_peak_rss(self, tmp_path):
         import platform

@@ -152,6 +152,24 @@ class TestSolveTranscription:
         defect = np.linalg.norm(traj.y[-1] - p0 @ traj.x[-1])
         assert defect <= 1e-9 * max(1.0, np.linalg.norm(traj.y[-1]))
 
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_terminal_adjoint_condition_on_the_eigenbasis_route(self, n, monkeypatch):
+        # The distributed heat column walks A's eigenbasis, and y(T) = P0 x(T)
+        # holds there at rounding (3.5e-15 and 2.9e-14 measured).
+        walks = []
+        walk = lq._modal_walk
+        monkeypatch.setattr(lq, "_modal_walk", lambda *args: walks.append(1) or walk(*args))
+        sys_, z = lab.heat_1d(n, "distributed")
+        nodes = np.arange(1, n + 1) / (n + 1)
+        prob = lab.LqProblem(
+            sys=sys_, horizon=2.0, target=z, x0=np.sin(np.pi * nodes),
+            p0=np.eye(n), dt=1e-2,
+        )
+        traj = lab.solve_transcription(prob)
+        assert walks == [1]
+        defect = np.linalg.norm(traj.y[-1] - traj.x[-1])
+        assert defect <= 1e-12 * max(1.0, np.linalg.norm(traj.y[-1]))
+
     def test_state_adjoint_relation_for_zero_target(self, scalar):
         sys_, _, _ = scalar
         prob = scalar_problem(sys_, np.zeros(1), np.ones(1), horizon=1.0)

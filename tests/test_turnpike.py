@@ -237,14 +237,6 @@ class TestVerifyTurnpike:
         guw = report.gap_u_window
         assert np.allclose(guw, guw[::-1], atol=1e-12)
 
-    def test_concurrent_jobs_match_sequential(self, scalar_problem):
-        seq = verify_turnpike(scalar_problem, [3.0, 5.0], solver="transcription")
-        par = verify_turnpike(scalar_problem, [3.0, 5.0], solver="transcription", jobs=2)
-        for a, b in zip(seq, par):
-            assert a.horizon == b.horizon
-            assert np.array_equal(a.gap_x, b.gap_x)
-            assert a.fitted_lambda == b.fitted_lambda
-
     @pytest.mark.parametrize("solver", ["transcription", "riccati-sweep"])
     def test_report_residual_is_the_public_route(self, rand4, solver):
         # The report's residual and the public h -> residual pair, which
